@@ -21,7 +21,9 @@ between the stored blob set and a live parameter dict.
 from __future__ import annotations
 
 import json
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -36,6 +38,7 @@ _CODE_FOR_KIND = {np.dtype(np.float32): 1, np.dtype(np.float64): 2}
 
 
 def save_checkpoint(path, config: dict, params: dict[str, Tensor]) -> None:
+    """Write the checkpoint atomically: the target is either old or complete."""
     blob = bytearray()
     blob += MAGIC
     blob += struct.pack("<I", FORMAT_VERSION)
@@ -54,8 +57,18 @@ def save_checkpoint(path, config: dict, params: dict[str, Tensor]) -> None:
         blob += struct.pack("<BB", code, data.ndim)
         blob += struct.pack(f"<{data.ndim}I", *data.shape)
         blob += np.ascontiguousarray(data, dtype=_DTYPE_CODES[code]).tobytes()
-    with open(path, "wb") as fh:
-        fh.write(bytes(blob))
+    # Write a sibling temp file, then rename it over the target.
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(bytes(blob))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class _Reader:

@@ -41,7 +41,7 @@ from .pipeline import (
     write_length_csv,
     write_metrics_csv,
 )
-from .tensor import cross_entropy, default_dtype, no_grad, set_default_dtype
+from .tensor import cross_entropy, default_dtype, dtype_scope, no_grad
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -341,7 +341,12 @@ def _gradcheck_config(kind: str, k: int, l: int) -> TrainConfig:
 
 
 def cmd_gradcheck(args) -> int:
-    set_default_dtype("float64")
+    # The check needs float64; the scope restores the caller's build on exit.
+    with dtype_scope("float64"):
+        return _run_gradcheck(args)
+
+
+def _run_gradcheck(args) -> int:
     out_dir = _prepare_out_dir(args.out)
     rng = np.random.default_rng(DEFAULT_SEED if args.seed is None else args.seed)
     pairs = [

@@ -33,6 +33,7 @@ from .tensor import (
     backward,
     concat_last,
     cross_entropy,
+    default_dtype,
     dropout,
     matmul,
     no_grad,
@@ -123,9 +124,10 @@ def pool_trainable_queries(
 
 
 def _affine_init(rng: np.random.Generator, d_in: int, d_out: int, gain: float = 1.0):
+    dt = default_dtype()
     bound = gain * np.sqrt(3.0) / np.sqrt(d_in)
-    w = parameter(rng.uniform(-bound, bound, size=(d_in, d_out)))
-    b = parameter(np.zeros(d_out))
+    w = parameter(rng.uniform(-bound, bound, size=(d_in, d_out)).astype(dt))
+    b = parameter(np.zeros(d_out, dtype=dt))
     return w, b
 
 
@@ -272,7 +274,9 @@ class PairClassifier:
         if self.pooling == "trainable_queries":
             rng = streams.stream("init", "pooling")
             bound = 1.0 / np.sqrt(d)
-            self.queries = parameter(rng.uniform(-bound, bound, size=(N_QUERIES, d)))
+            self.queries = parameter(
+                rng.uniform(-bound, bound, size=(N_QUERIES, d)).astype(default_dtype())
+            )
             d_sent = N_QUERIES * d
         else:
             self.queries = None

@@ -1,10 +1,12 @@
 """Checkpoint container: framing, round trips, and rejection paths."""
 
+import errno
 import struct
 
 import numpy as np
 import pytest
 
+import seqstack.checkpoint as C
 from seqstack import DataError
 from seqstack.checkpoint import (
     FORMAT_VERSION,
@@ -65,6 +67,41 @@ class TestRoundTrip:
         blob = path.read_bytes()
         assert blob.startswith(MAGIC)
         assert struct.pack("<f", 1.0) == blob[-4:]
+
+
+class TestCrashSafety:
+    def test_write_failing_midway_keeps_previous_checkpoint(self, tmp_path, rng, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"epoch": 1}, small_params(rng))
+        before = path.read_bytes()
+
+        class HalfWriter:
+            """A file that takes half of the first write, then reports a full disk."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                self.fh.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(
+            C, "open", lambda *a, **kw: HalfWriter(open(*a, **kw)), raising=False
+        )
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(path, {"epoch": 2}, small_params(np.random.default_rng(5)))
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        config, _ = load_checkpoint(path)
+        assert config == {"epoch": 1}
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
 class TestRejection:

@@ -178,6 +178,55 @@ class TestClassifierHead:
         assert max(worst.values()) < 1e-3, worst
 
 
+class TestBuildPrecision:
+    """A build computes in its own precision: no op may promote or demote."""
+
+    @pytest.mark.parametrize("build", ["float32", "float64"])
+    @pytest.mark.parametrize(
+        "kind, short_cut",
+        [("lstm", False), ("onlstm", False), ("san", False),
+         ("hybrid", True), ("hybrid", False)],
+    )
+    def test_training_step_stays_in_build_dtype(self, build, kind, short_cut):
+        dt = np.dtype(build)
+        pairs = pairs_with_ops(4, 2, max_ops=4)
+        with T.dtype_scope(build):
+            cfg = tiny_config(
+                kind, dropout=0.2,
+                encoder_overrides=dict(dropout=0.2, use_short_cut=short_cut),
+            )
+            model = P.PairClassifier(cfg)
+            ids, mask, labels = P._batch_arrays(P.prepare_examples(pairs), range(8))
+            assert (mask == 0).any(), "the batch must carry padding"
+            off = []
+
+            def checked(op, back):
+                def run(g):
+                    contribs = back(g)
+                    off.extend(f"{op} grad {c.dtype}" for _, c in contribs if c.dtype != dt)
+                    return contribs
+                return run
+
+            with T.tape_scope() as tape:
+                logits = model.forward_joint(
+                    ids, mask, training=True, rng=np.random.default_rng(0)
+                )
+                loss = T.cross_entropy(logits, labels)
+                for entry in tape.entries:
+                    if entry.output.dtype != dt:
+                        off.append(f"{entry.op} out {entry.output.dtype}")
+                    entry.backward = checked(entry.op, entry.backward)
+                T.backward(loss)
+        if loss.dtype != dt:
+            off.append(f"loss {loss.dtype}")
+        for name, p in model.parameters().items():
+            if p.dtype != dt:
+                off.append(f"{name} data {p.dtype}")
+            if p.grad is None or p.grad.dtype != dt:
+                off.append(f"{name} .grad {None if p.grad is None else p.grad.dtype}")
+        assert not off, f"{len(off)} off-dtype values, first: {off[:5]}"
+
+
 class TestTraining:
     def test_first_batch_loss_near_uniform(self):
         # checked at realistic widths: the small-variance logit layer only

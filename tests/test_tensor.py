@@ -244,6 +244,21 @@ class TestGradients:
         ids = np.array([[0, 2], [2, 1]])
         check_op_grad(lambda t: T.gather_rows(t[0], ids), [(4, 3)])
 
+    def test_gather_rows_scatter_matches_loop_reference(self, rng):
+        # float32 with heavy id repeats: the scatter must make the same
+        # additions, in the same order, as a row-by-row loop
+        table = T.parameter(rng.standard_normal((12, 16)).astype(np.float32))
+        ids = rng.integers(0, 11, size=(40, 9))  # row 11 is never read
+        g = rng.standard_normal((40, 9, 16)).astype(np.float32)
+        with T.tape_scope():
+            out = T.gather_rows(table, ids)
+            T.backward(T.sum_all(T.mul(out, T.constant(g))))
+        expected = np.zeros((12, 16), dtype=np.float32)
+        for i, row in zip(ids.reshape(-1), g.reshape(-1, 16)):
+            expected[i] += row
+        np.testing.assert_array_equal(table.grad, expected)
+        assert table.grad.dtype == np.float32
+
     def test_dropout_fixed_mask(self):
         def build(t):
             return T.dropout(t[0], 0.4, training=True, rng=np.random.default_rng(11))
