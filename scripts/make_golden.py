@@ -8,9 +8,13 @@ changes intentionally:
 It generates a small dataset, trains a short hybrid run through the CLI,
 evaluates the best checkpoint, and copies the checkpoint, the test split,
 and the per-bin CSV into tests/golden/ as model.ckpt, test.tsv and bins.csv.
-The eval regression test replays the evaluation of model.ckpt on test.tsv
-and compares its CSV with bins.csv byte-for-byte, so the three files are
-rebuilt and committed together.
+It also writes logits.txt: the `forward_joint` logits of model.ckpt on
+test.tsv, one padded batch, one row per pair. The eval regression tests
+replay model.ckpt on test.tsv and compare its CSV with bins.csv
+byte-for-byte and its logits with logits.txt within a tolerance (the golden
+model predicts the majority class in every bin, so the CSV alone cannot see
+a change in the forward pass). The four files are rebuilt and committed
+together.
 """
 
 import json
@@ -22,7 +26,12 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
+import numpy as np  # noqa: E402
+
 from seqstack.cli import main  # noqa: E402
+from seqstack.logic import load_dataset  # noqa: E402
+from seqstack.pipeline import _batch_arrays, load_model, prepare_examples  # noqa: E402
+from seqstack.tensor import no_grad  # noqa: E402
 
 GOLDEN = REPO / "tests" / "golden"
 
@@ -60,7 +69,17 @@ def build() -> None:
         shutil.copy(run / "model.ckpt", GOLDEN / "model.ckpt")
         shutil.copy(data / "test.tsv", GOLDEN / "test.tsv")
         shutil.copy(evald / "bins.csv", GOLDEN / "bins.csv")
+    write_logits()
     print(f"golden fixture written to {GOLDEN}")
+
+
+def write_logits() -> None:
+    model, _ = load_model(GOLDEN / "model.ckpt")
+    examples = prepare_examples(load_dataset(GOLDEN / "test.tsv"))
+    ids, mask, _ = _batch_arrays(examples, range(len(examples)))
+    with no_grad():
+        logits = model.forward_joint(ids, mask).data
+    np.savetxt(GOLDEN / "logits.txt", logits, fmt="%.9e")
 
 
 if __name__ == "__main__":

@@ -1,15 +1,11 @@
 """Multi-head self-attention encoder layers with sinusoidal positions.
 
 Layers use the residual form with layer norm applied before each sublayer
-(post-norm available behind a flag) and a two-linear feed-forward sublayer.
-Key padding is handled by adding a large negative constant to masked score
-columns before the softmax.
+and a two-linear feed-forward sublayer. Key padding is handled by adding a
+large negative constant to masked score columns before the softmax.
 """
 
 from __future__ import annotations
-
-import csv
-from typing import IO
 
 import numpy as np
 
@@ -52,36 +48,29 @@ def sinusoidal_positions(n: int, d: int) -> np.ndarray:
     return out
 
 
-def scaled_dot_attention(
-    q: Tensor, k: Tensor, v: Tensor, mask_add: np.ndarray | None = None
-) -> Tensor:
-    """softmax(q k^T / sqrt(d_k)) v over the last two axes.
+def key_mask_bias(mask: np.ndarray, dtype) -> np.ndarray:
+    """Additive (B, 1, N) score offset from a (B, N) key mask: MASK_FILL at padding."""
+    return ((1.0 - np.asarray(mask)) * MASK_FILL)[:, None, :].astype(dtype)
 
-    Accepts (n_q, d_k) single sequences or (B, n_q, d_k) batches. `mask_add`
-    is an additive score offset (use MASK_FILL at padded keys), shaped like
-    the score matrix.
+
+def scaled_dot_attention(
+    q: Tensor, k: Tensor, v: Tensor, mask_bias: np.ndarray | None = None
+) -> Tensor:
+    """softmax(q k^T / sqrt(d_k)) v over (B, n_q, d_k) batches.
+
+    `mask_bias` is an additive score offset that broadcasts to the (B, n_q,
+    N) scores, such as the (B, 1, N) output of `key_mask_bias`.
     """
-    single = q.ndim == 2
-    if single:
-        if k.ndim != 2 or v.ndim != 2:
-            raise ShapeError(
-                f"attention rank mismatch: q {q.shape}, k {k.shape}, v {v.shape}"
-            )
-        q = reshape(q, (1,) + q.shape)
-        k = reshape(k, (1,) + k.shape)
-        v = reshape(v, (1,) + v.shape)
+    if q.ndim != 3 or k.ndim != 3 or v.ndim != 3:
+        raise ShapeError(f"attention needs rank-3 q, k, v, got {q.shape}, {k.shape}, {v.shape}")
     if q.shape[-1] != k.shape[-1]:
         raise ShapeError(f"query dim {q.shape} does not match key dim {k.shape}")
     if k.shape[-2] != v.shape[-2]:
         raise ShapeError(f"key count {k.shape} does not match value count {v.shape}")
     scores = scale(bmm(q, permute(k, (0, 2, 1))), 1.0 / np.sqrt(q.shape[-1]))
-    if mask_add is not None:
-        scores = add(scores, constant(np.broadcast_to(mask_add, scores.shape).copy()))
-    weights = softmax_rows(scores)
-    out = bmm(weights, v)
-    if single:
-        out = reshape(out, out.shape[1:])
-    return out
+    if mask_bias is not None:
+        scores = add(scores, constant(np.broadcast_to(mask_bias, scores.shape).copy()))
+    return bmm(softmax_rows(scores), v)
 
 
 def _project(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -135,30 +124,17 @@ class MultiHeadAttention:
         x = permute(x, (0, 2, 1, 3))
         return reshape(x, (batch * self.heads, n, self.d_head))
 
-    def __call__(
-        self,
-        x: Tensor,
-        mask_add: np.ndarray | None = None,
-        attn_sink: list | None = None,
-    ) -> Tensor:
+    def __call__(self, x: Tensor, mask_bias: np.ndarray | None = None) -> Tensor:
+        """Self-attention over (B, N, d); `mask_bias` is a (B, 1, N) key offset."""
         batch, n, d = x.shape
         if d != self.d:
             raise ShapeError(f"input dim {d} does not match model dim {self.d}")
         q = self._split_heads(_project(x, self.w_q, self.b_q), batch, n)
         k = self._split_heads(_project(x, self.w_k), batch, n)
         v = self._split_heads(_project(x, self.w_v, self.b_v), batch, n)
-        head_mask = None
-        if mask_add is not None:
-            head_mask = np.repeat(mask_add[:, None, :, :], self.heads, axis=1).reshape(
-                batch * self.heads, mask_add.shape[-2], mask_add.shape[-1]
-            )
-        scores = scale(bmm(q, permute(k, (0, 2, 1))), 1.0 / np.sqrt(self.d_head))
-        if head_mask is not None:
-            scores = add(scores, constant(head_mask.astype(x.dtype)))
-        weights = softmax_rows(scores)
-        if attn_sink is not None:
-            attn_sink.append(weights.data.reshape(batch, self.heads, n, n).copy())
-        mixed = bmm(weights, v)
+        if mask_bias is not None:
+            mask_bias = np.repeat(mask_bias, self.heads, axis=0)
+        mixed = scaled_dot_attention(q, k, v, mask_bias)
         mixed = reshape(mixed, (batch, self.heads, n, self.d_head))
         mixed = reshape(permute(mixed, (0, 2, 1, 3)), (batch, n, self.d))
         return _project(mixed, self.w_o, self.b_o)
@@ -206,14 +182,12 @@ class SanLayer:
         d_ff: int,
         rng: np.random.Generator,
         dropout_rate: float = 0.0,
-        post_norm: bool = False,
     ):
         self.mha = MultiHeadAttention(d, heads, rng)
         self.ffn = FeedForward(d, d_ff, rng)
         self.ln1 = LayerNormParams(d)
         self.ln2 = LayerNormParams(d)
         self.dropout_rate = dropout_rate
-        self.post_norm = post_norm
 
     def parameters(self, prefix: str = "") -> dict[str, Tensor]:
         out = self.mha.parameters(f"{prefix}mha.")
@@ -230,19 +204,11 @@ class SanLayer:
     def __call__(
         self,
         x: Tensor,
-        mask_add: np.ndarray | None = None,
+        mask_bias: np.ndarray | None = None,
         training: bool = False,
         rng: np.random.Generator | None = None,
-        attn_sink: list | None = None,
     ) -> Tensor:
-        if self.post_norm:
-            x = self.ln1(
-                add(x, self._maybe_drop(self.mha(x, mask_add, attn_sink), training, rng))
-            )
-            return self.ln2(add(x, self._maybe_drop(self.ffn(x), training, rng)))
-        x = add(
-            x, self._maybe_drop(self.mha(self.ln1(x), mask_add, attn_sink), training, rng)
-        )
+        x = add(x, self._maybe_drop(self.mha(self.ln1(x), mask_bias), training, rng))
         return add(x, self._maybe_drop(self.ffn(self.ln2(x)), training, rng))
 
 
@@ -250,9 +216,8 @@ class SanEncoder:
     """L stacked self-attention layers over a (batch, N, d) sequence.
 
     Adds sinusoidal positions when configured, applies input dropout while
-    training, and finishes with a layer norm unless `final_norm` is off (the
-    pre-norm stack needs the final norm; tests disable it to expose residual
-    identities).
+    training, and finishes with a layer norm (the pre-norm residual stream is
+    otherwise never normalized).
     """
 
     def __init__(
@@ -264,26 +229,20 @@ class SanEncoder:
         rng: np.random.Generator,
         dropout_rate: float = 0.0,
         use_positional: bool = True,
-        final_norm: bool = True,
-        post_norm: bool = False,
     ):
         if layers < 1:
             raise ConfigError(f"need at least one layer, got {layers}")
         self.d = d
         self.use_positional = use_positional
         self.dropout_rate = dropout_rate
-        self.layers = [
-            SanLayer(d, heads, d_ff, rng, dropout_rate, post_norm)
-            for _ in range(layers)
-        ]
-        self.final = LayerNormParams(d) if final_norm else None
+        self.layers = [SanLayer(d, heads, d_ff, rng, dropout_rate) for _ in range(layers)]
+        self.final = LayerNormParams(d)
 
     def parameters(self, prefix: str = "") -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
         for li, layer in enumerate(self.layers):
             out.update(layer.parameters(f"{prefix}layer{li}."))
-        if self.final is not None:
-            out.update(self.final.parameters(f"{prefix}final."))
+        out.update(self.final.parameters(f"{prefix}final."))
         return out
 
     def __call__(
@@ -292,7 +251,6 @@ class SanEncoder:
         mask: np.ndarray | None = None,
         training: bool = False,
         rng: np.random.Generator | None = None,
-        attn_sink: list | None = None,
     ) -> Tensor:
         if x.ndim != 3 or x.shape[-1] != self.d:
             raise ShapeError(f"expected (batch, N, {self.d}), got {x.shape}")
@@ -304,29 +262,12 @@ class SanEncoder:
             x = add(x, constant(np.broadcast_to(pos, x.shape).copy()))
         if training and self.dropout_rate > 0:
             x = dropout(x, self.dropout_rate, True, rng)
-        mask_add = None
+        mask_bias = None
         if mask is not None:
-            mask = np.asarray(mask)
-            if mask.shape != (batch, n):
-                raise ConfigError(f"mask shape {mask.shape} != ({batch}, {n})")
-            mask_add = ((1.0 - mask) * MASK_FILL)[:, None, :].astype(x.dtype)
-            mask_add = np.broadcast_to(mask_add, (batch, n, n)).copy()
+            if np.shape(mask) != (batch, n):
+                raise ConfigError(f"mask shape {np.shape(mask)} != ({batch}, {n})")
+            mask_bias = key_mask_bias(mask, x.dtype)
         for layer in self.layers:
-            x = layer(x, mask_add, training, rng, attn_sink)
-        if self.final is not None:
-            x = self.final(x)
-        return x
+            x = layer(x, mask_bias, training, rng)
+        return self.final(x)
 
-
-def write_attention_csv(maps: list[np.ndarray], fh: IO[str], batch_index: int = 0) -> None:
-    """Dump collected attention weights as CSV rows (layer, head, query, key, weight)."""
-    writer = csv.writer(fh)
-    writer.writerow(["layer", "head", "query", "key", "weight"])
-    for layer_index, weights in enumerate(maps):
-        _, heads, n_q, n_k = weights.shape
-        for h in range(heads):
-            for i in range(n_q):
-                for j in range(n_k):
-                    writer.writerow(
-                        [layer_index, h, i, j, f"{weights[batch_index, h, i, j]:.6f}"]
-                    )

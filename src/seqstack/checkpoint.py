@@ -109,7 +109,10 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = reader.unpack("<H")
-        name = reader.take(name_len).decode("utf-8")
+        try:
+            name = reader.take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: corrupt parameter name: {exc}") from exc
         code, ndim = reader.unpack("<BB")
         dtype = _DTYPE_CODES.get(code)
         if dtype is None:

@@ -64,7 +64,6 @@ _BASE_ENCODER = dict(
     d_ff=1024,
     chunk=16,
     dropout=0.2,
-    inter_layer_residual=True,
 )
 
 PRESETS = {
@@ -263,10 +262,7 @@ def cmd_train(args) -> int:
     )
     test_path = data_dir / "test.tsv"
     if test_path.exists():
-        if checkpoint_path.exists():
-            best_model, _ = load_model(checkpoint_path)
-        else:
-            best_model = model
+        best_model, _ = load_model(checkpoint_path)
         test_pairs = load_dataset(test_path)
         metrics.test = evaluate_by_length(
             best_model, test_pairs, bins=config.eval_bins, boundary=config.train_cap,

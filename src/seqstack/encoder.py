@@ -1,6 +1,6 @@
 """Encoder assembly: embeddings, the cascaded stacks, and output combination.
 
-Four encoder kinds share one factory: a pure self-attention stack, two pure
+Four encoder kinds share one class: a pure self-attention stack, two pure
 recurrent stacks (plain and ordered-gate cells), and the cascade that runs the
 recurrent stack first and self-attention on top of its states. The cascade can
 finish with a parameter-free elementwise sum of the two stack outputs; that
@@ -25,7 +25,6 @@ from .tensor import (
     gather_rows,
     scale,
     stack_steps,
-    take_step,
 )
 
 ENCODER_KINDS = ("san", "lstm", "onlstm", "hybrid")
@@ -50,10 +49,6 @@ class EncoderConfig:
     dropout: float = 0.0
     use_positional: bool = False
     use_short_cut: bool = False
-    reverse_cascade: bool = False
-    inter_layer_residual: bool = True
-    post_norm: bool = False
-    reversed_input_gate: bool = False
 
     def validate(self) -> None:
         k, l = self.recurrent_layers, self.attention_layers
@@ -71,8 +66,6 @@ class EncoderConfig:
             raise ConfigError(f"kind=hybrid requires at least one layer of each stack, got K={k}, L={l}")
         if self.kind != "hybrid" and self.use_short_cut:
             raise ConfigError("use_short_cut only applies to kind=hybrid")
-        if self.kind != "hybrid" and self.reverse_cascade:
-            raise ConfigError("reverse_cascade only applies to kind=hybrid")
         if self.kind in ("lstm", "onlstm") and self.use_positional:
             raise ConfigError("use_positional needs an attention stack")
         if l >= 1:
@@ -125,9 +118,7 @@ class Encoder:
                 config.d,
                 streams.stream("init", "rnn"),
                 chunk=config.chunk,
-                residual=config.inter_layer_residual and config.recurrent_layers >= 2,
                 dropout_rate=config.dropout,
-                reversed_input_gate=config.reversed_input_gate,
             )
         if config.attention_layers >= 1:
             self.san = SanEncoder(
@@ -138,7 +129,6 @@ class Encoder:
                 streams.stream("init", "san"),
                 dropout_rate=config.dropout,
                 use_positional=config.use_positional,
-                post_norm=config.post_norm,
             )
 
     def parameters(self, prefix: str = "") -> dict[str, Tensor]:
@@ -162,6 +152,8 @@ class Encoder:
         return ids
 
     def _run_rnn(self, steps, mask, training, rng, trace):
+        # The per-step outputs die with this frame, before the attention
+        # stack runs; only their stacked copy stays alive.
         out_steps, last = self.rnn(
             steps, mask=mask, training=training, rng=rng, trace=trace
         )
@@ -174,59 +166,21 @@ class Encoder:
         training: bool = False,
         rng: np.random.Generator | None = None,
         trace: dict[int, list] | None = None,
-        attn_sink: list | None = None,
     ) -> EncoderOutput:
         ids = self._check_ids(ids)
         cfg = self.config
-        n = ids.shape[1]
         if cfg.kind == "san":
-            h_san = self.san(
-                self._embed_seq(ids), mask=mask, training=training, rng=rng,
-                attn_sink=attn_sink,
-            )
+            h_san = self.san(self._embed_seq(ids), mask=mask, training=training, rng=rng)
             return EncoderOutput(seq=h_san, h_san=h_san)
-        emb_steps = [self._embed_step(ids, t) for t in range(n)]
+        emb_steps = [self._embed_step(ids, t) for t in range(ids.shape[1])]
         if training and cfg.dropout > 0:
             emb_steps = [dropout(s, cfg.dropout, True, rng) for s in emb_steps]
+        h_rnn, last = self._run_rnn(emb_steps, mask, training, rng, trace)
         if cfg.kind in ("lstm", "onlstm"):
-            h_rnn, last = self._run_rnn(emb_steps, mask, training, rng, trace)
             return EncoderOutput(seq=h_rnn, last_hidden=last, h_rnn=h_rnn)
-        if cfg.reverse_cascade:
-            h_san = self.san(
-                stack_steps(emb_steps), mask=mask, training=training, rng=rng,
-                attn_sink=attn_sink,
-            )
-            san_steps = [take_step(h_san, t) for t in range(n)]
-            h_rnn, last = self._run_rnn(san_steps, mask, training, rng, trace)
-            seq = short_cut_combine(h_san, h_rnn) if cfg.use_short_cut else h_rnn
-            return EncoderOutput(seq=seq, last_hidden=last, h_rnn=h_rnn, h_san=h_san)
-        h_rnn, h_san, last = self.encode_cascaded(
-            emb_steps, mask=mask, training=training, rng=rng, trace=trace,
-            attn_sink=attn_sink,
-        )
+        h_san = self.san(h_rnn, mask=mask, training=training, rng=rng)
         seq = short_cut_combine(h_rnn, h_san) if cfg.use_short_cut else h_san
         return EncoderOutput(seq=seq, last_hidden=last, h_rnn=h_rnn, h_san=h_san)
-
-    def encode_cascaded(
-        self,
-        emb_steps,
-        mask: np.ndarray | None = None,
-        training: bool = False,
-        rng: np.random.Generator | None = None,
-        trace: dict[int, list] | None = None,
-        attn_sink: list | None = None,
-    ):
-        """Recurrent stack over the embedded steps, attention stack over its states."""
-        h_rnn, last = self._run_rnn(emb_steps, mask, training, rng, trace)
-        h_san = self.san(
-            h_rnn, mask=mask, training=training, rng=rng, attn_sink=attn_sink
-        )
-        return h_rnn, h_san, last
-
-
-def build_encoder(config: EncoderConfig, streams: SeedStreams) -> Encoder:
-    """Validate the config and construct the encoder it describes."""
-    return Encoder(config, streams)
 
 
 def parameter_count(params: dict[str, Tensor]) -> int:

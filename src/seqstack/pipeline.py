@@ -5,7 +5,7 @@ pooled to a fixed vector, and a three-layer head maps the concatenation to
 seven relation logits. Pooling is tied to the encoder kind: recurrent-final
 encoders use their last real output row, attention-final encoders use two
 trainable query vectors (a single row of an attention stack is not a summary
-state, so last-row pooling is rejected for them).
+state, so they never pool the last row).
 
 Training deliberately caps the operator count of the examples it consumes so
 that longer sequences stay unseen until evaluation; `evaluate_by_length`
@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import MASK_FILL, scaled_dot_attention
+from .attention import key_mask_bias, scaled_dot_attention
 from .checkpoint import load_checkpoint, restore_parameters, save_checkpoint
-from .encoder import Encoder, EncoderConfig, build_encoder
+from .encoder import Encoder, EncoderConfig
 from .errors import ConfigError, DataError, NumericsError
 from .logic import serialize
 from .optim import Adam, clip_global_norm
@@ -42,7 +42,6 @@ from .tensor import (
     reshape,
     select_steps,
     slice_rows,
-    take_row,
     tape_scope,
     tile_batch,
 )
@@ -78,44 +77,21 @@ def encode_tokens(text: str) -> np.ndarray:
 # pooling
 
 
-def pool_last_hidden(seq: Tensor, lengths: np.ndarray | None = None) -> Tensor:
-    """Last output row per example.
-
-    For a single (N, d) sequence this is row N-1. For a (batch, N, d) tensor,
-    `lengths` gives each example's real length so padded rows are skipped;
-    without lengths the final row is taken for every example.
-    """
-    if seq.ndim == 2:
-        return reshape(take_row(seq, seq.shape[0] - 1), (seq.shape[1],))
-    if seq.ndim != 3:
-        raise ConfigError(f"pool_last_hidden expects (N, d) or (batch, N, d), got {seq.shape}")
-    if lengths is None:
-        idx = np.full(seq.shape[0], seq.shape[1] - 1, dtype=np.int64)
-    else:
-        idx = np.asarray(lengths, dtype=np.int64) - 1
-    return select_steps(seq, idx)
+def pool_last_hidden(seq: Tensor, lengths: np.ndarray) -> Tensor:
+    """Last real output row of each (batch, N, d) example, given its length."""
+    return select_steps(seq, np.asarray(lengths, dtype=np.int64) - 1)
 
 
-def pool_trainable_queries(
-    queries: Tensor, seq: Tensor, mask: np.ndarray | None = None
-) -> Tensor:
-    """Attend each learned query over the output rows; concatenate the reads.
+def pool_trainable_queries(queries: Tensor, seq: Tensor, mask: np.ndarray) -> Tensor:
+    """Attend each learned query over the unmasked output rows; concatenate the reads.
 
     Keys and values are the encoder output rows themselves, so the only
-    parameters here are the query vectors. Output dim is n_queries * d.
+    parameters here are the query vectors. Output is (batch, n_queries * d).
     """
     nq, d = queries.shape
-    if seq.ndim == 2:
-        pooled = scaled_dot_attention(queries, seq, seq)
-        return reshape(pooled, (nq * d,))
-    if seq.ndim != 3:
-        raise ConfigError(f"pool_trainable_queries expects (N, d) or (batch, N, d), got {seq.shape}")
     b = seq.shape[0]
     q = tile_batch(queries, b)
-    mask_add = None
-    if mask is not None:
-        mask_add = ((1.0 - np.asarray(mask)) * MASK_FILL)[:, None, :].astype(seq.dtype)
-    pooled = scaled_dot_attention(q, seq, seq, mask_add=mask_add)
+    pooled = scaled_dot_attention(q, seq, seq, key_mask_bias(mask, seq.dtype))
     return reshape(pooled, (b, nq * d))
 
 
@@ -233,9 +209,26 @@ class TrainConfig:
         return cfg
 
 
+# Ablation switches that no experiment used. Configs and checkpoints written
+# before their removal store each one; only the value the code still
+# implements is accepted.
+_RETIRED_ENCODER_KEYS = {
+    "reverse_cascade": False,
+    "inter_layer_residual": True,
+    "post_norm": False,
+    "reversed_input_gate": False,
+}
+
+
 def encoder_config_from_dict(raw: dict) -> EncoderConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"encoder config must be an object, got {type(raw).__name__}")
+    raw = dict(raw)
+    for key, kept in _RETIRED_ENCODER_KEYS.items():
+        if key in raw and raw.pop(key) is not kept:
+            raise ConfigError(
+                f"encoder config key {key!r} is retired; only {str(kept).lower()} is accepted"
+            )
     known = {f.name for f in dataclasses.fields(EncoderConfig)}
     unknown = sorted(set(raw) - known)
     if unknown:
@@ -255,21 +248,12 @@ def encoder_config_from_dict(raw: dict) -> EncoderConfig:
 class PairClassifier:
     """Shared encoder + pooling + relation head over premise/hypothesis pairs."""
 
-    def __init__(self, config: TrainConfig, streams: SeedStreams | None = None,
-                 pooling: str | None = None):
+    def __init__(self, config: TrainConfig, streams: SeedStreams | None = None):
         config.validate()
         self.config = config
         streams = streams if streams is not None else SeedStreams(config.seed)
-        kind = config.encoder.kind
-        required = POOLING_FOR_KIND[kind]
-        if pooling is not None and pooling != required:
-            raise ConfigError(
-                f"pooling {pooling!r} cannot be used with kind={kind}: recurrent-final "
-                "encoders pool their last hidden row, attention-final encoders need "
-                "trainable queries"
-            )
-        self.pooling = required
-        self.encoder: Encoder = build_encoder(config.encoder, streams)
+        self.pooling = POOLING_FOR_KIND[config.encoder.kind]
+        self.encoder = Encoder(config.encoder, streams)
         d = config.encoder.d
         if self.pooling == "trainable_queries":
             rng = streams.stream("init", "pooling")
@@ -294,60 +278,20 @@ class PairClassifier:
         out.update(self.head.parameters("head."))
         return out
 
-    def encode_pooled(self, ids: np.ndarray, mask: np.ndarray | None = None,
-                      training: bool = False, rng=None, trace=None,
-                      attn_sink=None) -> Tensor:
-        """Encoder forward plus the kind-appropriate pooling, one row per example."""
-        out = self.encoder(ids, mask=mask, training=training, rng=rng,
-                           trace=trace, attn_sink=attn_sink)
-        if self.pooling == "last_hidden":
-            lengths = None
-            if mask is not None:
-                lengths = np.asarray(mask).sum(axis=1).astype(np.int64)
-            return pool_last_hidden(out.seq, lengths)
-        return pool_trainable_queries(self.queries, out.seq, mask)
-
     def forward_joint(self, ids: np.ndarray, mask: np.ndarray,
                       training: bool = False, rng=None) -> Tensor:
         """Logits from a stacked batch: rows [0, b) premises, [b, 2b) hypotheses."""
         if ids.shape[0] % 2 != 0:
             raise DataError(f"joint batch must stack premise and hypothesis rows, got {ids.shape}")
         b = ids.shape[0] // 2
-        pooled = self.encode_pooled(ids, mask, training=training, rng=rng)
+        seq = self.encoder(ids, mask=mask, training=training, rng=rng).seq
+        if self.pooling == "last_hidden":
+            pooled = pool_last_hidden(seq, np.asarray(mask).sum(axis=1).astype(np.int64))
+        else:
+            pooled = pool_trainable_queries(self.queries, seq, mask)
         u = slice_rows(pooled, 0, b)
         v = slice_rows(pooled, b, 2 * b)
         return classify_pair(self.head, u, v, training=training, rng=rng)
-
-    def __call__(self, premise_ids: np.ndarray, premise_mask: np.ndarray | None,
-                 hyp_ids: np.ndarray, hyp_mask: np.ndarray | None,
-                 training: bool = False, rng=None) -> Tensor:
-        ids, mask = _stack_pairs(premise_ids, premise_mask, hyp_ids, hyp_mask)
-        return self.forward_joint(ids, mask, training=training, rng=rng)
-
-
-def _stack_pairs(p_ids, p_mask, h_ids, h_mask):
-    p_ids = np.asarray(p_ids)
-    h_ids = np.asarray(h_ids)
-    if p_ids.ndim != 2 or h_ids.ndim != 2 or p_ids.shape[0] != h_ids.shape[0]:
-        raise DataError(
-            f"premise/hypothesis batches must be (b, N) with equal b, "
-            f"got {p_ids.shape} and {h_ids.shape}"
-        )
-    b = p_ids.shape[0]
-    n = max(p_ids.shape[1], h_ids.shape[1])
-    ids = np.full((2 * b, n), PAD_ID, dtype=np.int64)
-    mask = np.zeros((2 * b, n))
-    ids[:b, : p_ids.shape[1]] = p_ids
-    ids[b:, : h_ids.shape[1]] = h_ids
-    if p_mask is None:
-        mask[:b, : p_ids.shape[1]] = 1.0
-    else:
-        mask[:b, : p_ids.shape[1]] = np.asarray(p_mask)
-    if h_mask is None:
-        mask[b:, : h_ids.shape[1]] = 1.0
-    else:
-        mask[b:, : h_ids.shape[1]] = np.asarray(h_mask)
-    return ids, mask
 
 
 # ---------------------------------------------------------------------------
@@ -596,20 +540,24 @@ def train(model: PairClassifier, train_pairs, dev_pairs,
 _CHECKPOINT_KIND = "pair-classifier"
 
 
-def save_model(path, model: PairClassifier, extra: dict | None = None) -> None:
+def save_model(path, model: PairClassifier) -> None:
     config = {"model": _CHECKPOINT_KIND, "train": model.config.to_dict()}
-    if extra:
-        config["extra"] = extra
     save_checkpoint(path, config, model.parameters())
 
 
 def load_model(path) -> tuple[PairClassifier, dict]:
     """Rebuild the model a checkpoint describes and restore its parameters."""
     config, arrays = load_checkpoint(path)
+    if not isinstance(config, dict):
+        raise DataError(f"{path}: checkpoint config must be an object, "
+                        f"got {type(config).__name__}")
     if config.get("model") != _CHECKPOINT_KIND:
         raise DataError(f"{path}: checkpoint holds {config.get('model')!r}, "
                         f"expected {_CHECKPOINT_KIND!r}")
-    train_config = TrainConfig.from_dict(config["train"])
+    try:
+        train_config = TrainConfig.from_dict(config.get("train"))
+    except ConfigError as exc:
+        raise DataError(f"{path}: bad model config: {exc}") from exc
     model = PairClassifier(train_config)
     restore_parameters(model.parameters(), arrays)
     return model, config

@@ -10,8 +10,7 @@ forced to ones reproduces the plain cell bit for bit.
 
 from __future__ import annotations
 
-import csv
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .tensor import (
     default_dtype,
     dropout,
     repeat_last,
-    reverse_last,
     sigmoid,
     slice_last,
     softmax_rows,
@@ -34,18 +32,9 @@ from .tensor import (
 GATE_ORDER = ("forget", "input", "output", "candidate")
 
 
-def cumax(logits: Tensor, direction: str = "forward") -> Tensor:
-    """Cumulative sum of a softmax along the last axis.
-
-    Forward output is non-decreasing with final entry 1; "reversed" applies
-    the forward form to the index-reversed vector and re-reverses, giving a
-    non-increasing profile that starts at 1.
-    """
-    if direction == "forward":
-        return cumsum_last(softmax_rows(logits))
-    if direction == "reversed":
-        return reverse_last(cumsum_last(softmax_rows(reverse_last(logits))))
-    raise ConfigError(f"unknown cumax direction {direction!r}")
+def cumax(logits: Tensor) -> Tensor:
+    """Cumulative sum of a softmax along the last axis: non-decreasing, ending at 1."""
+    return cumsum_last(softmax_rows(logits))
 
 
 class LstmParams:
@@ -86,18 +75,10 @@ class OnLstmParams:
     """LstmParams plus two master-gate heads producing chunk-level logits.
 
     `chunk` is the number of neurons steered by one master value; it must
-    divide d_hidden. With `reversed_input_gate` the write gate is computed by
-    the reversed accumulation instead of the one's-complement form.
+    divide d_hidden.
     """
 
-    def __init__(
-        self,
-        d_in: int,
-        d_hidden: int,
-        chunk: int,
-        rng: np.random.Generator,
-        reversed_input_gate: bool = False,
-    ):
+    def __init__(self, d_in: int, d_hidden: int, chunk: int, rng: np.random.Generator):
         if chunk < 1 or d_hidden % chunk != 0:
             raise ConfigError(
                 f"chunk ({chunk}) must be a positive divisor of d_hidden ({d_hidden})"
@@ -107,7 +88,6 @@ class OnLstmParams:
         self.d_hidden = d_hidden
         self.chunk = chunk
         self.master_dim = d_hidden // chunk
-        self.reversed_input_gate = reversed_input_gate
         dt = default_dtype()
         sx = 1.0 / np.sqrt(d_in)
         sh = 1.0 / np.sqrt(d_hidden)
@@ -166,20 +146,17 @@ def master_gates(
 ) -> tuple[Tensor, Tensor]:
     """Chunk-level erase/write gates expanded to neuron resolution.
 
-    The erase gate is the forward cumulative softmax of its head (rising to
-    1); the write gate is its complement by default, so it falls to 0. Chunk
-    values are repeated across each chunk's neurons. When `trace` is given the
+    The erase gate is the cumulative softmax of its head (rising to 1); the
+    write gate is one minus the cumulative softmax of its own head, so it
+    falls to 0 (Shen et al. 2019, arXiv:1810.09536). Chunk values are
+    repeated across each chunk's neurons. When `trace` is given the
     chunk-level values are appended to it as numpy copies.
     """
     m = params.master_dim
     z = x_t @ params.w_x_master + h_prev @ params.w_h_master + params.bias_master
-    f_chunk = cumax(slice_last(z, 0, m), "forward")
-    i_logits = slice_last(z, m, 2 * m)
-    if params.reversed_input_gate:
-        i_chunk = cumax(i_logits, "reversed")
-    else:
-        cu = cumax(i_logits, "forward")
-        i_chunk = sub(constant(np.ones_like(cu.data)), cu)
+    f_chunk = cumax(slice_last(z, 0, m))
+    cu = cumax(slice_last(z, m, 2 * m))
+    i_chunk = sub(constant(np.ones_like(cu.data)), cu)
     if trace is not None:
         trace.append((f_chunk.data.copy(), i_chunk.data.copy()))
     if params.chunk == 1:
@@ -217,8 +194,8 @@ class RecurrentEncoder:
     final hidden state is each sequence's true last state.
 
     Dropout is applied to the steps fed to layers above the first; returned
-    outputs are raw. With `residual`, layers above the first add their input
-    back onto their output.
+    outputs are raw. Layers above the first add their (undropped) input back
+    onto their output.
     """
 
     def __init__(
@@ -229,9 +206,7 @@ class RecurrentEncoder:
         d_hidden: int,
         rng: np.random.Generator,
         chunk: int = 1,
-        residual: bool = False,
         dropout_rate: float = 0.0,
-        reversed_input_gate: bool = False,
     ):
         if kind not in ("lstm", "onlstm"):
             raise ConfigError(f"unknown recurrent kind {kind!r}")
@@ -239,15 +214,12 @@ class RecurrentEncoder:
             raise ConfigError(f"need at least one layer, got {layers}")
         self.kind = kind
         self.d_hidden = d_hidden
-        self.residual = residual
         self.dropout_rate = dropout_rate
         self.layers: list = []
         for li in range(layers):
             din = d_in if li == 0 else d_hidden
             if kind == "onlstm":
-                self.layers.append(
-                    OnLstmParams(din, d_hidden, chunk, rng, reversed_input_gate)
-                )
+                self.layers.append(OnLstmParams(din, d_hidden, chunk, rng))
             else:
                 self.layers.append(LstmParams(din, d_hidden, rng))
 
@@ -312,24 +284,9 @@ class RecurrentEncoder:
                 else:
                     h, c = h_new, c_new
                 outs.append(h)
-            if self.residual and li > 0:
+            if li > 0:
                 outs = [o + x for o, x in zip(outs, clean)]
             clean = outs
             last_h = h
         return clean, last_h
 
-
-def write_gate_trace_csv(trace: list, fh: IO[str], batch_index: int = 0) -> None:
-    """Write one layer's per-step chunk gates as CSV rows (step, chunk, erase, write)."""
-    writer = csv.writer(fh)
-    writer.writerow(["step", "chunk", "master_forget", "master_input"])
-    for step, (f_chunk, i_chunk) in enumerate(trace):
-        for j in range(f_chunk.shape[1]):
-            writer.writerow(
-                [
-                    step,
-                    j,
-                    f"{f_chunk[batch_index, j]:.6f}",
-                    f"{i_chunk[batch_index, j]:.6f}",
-                ]
-            )

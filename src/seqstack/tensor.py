@@ -131,14 +131,6 @@ def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
 
 
-def zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=_default_dtype))
-
-
-def ones_like(t: Tensor) -> Tensor:
-    return Tensor(np.ones_like(t.data))
-
-
 class TapeEntry:
     """One recorded operation: id, input refs, output ref, backward closure.
 
@@ -289,12 +281,6 @@ def permute(x: Tensor, axes: Sequence[int]) -> Tensor:
     return _record("permute", (x,), x.data.transpose(axes), back)
 
 
-def transpose(x: Tensor) -> Tensor:
-    if x.ndim != 2:
-        raise ShapeError(f"transpose: expected rank 2, got shape {x.shape}")
-    return permute(x, (1, 0))
-
-
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     original = x.shape
 
@@ -441,13 +427,6 @@ def cumsum_last(x: Tensor) -> Tensor:
     return _record("cumsum_last", (x,), out, back)
 
 
-def reverse_last(x: Tensor) -> Tensor:
-    def back(g):
-        return [(x, np.flip(g, axis=-1))] if x.requires_grad else []
-
-    return _record("reverse_last", (x,), np.flip(x.data, axis=-1), back)
-
-
 def repeat_last(x: Tensor, k: int) -> Tensor:
     """Repeat each entry of the last dimension k times (chunk expansion)."""
     out = np.repeat(x.data, k, axis=-1)
@@ -510,23 +489,6 @@ def stack_steps(steps: Sequence[Tensor]) -> Tensor:
         return [(s, g[:, t, :]) for t, s in enumerate(steps) if s.requires_grad]
 
     return _record("stack_steps", steps, out, back)
-
-
-def take_step(x: Tensor, t: int) -> Tensor:
-    """Select step t from a (batch, N, d) sequence tensor as (batch, d)."""
-    if x.ndim != 3:
-        raise ShapeError(f"take_step: expected rank 3, got {x.shape}")
-    if not (0 <= t < x.shape[1]):
-        raise ShapeError(f"take_step: step {t} out of range for {x.shape}")
-
-    def back(g):
-        if not x.requires_grad:
-            return []
-        full = np.zeros_like(x.data)
-        full[:, t, :] = g
-        return [(x, full)]
-
-    return _record("take_step", (x,), x.data[:, t, :], back)
 
 
 def select_steps(x: Tensor, indices: np.ndarray) -> Tensor:
@@ -605,23 +567,6 @@ def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
         return [(table, full)]
 
     return _record("gather_rows", (table,), out, back)
-
-
-def take_row(x: Tensor, index: int) -> Tensor:
-    """Select one row of a rank-2 tensor, keeping it rank 2 (1, d)."""
-    if x.ndim != 2:
-        raise ShapeError(f"take_row: expected rank 2, got {x.shape}")
-    if not (0 <= index < x.shape[0]):
-        raise ShapeError(f"take_row: row {index} out of range for {x.shape}")
-
-    def back(g):
-        if not x.requires_grad:
-            return []
-        full = np.zeros_like(x.data)
-        full[index] = g[0]
-        return [(x, full)]
-
-    return _record("take_row", (x,), x.data[index : index + 1], back)
 
 
 def sum_all(x: Tensor) -> Tensor:

@@ -166,7 +166,7 @@ class TestCriterion2CumaxContract:
 
 class TestCriterion3ShortCutExactness:
     def test_combined_minus_attention_recovers_recurrent_stack(self):
-        from seqstack.encoder import build_encoder
+        from seqstack.encoder import Encoder
         from seqstack.rng import SeedStreams
 
         tol = 1e-6
@@ -179,7 +179,7 @@ class TestCriterion3ShortCutExactness:
                 attention_layers=int(rng.integers(1, 3)),
                 use_short_cut=True,
             )
-            enc = build_encoder(config, SeedStreams(200 + trial))
+            enc = Encoder(config, SeedStreams(200 + trial))
             b, n = int(rng.integers(1, 5)), int(rng.integers(2, 9))
             ids = rng.integers(1, 12, size=(b, n))
             mask = np.ones((b, n))

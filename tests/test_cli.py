@@ -15,10 +15,12 @@ import pytest
 import seqstack.cli as cli
 import seqstack.pipeline as P
 import seqstack.tensor as T
+from seqstack.checkpoint import load_checkpoint, save_checkpoint
 from seqstack.logic import load_dataset, operator_count
 
 
 BINS = "1:40,2:40,3:40,7:30,8:30"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +90,7 @@ class TestTrain:
         assert train_cfg["clip_norm"] == 5.0
         assert train_cfg["seed"] == 42
         assert train_cfg["train_cap"] == 6
-        assert train_cfg["encoder"]["post_norm"] is False
+        assert train_cfg["encoder"]["use_positional"] is False
         assert train_cfg["encoder"]["d"] == 64
         assert resolved["tiny"] is True
         assert resolved["preset"] == "hybrid-shortcut"
@@ -142,6 +144,18 @@ class TestTrain:
              "--config", str(cfg_path), "--out", str(tmp_path / "x")]
         )
         assert code == 1
+
+    def test_retired_encoder_key_at_other_value_is_usage_error(
+        self, workspace, tmp_path, capsys
+    ):
+        cfg_path = tmp_path / "post_norm.json"
+        cfg_path.write_text(json.dumps({"encoder": {"post_norm": True}}))
+        code = cli.main(
+            ["train", str(workspace["data"]), "--preset", "lstm",
+             "--config", str(cfg_path), "--out", str(tmp_path / "x")]
+        )
+        assert code == 1
+        assert "post_norm" in capsys.readouterr().err
 
     def test_missing_dataset_is_data_error(self, tmp_path):
         code = cli.main(
@@ -204,14 +218,24 @@ class TestEval:
         assert {r["bin"] for r in rows} >= {"le6", "ge7"}
 
     def test_golden_checkpoint_reproduces_golden_csv(self, tmp_path):
-        golden = Path(__file__).parent / "golden"
         out = tmp_path / "ev"
         code = cli.main(
-            ["eval", str(golden / "model.ckpt"), str(golden / "test.tsv"),
+            ["eval", str(GOLDEN / "model.ckpt"), str(GOLDEN / "test.tsv"),
              "--out", str(out)]
         )
         assert code == 0
-        assert (out / "bins.csv").read_bytes() == (golden / "bins.csv").read_bytes()
+        assert (out / "bins.csv").read_bytes() == (GOLDEN / "bins.csv").read_bytes()
+
+    def test_golden_checkpoint_reproduces_golden_logits(self):
+        # The golden model predicts the majority class in every bin, so the
+        # CSV above cannot see a change in the forward pass; the logits can.
+        model, _ = P.load_model(GOLDEN / "model.ckpt")
+        examples = P.prepare_examples(load_dataset(GOLDEN / "test.tsv"))
+        ids, mask, _ = P._batch_arrays(examples, range(len(examples)))
+        with T.no_grad():
+            logits = model.forward_joint(ids, mask).data
+        expected = np.loadtxt(GOLDEN / "logits.txt")
+        np.testing.assert_allclose(logits, expected, rtol=1e-5, atol=1e-6)
 
     def test_empty_test_file_is_explicit_error(self, workspace, tmp_path, capsys):
         empty = tmp_path / "empty.tsv"
@@ -230,6 +254,46 @@ class TestEval:
              "--out", str(tmp_path / "ev")]
         )
         assert code == 2
+
+
+class TestMalformedCheckpoint:
+    """Checkpoints that frame correctly but hold a bad config or name exit 2."""
+
+    def _eval(self, ckpt, tmp_path, capsys):
+        code = cli.main(
+            ["eval", str(ckpt), str(GOLDEN / "test.tsv"), "--out", str(tmp_path / "ev")]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("data error:")
+        assert str(ckpt) in err
+        return err
+
+    def test_config_block_that_is_a_list(self, tmp_path, capsys):
+        path = tmp_path / "list.ckpt"
+        save_checkpoint(path, [1, 2], {})
+        self._eval(path, tmp_path, capsys)
+
+    def test_config_without_train_section(self, tmp_path, capsys):
+        path = tmp_path / "no-train.ckpt"
+        save_checkpoint(path, {"model": "pair-classifier"}, {})
+        self._eval(path, tmp_path, capsys)
+
+    def test_parameter_name_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "name.ckpt"
+        save_checkpoint(path, {}, {"zz": T.constant(np.zeros(1, np.float32))})
+        blob = path.read_bytes()
+        assert blob.count(b"\x02\x00zz") == 1
+        path.write_bytes(blob.replace(b"\x02\x00zz", b"\x02\x00\xff\xfe"))
+        self._eval(path, tmp_path, capsys)
+
+    def test_retired_encoder_key_at_other_value(self, tmp_path, capsys):
+        config, arrays = load_checkpoint(GOLDEN / "model.ckpt")
+        assert config["train"]["encoder"]["reverse_cascade"] is False
+        config["train"]["encoder"]["reverse_cascade"] = True
+        path = tmp_path / "reverse.ckpt"
+        save_checkpoint(path, config, {k: T.constant(a) for k, a in arrays.items()})
+        assert "reverse_cascade" in self._eval(path, tmp_path, capsys)
 
 
 class TestGradcheck:

@@ -7,7 +7,6 @@ from seqstack import tensor as T
 from seqstack.encoder import (
     Encoder,
     EncoderConfig,
-    build_encoder,
     parameter_count,
     short_cut_combine,
 )
@@ -31,7 +30,7 @@ def config(kind="hybrid", **kw):
 
 
 def build(kind="hybrid", seed=0, **kw):
-    return build_encoder(config(kind, **kw), SeedStreams(seed))
+    return Encoder(config(kind, **kw), SeedStreams(seed))
 
 
 def token_ids(rng, batch=2, n=4, vocab=5):
@@ -52,8 +51,6 @@ class TestConfigValidation:
     def test_hybrid_only_flags(self):
         with pytest.raises(ConfigError, match="short_cut"):
             config("san", use_short_cut=True).validate()
-        with pytest.raises(ConfigError, match="reverse_cascade"):
-            config("lstm", reverse_cascade=True).validate()
         with pytest.raises(ConfigError, match="positional"):
             config("onlstm", use_positional=True).validate()
 
@@ -106,7 +103,7 @@ class TestFactoryWiring:
 
     def test_recurrent_kind_returns_last_hidden(self, rng):
         ids = token_ids(rng)
-        enc = build("onlstm", inter_layer_residual=False)
+        enc = build("onlstm", recurrent_layers=1)
         out = enc(ids)
         assert out.h_san is None
         np.testing.assert_allclose(out.seq.data[:, -1, :], out.last_hidden.data, atol=0)
@@ -149,12 +146,11 @@ class TestFactoryWiring:
 
     def test_zeroed_attention_sublayers_collapse_to_recurrent_output(self, rng):
         enc = build("hybrid")
-        enc.san.final = None
         for name, p in enc.san.parameters().items():
-            if "ln" not in name:
+            if "ln" not in name and "final" not in name:
                 p.data[...] = 0.0
         out = enc(token_ids(rng))
-        np.testing.assert_allclose(out.h_san.data, out.h_rnn.data, atol=0)
+        np.testing.assert_allclose(out.h_san.data, enc.san.final(out.h_rnn).data, atol=0)
 
     def test_information_flows_forward_only(self, rng):
         ids = token_ids(rng)
@@ -170,15 +166,6 @@ class TestFactoryWiring:
             p.data[...] += 0.05
         after_rnn = enc2(ids)
         assert np.abs(after_rnn.h_san.data - base.h_san.data).max() > 1e-5
-
-    def test_reverse_cascade_differs_from_forward(self, rng):
-        ids = token_ids(rng)
-        fwd = build("hybrid", seed=4)(ids)
-        rev = build("hybrid", seed=4, reverse_cascade=True)(ids)
-        assert np.abs(fwd.seq.data - rev.seq.data).max() > 1e-4
-        np.testing.assert_allclose(
-            rev.seq.data[:, -1, :], rev.last_hidden.data, atol=0
-        )
 
     def test_same_seed_reproduces_bitwise(self, rng):
         ids = token_ids(rng)

@@ -88,9 +88,9 @@ class TestTokens:
 
 class TestPooling:
     def test_last_hidden_matches_manual_indexing(self, rng):
-        x = rng.standard_normal((5, 8))
-        pooled = P.pool_last_hidden(T.constant(x))
-        np.testing.assert_array_equal(pooled.data, x[4])
+        x = rng.standard_normal((1, 5, 8))
+        pooled = P.pool_last_hidden(T.constant(x), np.array([5]))
+        np.testing.assert_array_equal(pooled.data[0], x[0, 4])
 
     def test_last_hidden_uses_per_example_lengths(self, rng):
         x = rng.standard_normal((3, 6, 4))
@@ -101,9 +101,11 @@ class TestPooling:
 
     def test_trainable_queries_single_row_duplicates_it(self, rng):
         q = T.constant(rng.standard_normal((2, 4)))
-        row = rng.standard_normal((1, 4))
-        pooled = P.pool_trainable_queries(q, T.constant(row))
-        np.testing.assert_allclose(pooled.data, np.concatenate([row[0], row[0]]), atol=1e-12)
+        row = rng.standard_normal((1, 1, 4))
+        pooled = P.pool_trainable_queries(q, T.constant(row), np.ones((1, 1)))
+        np.testing.assert_allclose(
+            pooled.data[0], np.concatenate([row[0, 0], row[0, 0]]), atol=1e-12
+        )
 
     def test_trainable_queries_ignore_masked_rows(self, rng):
         q = T.constant(rng.standard_normal((2, 4)))
@@ -126,15 +128,6 @@ class TestPooling:
             T.backward(loss)
         assert model.queries.grad is not None
         assert np.abs(model.queries.grad).max() > 0
-
-    def test_pairing_enforced(self):
-        with pytest.raises(ConfigError, match="pooling"):
-            P.PairClassifier(tiny_config("san"), pooling="last_hidden")
-        with pytest.raises(ConfigError, match="pooling"):
-            P.PairClassifier(tiny_config("hybrid"), pooling="last_hidden")
-        with pytest.raises(ConfigError, match="pooling"):
-            P.PairClassifier(tiny_config("lstm"), pooling="trainable_queries")
-        P.PairClassifier(tiny_config("lstm"), pooling="last_hidden")
 
     def test_default_pooling_follows_kind(self):
         assert P.PairClassifier(tiny_config("onlstm")).pooling == "last_hidden"

@@ -5,7 +5,6 @@ loops; they share no code with the vectorized implementation, so agreement is
 meaningful. Gate order everywhere is (forget, input, output, candidate).
 """
 
-import io
 import math
 
 import numpy as np
@@ -22,7 +21,6 @@ from seqstack.recurrent import (
     lstm_cell_step,
     master_gates,
     on_lstm_cell_step,
-    write_gate_trace_csv,
 )
 from seqstack.rng import SeedStreams
 
@@ -131,19 +129,6 @@ class TestCumax:
             assert abs(out[-1] - 1.0) < 1e-6
             assert np.all(out > 0)
 
-    def test_reversed_is_forward_on_flipped_indices(self):
-        rng = np.random.default_rng(5)
-        logits = rng.standard_normal((3, 6))
-        rev = cumax(T.constant(logits), "reversed").data
-        fwd = cumax(T.constant(logits[:, ::-1].copy()), "forward").data
-        np.testing.assert_allclose(rev, fwd[:, ::-1], atol=1e-7)
-        assert np.all(np.diff(rev, axis=-1) <= 1e-7)
-        np.testing.assert_allclose(rev[:, 0], 1.0, atol=1e-6)
-
-    def test_unknown_direction_rejected(self):
-        with pytest.raises(ConfigError):
-            cumax(T.constant(np.ones((1, 3))), "sideways")
-
 
 class TestLstmCell:
     def test_zero_parameters_follow_closed_form(self):
@@ -233,14 +218,6 @@ class TestMasterGates:
             ref_f, ref_i = scalar_master_gates(params, x.data[0].tolist(), h.data[0].tolist())
             np.testing.assert_allclose(ft.data[0], ref_f, atol=1e-6)
             np.testing.assert_allclose(it.data[0], ref_i, atol=1e-6)
-
-    def test_reversed_write_gate_variant(self):
-        rng = np.random.default_rng(13)
-        params = OnLstmParams(3, 6, chunk=2, rng=rng, reversed_input_gate=True)
-        x, h = make_inputs(rng, 1, [3, 6])
-        _, it = master_gates(params, x, h)
-        assert np.all(np.diff(it.data[0]) <= 1e-7)
-        np.testing.assert_allclose(it.data[0, 0], 1.0, atol=1e-6)
 
     def test_chunk_must_divide_hidden(self):
         with pytest.raises(ConfigError):
@@ -360,7 +337,7 @@ class TestRecurrentEncoder:
             np.testing.assert_allclose(last.data[1], last_b.data[0], atol=1e-9)
 
     def test_residual_adds_layer_input_back(self):
-        enc = self._encoder(kind="lstm", layers=2, d=4, residual=True)
+        enc = self._encoder(kind="lstm", layers=2, d=4)
         for p in enc.layers[1].parameters().values():
             p.data[...] = 0.0
         rng = np.random.default_rng(34)
@@ -407,11 +384,6 @@ class TestRecurrentEncoder:
         f_chunk, i_chunk = trace[0][0]
         assert f_chunk.shape == (1, 2)
         assert np.all((f_chunk >= 0) & (f_chunk <= 1 + 1e-6))
-        buf = io.StringIO()
-        write_gate_trace_csv(trace[0], buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "step,chunk,master_forget,master_input"
-        assert len(lines) == 1 + 4 * 2
 
     def test_lstm_kind_collects_no_trace(self):
         enc = self._encoder(kind="lstm", layers=1, d=4)

@@ -136,10 +136,6 @@ class TestForwardValues:
         out = T.repeat_last(x, 3)
         np.testing.assert_allclose(out.data, [[1.0, 1.0, 1.0, 2.0, 2.0, 2.0]])
 
-    def test_reverse_last(self):
-        x = T.constant(np.array([[1.0, 2.0, 3.0]]))
-        np.testing.assert_allclose(T.reverse_last(x).data, [[3.0, 2.0, 1.0]])
-
     def test_gather_rows_selects_table_rows(self, rng):
         table = rng.standard_normal((12, 4)).astype(np.float32)
         ids = np.array([[0, 11, 3], [5, 5, 1]])
@@ -194,19 +190,15 @@ class TestGradients:
     def test_softmax_cumsum_reverse(self):
         check_op_grad(lambda t: T.softmax_rows(t[0]), [(4, 6)])
         check_op_grad(lambda t: T.cumsum_last(t[0]), [(3, 5)])
-        check_op_grad(lambda t: T.reverse_last(t[0]), [(3, 5)])
 
     def test_shape_ops(self):
         check_op_grad(lambda t: T.reshape(t[0], (6, 2)), [(3, 4)])
         check_op_grad(lambda t: T.permute(t[0], (2, 0, 1)), [(2, 3, 4)])
-        check_op_grad(lambda t: T.transpose(t[0]), [(3, 4)])
         check_op_grad(lambda t: T.slice_last(t[0], 1, 4), [(2, 6)])
         check_op_grad(lambda t: T.repeat_last(t[0], 3), [(2, 4)])
         check_op_grad(lambda t: T.concat_last(t), [(2, 3), (2, 4), (2, 1)])
         check_op_grad(lambda t: T.stack_steps(t), [(2, 3), (2, 3), (2, 3)])
         check_op_grad(lambda t: T.tile_batch(t[0], 5), [(2, 3)])
-        check_op_grad(lambda t: T.take_row(t[0], 2), [(4, 3)])
-        check_op_grad(lambda t: T.take_step(t[0], 1), [(2, 4, 3)])
         check_op_grad(lambda t: T.slice_rows(t[0], 1, 3), [(4, 3)])
         check_op_grad(
             lambda t: T.select_steps(t[0], np.array([2, 0, 1])), [(3, 4, 5)]
@@ -365,8 +357,6 @@ class TestValidationAndDtype:
             T.bmm(T.constant(np.ones((2, 3, 4))), T.constant(np.ones((3, 4, 2))))
         with pytest.raises(ShapeError):
             T.slice_last(a, 2, 9)
-        with pytest.raises(ShapeError):
-            T.transpose(T.constant(np.ones(3)))
 
     def test_bad_labels_raise_data_error(self):
         logits = T.constant(np.zeros((2, 3)))
