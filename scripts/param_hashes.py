@@ -1,0 +1,96 @@
+"""Print parameter and logit fingerprints of one-epoch runs of every preset.
+
+Run from the repository root, on two commits, and diff the outputs:
+
+    python3 scripts/param_hashes.py
+
+It generates a fixed small dataset (bins 1-8, so the test split holds pairs
+longer than the training cap and batches carry padding), then trains each
+of the five presets for one epoch in two settings: `--tiny`, and d=32
+(batch 32, head width 32) with dropout 0.2 in the encoder and the head.
+For each run it prints the SHA-256 of the trained parameters (name, dtype,
+shape and bytes, in name order) and of the `forward_joint` logits on the
+test split (one padded batch). A refactor that claims to keep behaviour to
+the bit must leave every line unchanged. It takes no options.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "src"))
+
+from seqstack.cli import PRESETS, main  # noqa: E402
+from seqstack.logic import load_dataset  # noqa: E402
+from seqstack.pipeline import _batch_arrays, load_model, prepare_examples  # noqa: E402
+from seqstack.tensor import no_grad  # noqa: E402
+
+BINS = ",".join(f"{b}:60" for b in range(1, 9))
+DATA_SEED = "3"
+SMALL_DESK = {
+    "encoder": {"d": 32, "d_ff": 64, "chunk": 4, "heads": 2, "dropout": 0.2},
+    "dropout": 0.2,
+    "batch_size": 32,
+    "classifier_hidden": 32,
+}
+
+
+def _run(argv: list[str]) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    if code != 0:
+        raise SystemExit(f"{argv[0]} failed with exit code {code}")
+
+
+def _sha(chunks) -> str:
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk)
+    return h.hexdigest()
+
+
+def fingerprint(checkpoint: Path, test_file: Path) -> tuple[str, str]:
+    model, _ = load_model(checkpoint)
+    params = model.parameters()
+    param_sha = _sha(
+        part
+        for name in sorted(params)
+        for part in (
+            name.encode(),
+            str(params[name].data.dtype).encode(),
+            str(params[name].data.shape).encode(),
+            params[name].data.tobytes(),
+        )
+    )
+    examples = prepare_examples(load_dataset(test_file))
+    ids, mask, _ = _batch_arrays(examples, range(len(examples)))
+    with no_grad():
+        logits = model.forward_joint(ids, mask).data
+    return param_sha, _sha([str(logits.dtype).encode(), logits.tobytes()])
+
+
+def build() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        data = tmp / "data"
+        config = tmp / "config.json"
+        config.write_text(json.dumps(SMALL_DESK))
+        _run(["gen-data", "--seed", DATA_SEED, "--bins", BINS, "--out", str(data)])
+        settings = {"tiny": ["--tiny"], "d32-dropout": ["--config", str(config)]}
+        for setting, extra in settings.items():
+            for preset in sorted(PRESETS):
+                run = tmp / f"{setting}-{preset}"
+                _run(["train", str(data), "--preset", preset, "--epochs", "1",
+                      "--out", str(run), *extra])
+                param_sha, logit_sha = fingerprint(run / "model.ckpt", data / "test.tsv")
+                print(f"{setting:<12} {preset:<16} params {param_sha}  logits {logit_sha}",
+                      flush=True)
+
+
+if __name__ == "__main__":
+    build()

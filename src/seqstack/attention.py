@@ -264,8 +264,6 @@ class SanEncoder:
             x = dropout(x, self.dropout_rate, True, rng)
         mask_bias = None
         if mask is not None:
-            if np.shape(mask) != (batch, n):
-                raise ConfigError(f"mask shape {np.shape(mask)} != ({batch}, {n})")
             mask_bias = key_mask_bias(mask, x.dtype)
         for layer in self.layers:
             x = layer(x, mask_bias, training, rng)

@@ -24,7 +24,6 @@ from .tensor import (
     dropout,
     gather_rows,
     scale,
-    stack_steps,
 )
 
 ENCODER_KINDS = ("san", "lstm", "onlstm", "hybrid")
@@ -82,10 +81,13 @@ class EncoderConfig:
 
 @dataclass
 class EncoderOutput:
-    """seq is what downstream consumers read; the stack outputs stay inspectable."""
+    """seq is what downstream consumers read; the stack outputs stay inspectable.
+
+    Each is (batch, N, d). In a right-padded batch only the rows at real steps
+    are meaningful; consumers must not read the rows at padded steps.
+    """
 
     seq: Tensor
-    last_hidden: Tensor | None = None
     h_rnn: Tensor | None = None
     h_san: Tensor | None = None
 
@@ -151,14 +153,6 @@ class Encoder:
             raise DataError(f"token ids must be (batch, N>=1), got shape {ids.shape}")
         return ids
 
-    def _run_rnn(self, steps, mask, training, rng, trace):
-        # The per-step outputs die with this frame, before the attention
-        # stack runs; only their stacked copy stays alive.
-        out_steps, last = self.rnn(
-            steps, mask=mask, training=training, rng=rng, trace=trace
-        )
-        return stack_steps(out_steps), last
-
     def __call__(
         self,
         ids: np.ndarray,
@@ -167,7 +161,17 @@ class Encoder:
         rng: np.random.Generator | None = None,
         trace: dict[int, list] | None = None,
     ) -> EncoderOutput:
+        """Encode (batch, N) token ids; `mask` marks real tokens with 1.
+
+        The mask must be right padding, each row ones then zeros; anything
+        else raises DataError. The recurrent stack reads no mask: right
+        padding alone keeps its real rows exact.
+        """
         ids = self._check_ids(ids)
+        if mask is not None:
+            m = np.asarray(mask)
+            if m.shape != ids.shape or not np.array_equal(m, np.arange(m.shape[1]) < m.sum(1, keepdims=True)):
+                raise DataError(f"mask must be {ids.shape} right padding: each row ones, then zeros")
         cfg = self.config
         if cfg.kind == "san":
             h_san = self.san(self._embed_seq(ids), mask=mask, training=training, rng=rng)
@@ -175,12 +179,12 @@ class Encoder:
         emb_steps = [self._embed_step(ids, t) for t in range(ids.shape[1])]
         if training and cfg.dropout > 0:
             emb_steps = [dropout(s, cfg.dropout, True, rng) for s in emb_steps]
-        h_rnn, last = self._run_rnn(emb_steps, mask, training, rng, trace)
+        h_rnn = self.rnn(emb_steps, training=training, rng=rng, trace=trace)
         if cfg.kind in ("lstm", "onlstm"):
-            return EncoderOutput(seq=h_rnn, last_hidden=last, h_rnn=h_rnn)
+            return EncoderOutput(seq=h_rnn, h_rnn=h_rnn)
         h_san = self.san(h_rnn, mask=mask, training=training, rng=rng)
         seq = short_cut_combine(h_rnn, h_san) if cfg.use_short_cut else h_san
-        return EncoderOutput(seq=seq, last_hidden=last, h_rnn=h_rnn, h_san=h_san)
+        return EncoderOutput(seq=seq, h_rnn=h_rnn, h_san=h_san)
 
 
 def parameter_count(params: dict[str, Tensor]) -> int:

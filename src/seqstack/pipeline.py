@@ -198,15 +198,36 @@ class TrainConfig:
         enc_raw = data.pop("encoder", None)
         if enc_raw is None:
             raise ConfigError("train config is missing the 'encoder' section")
-        known = {f.name for f in dataclasses.fields(cls) if f.name != "encoder"}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigError(f"unknown train config keys: {unknown}")
+        _check_fields(cls, data, "train")
         if "eval_bins" in data:
-            data["eval_bins"] = tuple(int(b) for b in data["eval_bins"])
+            data["eval_bins"] = tuple(data["eval_bins"])
         cfg = cls(encoder=encoder_config_from_dict(enc_raw), **data)
         cfg.validate()
         return cfg
+
+
+# Accepted value types per config field annotation (a string: annotations are
+# postponed in this module and in encoder.py); an int is a valid float.
+_FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
+
+
+def _type_ok(value, annotation: str) -> bool:
+    if isinstance(value, bool):  # bool is an int subclass
+        return annotation == "bool"
+    if annotation == "tuple":  # eval_bins, a list of ints
+        return isinstance(value, (list, tuple)) and all(_type_ok(v, "int") for v in value)
+    return isinstance(value, _FIELD_TYPES.get(annotation, object))
+
+
+def _check_fields(cls, raw: dict, section: str) -> None:
+    """Reject keys that name no field of `cls` and values of the wrong type."""
+    fields = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = sorted(set(raw) - set(fields))
+    if unknown:
+        raise ConfigError(f"unknown {section} config keys: {unknown}")
+    for name, value in raw.items():
+        if not _type_ok(value, fields[name]):
+            raise ConfigError(f"{section} config key {name!r} must be {fields[name]}, got {value!r}")
 
 
 # Ablation switches that no experiment used. Configs and checkpoints written
@@ -229,10 +250,7 @@ def encoder_config_from_dict(raw: dict) -> EncoderConfig:
             raise ConfigError(
                 f"encoder config key {key!r} is retired; only {str(kept).lower()} is accepted"
             )
-    known = {f.name for f in dataclasses.fields(EncoderConfig)}
-    unknown = sorted(set(raw) - known)
-    if unknown:
-        raise ConfigError(f"unknown encoder config keys: {unknown}")
+    _check_fields(EncoderConfig, raw, "encoder")
     try:
         cfg = EncoderConfig(**raw)
     except TypeError as exc:

@@ -25,6 +25,7 @@ from .tensor import (
     sigmoid,
     slice_last,
     softmax_rows,
+    stack_steps,
     sub,
     tanh,
 )
@@ -189,9 +190,10 @@ class RecurrentEncoder:
     """K stacked unidirectional cells scanning a step list left to right.
 
     Input is a list of (batch, d_in) tensors, one per time step; output is the
-    top layer's step list plus the final carried hidden state. With a (batch,
-    N) mask, padded steps carry the previous (h, c) through unchanged, so the
-    final hidden state is each sequence's true last state.
+    top layer's (batch, N, d_hidden) sequence tensor. It takes no padding
+    mask: batches are right-padded, and a left-to-right scan never carries a
+    padded step into a real one, so real rows equal those of an unpadded run.
+    Rows at padded steps continue the scan over padding; nothing reads them.
 
     Dropout is applied to the steps fed to layers above the first; returned
     outputs are raw. Layers above the first add their (undropped) input back
@@ -232,11 +234,10 @@ class RecurrentEncoder:
     def __call__(
         self,
         steps: Sequence[Tensor],
-        mask: np.ndarray | None = None,
         training: bool = False,
         rng: np.random.Generator | None = None,
         trace: dict[int, list] | None = None,
-    ) -> tuple[list[Tensor], Tensor]:
+    ) -> Tensor:
         steps = list(steps)
         if not steps:
             raise DataError("cannot encode a length-0 sequence")
@@ -245,22 +246,7 @@ class RecurrentEncoder:
         batch = steps[0].shape[0]
         dh = self.d_hidden
         dt = steps[0].dtype
-        keep_masks = None
-        if mask is not None:
-            mask = np.asarray(mask, dtype=dt)
-            if mask.shape != (batch, len(steps)):
-                raise ConfigError(
-                    f"mask shape {mask.shape} != (batch, steps) ({batch}, {len(steps)})"
-                )
-            keep_masks = [
-                (
-                    constant(np.repeat(mask[:, t : t + 1], dh, axis=1)),
-                    constant(np.repeat(1.0 - mask[:, t : t + 1], dh, axis=1)),
-                )
-                for t in range(len(steps))
-            ]
         clean = steps
-        last_h: Tensor | None = None
         for li, layer in enumerate(self.layers):
             if li > 0 and training and self.dropout_rate > 0:
                 fed = [dropout(x, self.dropout_rate, True, rng) for x in clean]
@@ -272,21 +258,13 @@ class RecurrentEncoder:
             if trace is not None and self.kind == "onlstm":
                 layer_trace = trace.setdefault(li, [])
             outs: list[Tensor] = []
-            for t, x_t in enumerate(fed):
+            for x_t in fed:
                 if self.kind == "onlstm":
-                    h_new, c_new = on_lstm_cell_step(layer, x_t, (h, c), trace=layer_trace)
+                    h, c = on_lstm_cell_step(layer, x_t, (h, c), trace=layer_trace)
                 else:
-                    h_new, c_new = lstm_cell_step(layer, x_t, (h, c))
-                if keep_masks is not None:
-                    keep, hold = keep_masks[t]
-                    h = keep * h_new + hold * h
-                    c = keep * c_new + hold * c
-                else:
-                    h, c = h_new, c_new
+                    h, c = lstm_cell_step(layer, x_t, (h, c))
                 outs.append(h)
             if li > 0:
                 outs = [o + x for o, x in zip(outs, clean)]
             clean = outs
-            last_h = h
-        return clean, last_h
-
+        return stack_steps(clean)

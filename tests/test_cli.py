@@ -145,6 +145,35 @@ class TestTrain:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "file_cfg, key",
+        [
+            ({"epochs": "3"}, "epochs"),
+            ({"eval_bins": 5}, "eval_bins"),
+            ({"encoder": {"d": "64"}}, "'d'"),
+            ({"lr": "x"}, "lr"),
+            ({"clip_norm": None}, "clip_norm"),
+            ({"train_cap": 2.5}, "train_cap"),
+            ({"seed": True}, "seed"),
+            ({"eval_bins": [1, "12"]}, "eval_bins"),
+            ({"encoder": {"use_positional": 0}}, "use_positional"),
+        ],
+        ids=["epochs-str", "eval_bins-int", "d-str", "lr-str", "clip_norm-null",
+             "train_cap-float", "seed-bool", "eval_bins-str-item", "use_positional-int"],
+    )
+    def test_wrongly_typed_config_value_is_usage_error(
+        self, workspace, tmp_path, capsys, file_cfg, key
+    ):
+        cfg_path = tmp_path / "typed.json"
+        cfg_path.write_text(json.dumps(file_cfg))
+        code = cli.main(
+            ["train", str(workspace["data"]), "--preset", "lstm",
+             "--config", str(cfg_path), "--out", str(tmp_path / "x")]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error:") and key in err
+
     def test_retired_encoder_key_at_other_value_is_usage_error(
         self, workspace, tmp_path, capsys
     ):
@@ -294,6 +323,13 @@ class TestMalformedCheckpoint:
         path = tmp_path / "reverse.ckpt"
         save_checkpoint(path, config, {k: T.constant(a) for k, a in arrays.items()})
         assert "reverse_cascade" in self._eval(path, tmp_path, capsys)
+
+    def test_wrongly_typed_config_value(self, tmp_path, capsys):
+        config, arrays = load_checkpoint(GOLDEN / "model.ckpt")
+        config["train"]["encoder"]["heads"] = 2.0
+        path = tmp_path / "typed.ckpt"
+        save_checkpoint(path, config, {k: T.constant(a) for k, a in arrays.items()})
+        assert "heads" in self._eval(path, tmp_path, capsys)
 
 
 class TestGradcheck:

