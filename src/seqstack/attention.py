@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ShapeError
 from .tensor import (
     Tensor,
     add,
@@ -196,11 +196,6 @@ class SanLayer:
         out.update(self.ln2.parameters(f"{prefix}ln2."))
         return out
 
-    def _maybe_drop(self, x: Tensor, training: bool, rng) -> Tensor:
-        if training and self.dropout_rate > 0:
-            return dropout(x, self.dropout_rate, True, rng)
-        return x
-
     def __call__(
         self,
         x: Tensor,
@@ -208,8 +203,9 @@ class SanLayer:
         training: bool = False,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
-        x = add(x, self._maybe_drop(self.mha(self.ln1(x), mask_bias), training, rng))
-        return add(x, self._maybe_drop(self.ffn(self.ln2(x)), training, rng))
+        rate = self.dropout_rate
+        x = add(x, dropout(self.mha(self.ln1(x), mask_bias), rate, training, rng))
+        return add(x, dropout(self.ffn(self.ln2(x)), rate, training, rng))
 
 
 class SanEncoder:
@@ -254,14 +250,11 @@ class SanEncoder:
     ) -> Tensor:
         if x.ndim != 3 or x.shape[-1] != self.d:
             raise ShapeError(f"expected (batch, N, {self.d}), got {x.shape}")
-        if training and self.dropout_rate > 0 and rng is None:
-            raise ContractError("training with dropout needs an rng stream")
         batch, n, d = x.shape
         if self.use_positional:
             pos = sinusoidal_positions(n, d).astype(x.dtype)
             x = add(x, constant(np.broadcast_to(pos, x.shape).copy()))
-        if training and self.dropout_rate > 0:
-            x = dropout(x, self.dropout_rate, True, rng)
+        x = dropout(x, self.dropout_rate, training, rng)
         mask_bias = None
         if mask is not None:
             mask_bias = key_mask_bias(mask, x.dtype)

@@ -79,18 +79,6 @@ PRESETS = {
     ),
 }
 
-_TRAIN_DEFAULTS = dict(
-    epochs=100,
-    batch_size=128,
-    lr=1e-4,
-    dropout=0.2,
-    clip_norm=5.0,
-    seed=DEFAULT_SEED,
-    train_cap=6,
-    eval_bins=list(range(1, MAX_OPS + 1)),
-    classifier_hidden=512,
-)
-
 # CI-scale shrink: small model, few epochs, a hotter step, no dropout (ten
 # epochs is too short for regularization to pay rent). The pure ordered-gate
 # stack needs its own shrink: at these dims a two-layer version cannot escape
@@ -114,10 +102,13 @@ def _deep_update(base: dict, extra: dict) -> dict:
 
 
 def resolve_train_config(args) -> tuple[TrainConfig, dict]:
-    """Merge preset, config file, tiny shrink, and flag overrides, in that order."""
+    """Merge preset, config file, tiny shrink, and flag overrides, in that order.
+
+    A key that none of them sets keeps its TrainConfig default.
+    """
     if args.preset is None and args.config is None:
         raise ConfigError("provide --preset and/or --config to define the model")
-    raw: dict = {**_TRAIN_DEFAULTS}
+    raw: dict = {}
     if args.preset is not None:
         raw["encoder"] = dict(PRESETS[args.preset])
     if args.config is not None:

@@ -92,11 +92,6 @@ class EncoderOutput:
     h_san: Tensor | None = None
 
 
-def short_cut_combine(h_rnn: Tensor, h_san: Tensor) -> Tensor:
-    """Parameter-free elementwise sum of the two stack outputs."""
-    return add(h_rnn, h_san)
-
-
 class Encoder:
     """Token ids in, contextual states out, per the configured stack layout."""
 
@@ -176,16 +171,13 @@ class Encoder:
         if cfg.kind == "san":
             h_san = self.san(self._embed_seq(ids), mask=mask, training=training, rng=rng)
             return EncoderOutput(seq=h_san, h_san=h_san)
-        emb_steps = [self._embed_step(ids, t) for t in range(ids.shape[1])]
-        if training and cfg.dropout > 0:
-            emb_steps = [dropout(s, cfg.dropout, True, rng) for s in emb_steps]
+        emb_steps = [
+            dropout(self._embed_step(ids, t), cfg.dropout, training, rng)
+            for t in range(ids.shape[1])
+        ]
         h_rnn = self.rnn(emb_steps, training=training, rng=rng, trace=trace)
         if cfg.kind in ("lstm", "onlstm"):
             return EncoderOutput(seq=h_rnn, h_rnn=h_rnn)
         h_san = self.san(h_rnn, mask=mask, training=training, rng=rng)
-        seq = short_cut_combine(h_rnn, h_san) if cfg.use_short_cut else h_san
+        seq = add(h_rnn, h_san) if cfg.use_short_cut else h_san
         return EncoderOutput(seq=seq, h_rnn=h_rnn, h_san=h_san)
-
-
-def parameter_count(params: dict[str, Tensor]) -> int:
-    return sum(p.size for p in params.values())

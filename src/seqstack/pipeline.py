@@ -137,12 +137,6 @@ class ClassifierHead:
         return add(matmul(h, self.w3), self.b3)
 
 
-def classify_pair(head: ClassifierHead, u: Tensor, v: Tensor,
-                  training: bool = False, rng=None) -> Tensor:
-    """Relation logits for pooled premise u and hypothesis v."""
-    return head(concat_last([u, v]), training=training, rng=rng)
-
-
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -309,7 +303,7 @@ class PairClassifier:
             pooled = pool_trainable_queries(self.queries, seq, mask)
         u = slice_rows(pooled, 0, b)
         v = slice_rows(pooled, b, 2 * b)
-        return classify_pair(self.head, u, v, training=training, rng=rng)
+        return self.head(concat_last([u, v]), training=training, rng=rng)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DataError
+from .errors import ConfigError, DataError
 from .tensor import (
     Tensor,
     constant,
@@ -169,20 +169,12 @@ def on_lstm_cell_step(
     params: OnLstmParams,
     x_t: Tensor,
     state: tuple[Tensor, Tensor],
-    master_override: tuple[Tensor, Tensor] | None = None,
     trace: list | None = None,
 ) -> tuple[Tensor, Tensor]:
-    """One ordered-cell step.
-
-    `master_override` substitutes fixed (erase, write) gate tensors for the
-    computed ones; it exists so tests can force degenerate gate regimes.
-    """
+    """One ordered-cell step: (h, c) -> (h', c')."""
     h_prev, c_prev = state
     f, i, o, g = _standard_gates(params.base, x_t, h_prev)
-    if master_override is None:
-        f_tilde, i_tilde = master_gates(params, x_t, h_prev, trace=trace)
-    else:
-        f_tilde, i_tilde = master_override
+    f_tilde, i_tilde = master_gates(params, x_t, h_prev, trace=trace)
     return _cell_update(f, i, o, g, c_prev, f_tilde, i_tilde)
 
 
@@ -241,17 +233,14 @@ class RecurrentEncoder:
         steps = list(steps)
         if not steps:
             raise DataError("cannot encode a length-0 sequence")
-        if training and self.dropout_rate > 0 and rng is None:
-            raise ContractError("training with dropout needs an rng stream")
         batch = steps[0].shape[0]
         dh = self.d_hidden
         dt = steps[0].dtype
         clean = steps
         for li, layer in enumerate(self.layers):
-            if li > 0 and training and self.dropout_rate > 0:
-                fed = [dropout(x, self.dropout_rate, True, rng) for x in clean]
-            else:
-                fed = clean
+            fed = clean
+            if li > 0:
+                fed = [dropout(x, self.dropout_rate, training, rng) for x in clean]
             h = constant(np.zeros((batch, dh), dtype=dt))
             c = constant(np.zeros((batch, dh), dtype=dt))
             layer_trace: list | None = None

@@ -1,9 +1,10 @@
 """Dense tensors with a reverse-mode gradient tape.
 
 Storage is a numpy array; every differentiable operation records an entry on
-the active GradTape (operation id, input refs, output ref, and a closure over
-the saved intermediates). backward() replays the tape in reverse, accumulating
-gradients additively so fan-out works.
+the active GradTape (operation id, output ref, and a closure over the saved
+intermediates and the inputs). backward() replays the tape in reverse,
+accumulating gradients additively so fan-out works, and stores `.grad` on
+leaves only: tensors that require gradients but no op on the tape produced.
 
 Precision is build-selectable: float32 by default for training speed, float64
 for finite-difference verification (see set_default_dtype / dtype_scope).
@@ -132,17 +133,16 @@ def constant(data) -> Tensor:
 
 
 class TapeEntry:
-    """One recorded operation: id, input refs, output ref, backward closure.
+    """One recorded operation: id, output ref, backward closure.
 
     The closure maps the output gradient to (input, gradient) contributions;
-    saved intermediates live in the closure's cells.
+    the inputs and saved intermediates live in the closure's cells.
     """
 
-    __slots__ = ("op", "inputs", "output", "backward")
+    __slots__ = ("op", "output", "backward")
 
-    def __init__(self, op: str, inputs: tuple, output: Tensor, backward: Callable):
+    def __init__(self, op: str, output: Tensor, backward: Callable):
         self.op = op
-        self.inputs = inputs
         self.output = output
         self.backward = backward
 
@@ -194,15 +194,18 @@ def _record(op: str, inputs: tuple, out_data: np.ndarray, backward: Callable) ->
     out = Tensor(out_data)
     if _grad_enabled and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        active_tape().entries.append(TapeEntry(op, inputs, out, backward))
+        active_tape().entries.append(TapeEntry(op, out, backward))
     return out
 
 
 def backward(loss: Tensor) -> None:
-    """Populate .grad on every tensor reachable from `loss` on the active tape.
+    """Populate .grad on every leaf reachable from `loss` on the active tape.
 
-    Each call propagates exactly one unit of output gradient, so repeated
-    calls without a grad reset accumulate.
+    A leaf is a tensor with requires_grad that no entry on the tape produced,
+    such as a parameter. Gradients of intermediate outputs live only in a
+    dict while the tape replays and are dropped once passed on; they are
+    never stored on the tensors. Each call propagates exactly one unit of
+    output gradient, so repeated calls without a grad reset accumulate.
     """
     if loss.data.shape != ():
         raise ContractError(f"backward() needs a scalar loss, got shape {loss.shape}")
@@ -214,8 +217,6 @@ def backward(loss: Tensor) -> None:
         if slot is None:
             continue
         _, g = slot
-        if entry.output.requires_grad:
-            entry.output.accumulate_grad(g)
         for tensor, contribution in entry.backward(g):
             held = pending.get(id(tensor))
             if held is None:
@@ -569,24 +570,6 @@ def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
     return _record("gather_rows", (table,), out, back)
 
 
-def sum_all(x: Tensor) -> Tensor:
-    def back(g):
-        return [(x, np.full_like(x.data, g))] if x.requires_grad else []
-
-    return _record("sum_all", (x,), np.asarray(x.data.sum(), dtype=x.data.dtype), back)
-
-
-def mean_all(x: Tensor) -> Tensor:
-    n = x.size
-
-    def back(g):
-        if not x.requires_grad:
-            return []
-        return [(x, np.full_like(x.data, g / n))]
-
-    return _record("mean_all", (x,), np.asarray(x.data.mean(), dtype=x.data.dtype), back)
-
-
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize each last-dim slice to zero mean / unit variance, then affine."""
     d = x.shape[-1]
@@ -594,10 +577,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(
             f"layer_norm: gain/bias {gain.shape}/{bias.shape} do not match last dim {d}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    xc = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = (x.data - mu) * inv
+    xhat = xc * inv
     out = xhat * gain.data + bias.data
 
     def back(g):
@@ -619,16 +602,20 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _record("layer_norm", (x, gain, bias), out, back)
 
 
-def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) -> Tensor:
+def dropout(x: Tensor, rate: float, training: bool,
+            rng: np.random.Generator | None) -> Tensor:
     """Inverted dropout: zero with probability `rate`, scale survivors by 1/(1-rate).
 
-    Identity in eval mode and at rate 0. The generator must be a named
-    substream so the mask sequence is reproducible.
+    Identity (the same tensor, no tape entry) in eval mode and at rate 0.
+    Otherwise `rng` must be a named substream so the mask sequence is
+    reproducible; training at a positive rate without one is a ContractError.
     """
     if not (0.0 <= rate < 1.0):
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x
+    if rng is None:
+        raise ContractError("training with dropout needs an rng stream")
     keep = (rng.random(x.shape) >= rate).astype(x.data.dtype)
     mask = keep / (1.0 - rate)
 

@@ -37,6 +37,7 @@ from seqstack.recurrent import (
     lstm_cell_step,
     on_lstm_cell_step,
 )
+from tape_helpers import forced_onlstm_step
 from test_recurrent import scalar_onlstm_step
 
 
@@ -89,9 +90,7 @@ class TestCriterion1MechanismCorrectness:
             x = T.constant(rng.standard_normal((4, 6)))
             h = T.constant(rng.standard_normal((4, 8)))
             c = T.constant(rng.standard_normal((4, 8)))
-            forced_h, forced_c = on_lstm_cell_step(
-                params, x, (h, c), master_override=(ones, ones)
-            )
+            forced_h, forced_c = forced_onlstm_step(params, x, (h, c), (ones, ones))
             plain_h, plain_c = lstm_cell_step(params.base, x, (h, c))
             saturated_exact = np.array_equal(forced_h.data, plain_h.data) and np.array_equal(
                 forced_c.data, plain_c.data
@@ -100,8 +99,8 @@ class TestCriterion1MechanismCorrectness:
             # disjoint supports: zero overlap hands each gate its whole block
             ft = np.tile(np.array([1.0] * 4 + [0.0] * 4), (4, 1))
             it = 1.0 - ft
-            disj_h, disj_c = on_lstm_cell_step(
-                params, x, (h, c), master_override=(T.constant(ft), T.constant(it))
+            disj_h, disj_c = forced_onlstm_step(
+                params, x, (h, c), (T.constant(ft), T.constant(it))
             )
             worst_disjoint = 0.0
             for row in range(4):

@@ -18,6 +18,8 @@ from seqstack.errors import ConfigError, ShapeError
 from seqstack.gradcheck import finite_difference_check
 from seqstack.rng import SeedStreams
 
+from tape_helpers import sum_all
+
 
 def ref_attention(q, k, v):
     """Loop-and-scalar attention: softmax(q k^T / sqrt(d_k)) v."""
@@ -275,7 +277,7 @@ class TestSanEncoder:
             coeff = T.constant(rng.standard_normal((1, 3, 8)))
 
             def build():
-                return T.sum_all(T.mul(enc(T.constant(x.copy())), coeff))
+                return sum_all(T.mul(enc(T.constant(x.copy())), coeff))
 
             report = finite_difference_check(build, enc.parameters())
             assert max(report.values()) < 1e-3

@@ -4,17 +4,14 @@ import numpy as np
 import pytest
 
 from seqstack import tensor as T
-from seqstack.encoder import (
-    Encoder,
-    EncoderConfig,
-    parameter_count,
-    short_cut_combine,
-)
+from seqstack.encoder import Encoder, EncoderConfig
 from seqstack.errors import ConfigError, DataError
 from seqstack.gradcheck import finite_difference_check
 from seqstack.pipeline import PairClassifier, PreparedExample, TrainConfig, _batch_arrays
 from seqstack.recurrent import on_lstm_cell_step
 from seqstack.rng import SeedStreams
+
+from tape_helpers import mean_all, parameter_count, sum_all
 
 
 def config(kind="hybrid", **kw):
@@ -72,24 +69,26 @@ class TestConfigValidation:
 
 
 class TestShortCutCombine:
+    """The short-cut combination is a plain `add` of the two stack outputs."""
+
     def test_additive_identity(self, rng):
         a = T.constant(rng.standard_normal((2, 3, 4)))
         zero = T.constant(np.zeros((2, 3, 4)))
-        np.testing.assert_allclose(short_cut_combine(a, zero).data, a.data, atol=0)
+        np.testing.assert_allclose(T.add(a, zero).data, a.data, atol=0)
 
     def test_subtracting_one_side_recovers_the_other(self, rng):
         a = T.constant(rng.standard_normal((2, 3, 4)))
         b = T.constant(rng.standard_normal((2, 3, 4)))
-        combined = short_cut_combine(a, b)
+        combined = T.add(a, b)
         np.testing.assert_allclose(combined.data - b.data, a.data, atol=1e-6)
 
     def test_gradient_splits_equally(self, rng):
         a = T.parameter(rng.standard_normal((2, 4)))
         b = T.parameter(rng.standard_normal((2, 4)))
         with T.tape_scope():
-            combined = short_cut_combine(a, b)
+            combined = T.add(a, b)
             coeff = T.constant(rng.standard_normal((2, 4)))
-            T.backward(T.sum_all(T.mul(combined, coeff)))
+            T.backward(sum_all(T.mul(combined, coeff)))
         np.testing.assert_array_equal(a.grad, b.grad)
 
 
@@ -265,7 +264,7 @@ class TestGradientFlow:
             def loss():
                 out = enc(ids)
                 last = T.select_steps(out.h_rnn, np.array([ids.shape[1] - 1]))
-                return T.add(T.sum_all(T.mul(out.seq, coeff)), T.mean_all(last))
+                return T.add(sum_all(T.mul(out.seq, coeff)), mean_all(last))
 
             report = finite_difference_check(
                 loss, enc.parameters(), max_entries=6, rng=np.random.default_rng(2)

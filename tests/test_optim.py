@@ -8,6 +8,8 @@ from seqstack.errors import ConfigError, ContractError, NumericsError
 from seqstack.gradcheck import finite_difference_check
 from seqstack.optim import Adam, clip_global_norm
 
+from tape_helpers import mean_all, sum_all
+
 
 def adam_scalar_reference(grads, lr, beta1, beta2, eps, x0):
     """Hand-rolled scalar Adam recurrence for cross-checking the vectorized one."""
@@ -49,7 +51,7 @@ class TestAdam:
             opt.zero_grad()
             with T.tape_scope():
                 delta = T.sub(x, T.constant(np.array([3.0])))
-                T.backward(T.sum_all(T.mul(delta, delta)))
+                T.backward(sum_all(T.mul(delta, delta)))
             opt.step()
         np.testing.assert_allclose(x.data, [3.0], atol=1e-3)
 
@@ -119,7 +121,7 @@ class TestFiniteDifferenceCheck:
         x = T.constant(rng.standard_normal((4, 3)))
 
         def build():
-            return T.mean_all(T.sigmoid(T.matmul(x, w)))
+            return mean_all(T.sigmoid(T.matmul(x, w)))
 
         return build, {"w": w}
 
@@ -138,7 +140,7 @@ class TestFiniteDifferenceCheck:
         w = T.parameter(np.zeros(2, dtype=np.float32))
 
         def build():
-            return T.sum_all(T.mul(w, w))
+            return sum_all(T.mul(w, w))
 
         with pytest.raises(ContractError, match="float64"):
             finite_difference_check(build, {"w": w})

@@ -13,7 +13,7 @@ import pytest
 
 import seqstack.pipeline as P
 import seqstack.tensor as T
-from seqstack import ConfigError, DataError, NumericsError
+from seqstack import ConfigError, ContractError, DataError, NumericsError
 from seqstack.encoder import EncoderConfig
 from seqstack.gradcheck import finite_difference_check
 from seqstack.logic import make_pair, sample_expression, serialize
@@ -143,15 +143,15 @@ class TestClassifierHead:
         head.b3.data[:] = np.arange(7.0)
         u = T.constant(rng.standard_normal((5, 6)))
         v = T.constant(rng.standard_normal((5, 6)))
-        logits = P.classify_pair(head, u, v)
+        logits = head(T.concat_last([u, v]))
         np.testing.assert_allclose(logits.data, np.tile(np.arange(7.0), (5, 1)), atol=1e-12)
 
     def test_swapping_sides_changes_logits(self, rng):
         head = P.ClassifierHead(12, 16, 0.0, np.random.default_rng(7))
         u = T.constant(rng.standard_normal((4, 6)))
         v = T.constant(rng.standard_normal((4, 6)))
-        fwd = P.classify_pair(head, u, v)
-        rev = P.classify_pair(head, v, u)
+        fwd = head(T.concat_last([u, v]))
+        rev = head(T.concat_last([v, u]))
         assert np.abs(fwd.data - rev.data).max() > 1e-4
 
     def test_full_model_gradcheck_at_small_width(self):
@@ -237,6 +237,43 @@ class TestTraining:
             ids, mask, labels = P._batch_arrays(ex, range(16))
             loss = T.cross_entropy(model.forward_joint(ids, mask), labels)
             assert abs(loss.item() - np.log(7.0)) < 0.2, kind
+
+    def test_train_step_leaves_grad_on_parameters_only(self, monkeypatch):
+        pairs = pairs_with_ops(21, 2, max_ops=3)
+        model = P.PairClassifier(tiny_config(
+            "hybrid", epochs=1, batch_size=len(pairs), dropout=0.2,
+            encoder_overrides=dict(dropout=0.2),
+        ))
+        seen = []
+        real_backward = P.backward
+
+        def checked(loss):
+            real_backward(loss)
+            outputs = [e.output for e in T.active_tape().entries]
+            seen.append((outputs, {n: p.grad for n, p in model.parameters().items()}))
+
+        monkeypatch.setattr(P, "backward", checked)
+        P.train(model, pairs, pairs[:4])
+        assert len(seen) == 1, "one batch, one step"
+        outputs, grads = seen[0]
+        assert outputs and all(t.grad is None for t in outputs)
+        assert all(g is not None for g in grads.values())
+
+    @pytest.mark.parametrize(
+        "kind, encoder_dropout",
+        [("lstm", 0.2), ("onlstm", 0.2), ("san", 0.2), ("hybrid", 0.2), ("lstm", 0.0)],
+        ids=["lstm", "onlstm", "san", "hybrid", "head"],
+    )
+    def test_training_dropout_without_rng_is_contract_error(self, kind, encoder_dropout):
+        # the "head" case leaves the encoder without dropout, so only the
+        # classifier head draws a mask
+        model = P.PairClassifier(tiny_config(
+            kind, dropout=0.2, encoder_overrides=dict(dropout=encoder_dropout),
+        ))
+        ex = P.prepare_examples(pairs_with_ops(22, 1, max_ops=2))
+        ids, mask, _ = P._batch_arrays(ex, range(2))
+        with pytest.raises(ContractError, match="rng"):
+            model.forward_joint(ids, mask, training=True)
 
     def test_zero_learning_rate_leaves_parameters_untouched(self):
         pairs = pairs_with_ops(6, 3, max_ops=4)

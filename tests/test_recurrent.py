@@ -24,6 +24,8 @@ from seqstack.recurrent import (
 )
 from seqstack.rng import SeedStreams
 
+from tape_helpers import forced_onlstm_step, mean_all, sum_all
+
 
 def sig(v):
     return 1.0 / (1.0 + math.exp(-v))
@@ -230,7 +232,7 @@ class TestOnLstmCell:
         params = OnLstmParams(5, 8, chunk=2, rng=rng)
         x, h, c = make_inputs(rng, 3, [5, 8, 8])
         ones = T.constant(np.ones((3, 8), np.float32))
-        got_h, got_c = on_lstm_cell_step(params, x, (h, c), master_override=(ones, ones))
+        got_h, got_c = forced_onlstm_step(params, x, (h, c), (ones, ones))
         ref_h, ref_c = lstm_cell_step(params.base, x, (h, c))
         assert np.array_equal(got_h.data, ref_h.data)
         assert np.array_equal(got_c.data, ref_c.data)
@@ -242,8 +244,8 @@ class TestOnLstmCell:
             x, h, c = make_inputs(rng, 1, [4, 6, 6])
             ft = np.array([[1.0, 1.0, 1.0, 0.0, 0.0, 0.0]])
             it = np.array([[0.0, 0.0, 0.0, 1.0, 1.0, 1.0]])
-            got_h, got_c = on_lstm_cell_step(
-                params, x, (h, c), master_override=(T.constant(ft), T.constant(it))
+            got_h, got_c = forced_onlstm_step(
+                params, x, (h, c), (T.constant(ft), T.constant(it))
             )
             ref = scalar_onlstm_step(
                 params, x.data[0].tolist(), h.data[0].tolist(), c.data[0].tolist(),
@@ -377,7 +379,7 @@ class TestRecurrentEncoder:
             def build():
                 seq = enc([T.constant(a.copy()) for a in arr])
                 last = T.select_steps(seq, np.array([len(arr) - 1]))
-                return T.add(T.sum_all(T.mul(last, coeff)), T.mean_all(seq))
+                return T.add(sum_all(T.mul(last, coeff)), mean_all(seq))
 
             report = finite_difference_check(build, enc.parameters())
             assert max(report.values()) < 1e-3
