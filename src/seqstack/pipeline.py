@@ -108,7 +108,7 @@ def _affine_init(rng: np.random.Generator, d_in: int, d_out: int, gain: float = 
 
 
 class ClassifierHead:
-    """Three affine layers over the concatenated pair representation.
+    """Three affine layers over the concatenated pair representation [u, v].
 
     The hidden layers are relu with variance-preserving (gain sqrt(2))
     uniform init; the logit layer uses a small plain init so first-batch
@@ -121,6 +121,19 @@ class ClassifierHead:
         self.w1, self.b1 = _affine_init(rng, d_pair, hidden, gain=np.sqrt(2.0))
         self.w2, self.b2 = _affine_init(rng, hidden, hidden, gain=np.sqrt(2.0))
         self.w3, self.b3 = _affine_init(rng, hidden, N_RELATIONS, gain=0.7 / np.sqrt(3.0))
+        # Attention-final encoders end in a layer norm, so much of each pooled
+        # vector is common to every example, and a head reading u and v apart
+        # turns it into one logit offset shared by the batch (the first-batch
+        # loss misses ln(n_classes)). At init the first layer therefore reads
+        # only u - v, and the layers above get zero-mean columns, which cancel
+        # the relu units' positive mean and the small hidden biases. Zero
+        # biases would put every unit exactly on its relu kink when u = v.
+        half = d_pair // 2
+        self.w1.data[half:] = -self.w1.data[:half]
+        for w in (self.w2, self.w3):
+            w.data -= w.data.mean(axis=0, keepdims=True)
+        for b in (self.b1, self.b2):
+            b.data[:] = 0.01
 
     def parameters(self, prefix: str = "") -> dict[str, Tensor]:
         return {

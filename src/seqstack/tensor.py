@@ -16,7 +16,7 @@ scalar (say, `np.sqrt(d)`) would promote a float32 operand to float64.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 

@@ -221,7 +221,8 @@ class TestBuildPrecision:
 
 
 class TestTraining:
-    def test_first_batch_loss_near_uniform(self):
+    @pytest.mark.parametrize("seed", range(42, 50))
+    def test_first_batch_loss_near_uniform(self, seed):
         # checked at realistic widths: the small-variance logit layer only
         # keeps the initial logits near zero once fan-in is large enough
         # (at toy hidden=16 the per-entry init noise is a visible fraction
@@ -229,7 +230,7 @@ class TestTraining:
         pairs = pairs_with_ops(5, 4, max_ops=5)
         for kind in ("lstm", "onlstm", "san", "hybrid"):
             cfg = tiny_config(
-                kind, classifier_hidden=256,
+                kind, classifier_hidden=256, seed=seed,
                 encoder_overrides=dict(d=64, heads=4, d_ff=256, chunk=4),
             )
             model = P.PairClassifier(cfg)
