@@ -9,9 +9,11 @@ longer than the training cap and batches carry padding), then trains each
 of the five presets for one epoch in two settings: `--tiny`, and d=32
 (batch 32, head width 32) with dropout 0.2 in the encoder and the head.
 For each run it prints the SHA-256 of the trained parameters (name, dtype,
-shape and bytes, in name order) and of the `forward_joint` logits on the
-test split (one padded batch). A refactor that claims to keep behaviour to
-the bit must leave every line unchanged. It takes no options.
+shape and bytes, in name order), of the `forward_joint` logits on the test
+split (one padded batch), and of the same logits from the freshly built
+model before any training (`init-logits`, a check of the forward pass
+alone). A refactor that claims to keep behaviour to the bit must leave
+every line unchanged. It takes no options.
 """
 
 import contextlib
@@ -27,7 +29,13 @@ sys.path.insert(0, str(REPO / "src"))
 
 from seqstack.cli import PRESETS, main  # noqa: E402
 from seqstack.logic import load_dataset  # noqa: E402
-from seqstack.pipeline import _batch_arrays, load_model, prepare_examples  # noqa: E402
+from seqstack.pipeline import (  # noqa: E402
+    PairClassifier,
+    TrainConfig,
+    _batch_arrays,
+    load_model,
+    prepare_examples,
+)
 from seqstack.tensor import no_grad  # noqa: E402
 
 BINS = ",".join(f"{b}:60" for b in range(1, 9))
@@ -54,8 +62,17 @@ def _sha(chunks) -> str:
     return h.hexdigest()
 
 
-def fingerprint(checkpoint: Path, test_file: Path) -> tuple[str, str]:
-    model, _ = load_model(checkpoint)
+def logits_sha(model, test_file: Path) -> str:
+    examples = prepare_examples(load_dataset(test_file))
+    ids, mask, _ = _batch_arrays(examples, range(len(examples)))
+    with no_grad():
+        logits = model.forward_joint(ids, mask).data
+    return _sha([str(logits.dtype).encode(), logits.tobytes()])
+
+
+def fingerprint(run: Path, test_file: Path) -> tuple[str, str, str]:
+    """Hashes of the trained parameters, their logits, and the init logits."""
+    model, _ = load_model(run / "model.ckpt")
     params = model.parameters()
     param_sha = _sha(
         part
@@ -67,11 +84,9 @@ def fingerprint(checkpoint: Path, test_file: Path) -> tuple[str, str]:
             params[name].data.tobytes(),
         )
     )
-    examples = prepare_examples(load_dataset(test_file))
-    ids, mask, _ = _batch_arrays(examples, range(len(examples)))
-    with no_grad():
-        logits = model.forward_joint(ids, mask).data
-    return param_sha, _sha([str(logits.dtype).encode(), logits.tobytes()])
+    resolved = json.loads((run / "resolved-config.json").read_text())
+    fresh = PairClassifier(TrainConfig.from_dict(resolved["train"]))
+    return param_sha, logits_sha(model, test_file), logits_sha(fresh, test_file)
 
 
 def build() -> None:
@@ -87,9 +102,9 @@ def build() -> None:
                 run = tmp / f"{setting}-{preset}"
                 _run(["train", str(data), "--preset", preset, "--epochs", "1",
                       "--out", str(run), *extra])
-                param_sha, logit_sha = fingerprint(run / "model.ckpt", data / "test.tsv")
-                print(f"{setting:<12} {preset:<16} params {param_sha}  logits {logit_sha}",
-                      flush=True)
+                param_sha, logit_sha, init_sha = fingerprint(run, data / "test.tsv")
+                print(f"{setting:<12} {preset:<16} params {param_sha}  logits {logit_sha}"
+                      f"  init-logits {init_sha}", flush=True)
 
 
 if __name__ == "__main__":

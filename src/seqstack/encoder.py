@@ -136,10 +136,8 @@ class Encoder:
             out.update(self.san.parameters(f"{prefix}san."))
         return out
 
-    def _embed_step(self, ids: np.ndarray, t: int) -> Tensor:
-        return scale(gather_rows(self.embedding, ids[:, t]), np.sqrt(self.config.d))
-
     def _embed_seq(self, ids: np.ndarray) -> Tensor:
+        """Scaled embeddings, shaped like `ids` plus a trailing d."""
         return scale(gather_rows(self.embedding, ids), np.sqrt(self.config.d))
 
     def _check_ids(self, ids: np.ndarray) -> np.ndarray:
@@ -171,11 +169,10 @@ class Encoder:
         if cfg.kind == "san":
             h_san = self.san(self._embed_seq(ids), mask=mask, training=training, rng=rng)
             return EncoderOutput(seq=h_san, h_san=h_san)
-        emb_steps = [
-            dropout(self._embed_step(ids, t), cfg.dropout, training, rng)
-            for t in range(ids.shape[1])
-        ]
-        h_rnn = self.rnn(emb_steps, training=training, rng=rng, trace=trace)
+        # Time-major for the scan; one (N, batch, d) dropout draw consumes the
+        # stream exactly as N per-step (batch, d) draws would.
+        emb = dropout(self._embed_seq(ids.T), cfg.dropout, training, rng)
+        h_rnn = self.rnn(emb, training=training, rng=rng, trace=trace)
         if cfg.kind in ("lstm", "onlstm"):
             return EncoderOutput(seq=h_rnn, h_rnn=h_rnn)
         h_san = self.san(h_rnn, mask=mask, training=training, rng=rng)

@@ -1,41 +1,26 @@
-"""Recurrent cells and encoders, including the ordered-chunk gated variant.
+"""Recurrent encoders, including the ordered-chunk gated variant.
 
 The ordered cell augments a standard LSTM with two chunk-level master gates
-built from a monotone cumulative-softmax activation. The erase gate rises
-across chunks, the write gate falls, and their overlap decides where the
-standard gates act; outside the overlap the master values take over directly.
-Both cells share one update kernel so the ordered cell with master gates
-forced to ones reproduces the plain cell bit for bit.
+built from a monotone cumulative-softmax activation (cumax: a softmax, then
+a running sum). The erase gate rises across chunks, the write gate falls,
+and their overlap decides where the standard gates act; outside the overlap
+the master values take over directly (Shen et al. 2019, arXiv:1810.09536).
+
+Each layer is one fused kernel: the whole scan runs in plain numpy over a
+time-major (N, batch, d) input and is recorded as a single tape entry whose
+backward is hand-written backpropagation through time. Each step makes one
+input and one hidden matmul, against the gate weights concatenated with the
+master heads' weights, and keeps what the backward reads only while the
+tape records. `tests/tape_helpers.py` keeps the per-step cell built from
+tape ops; the tests hold the kernel's forward to it bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from .errors import ConfigError, DataError
-from .tensor import (
-    Tensor,
-    constant,
-    cumsum_last,
-    default_dtype,
-    dropout,
-    repeat_last,
-    sigmoid,
-    slice_last,
-    softmax_rows,
-    stack_steps,
-    sub,
-    tanh,
-)
-
-GATE_ORDER = ("forget", "input", "output", "candidate")
-
-
-def cumax(logits: Tensor) -> Tensor:
-    """Cumulative sum of a softmax along the last axis: non-decreasing, ending at 1."""
-    return cumsum_last(softmax_rows(logits))
+from .errors import ConfigError, DataError, ShapeError
+from .tensor import Tensor, _grad_recording, _record, default_dtype, dropout
 
 
 class LstmParams:
@@ -109,85 +94,135 @@ class OnLstmParams:
         return out
 
 
-def _standard_gates(params: LstmParams, x_t: Tensor, h_prev: Tensor):
-    dh = params.d_hidden
-    z = x_t @ params.w_x + h_prev @ params.w_h + params.bias
-    f = sigmoid(slice_last(z, 0, dh))
-    i = sigmoid(slice_last(z, dh, 2 * dh))
-    o = sigmoid(slice_last(z, 2 * dh, 3 * dh))
-    g = tanh(slice_last(z, 3 * dh, 4 * dh))
-    return f, i, o, g
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + e) where x >= 0, else e / (1 + e), with e = exp(-|x|).
 
-
-def _cell_update(f, i, o, g, c_prev, f_master=None, i_master=None):
-    """Shared state update; master gates, when given, reshape erase/write."""
-    if f_master is not None:
-        w = f_master * i_master
-        f = f * w + sub(f_master, w)
-        i = i * w + sub(i_master, w)
-    c = f * c_prev + i * g
-    h = o * tanh(c)
-    return h, c
-
-
-def lstm_cell_step(
-    params: LstmParams, x_t: Tensor, state: tuple[Tensor, Tensor]
-) -> tuple[Tensor, Tensor]:
-    """One standard cell step: (h, c) -> (h', c')."""
-    h_prev, c_prev = state
-    f, i, o, g = _standard_gates(params, x_t, h_prev)
-    return _cell_update(f, i, o, g, c_prev)
-
-
-def master_gates(
-    params: OnLstmParams,
-    x_t: Tensor,
-    h_prev: Tensor,
-    trace: list | None = None,
-) -> tuple[Tensor, Tensor]:
-    """Chunk-level erase/write gates expanded to neuron resolution.
-
-    The erase gate is the cumulative softmax of its head (rising to 1); the
-    write gate is one minus the cumulative softmax of its own head, so it
-    falls to 0 (Shen et al. 2019, arXiv:1810.09536). Chunk values are
-    repeated across each chunk's neurons. When `trace` is given the
-    chunk-level values are appended to it as numpy copies.
+    max(e, x >= 0) picks the numerator (e <= 1): the bits of the two-branch
+    select, without the cost of np.where's masked select.
     """
-    m = params.master_dim
-    z = x_t @ params.w_x_master + h_prev @ params.w_h_master + params.bias_master
-    f_chunk = cumax(slice_last(z, 0, m))
-    cu = cumax(slice_last(z, m, 2 * m))
-    i_chunk = sub(constant(np.ones_like(cu.data)), cu)
-    if trace is not None:
-        trace.append((f_chunk.data.copy(), i_chunk.data.copy()))
-    if params.chunk == 1:
-        return f_chunk, i_chunk
-    return repeat_last(f_chunk, params.chunk), repeat_last(i_chunk, params.chunk)
+    e = np.exp(-np.abs(x))
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
-def on_lstm_cell_step(
-    params: OnLstmParams,
-    x_t: Tensor,
-    state: tuple[Tensor, Tensor],
+def _sigmoid_grad(out: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient through a sigmoid gate, from its output and upstream gradient."""
+    return g * out * (1.0 - out)
+
+
+def _cumax(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax over the last axis and its running sum (cumax)."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    return p, np.cumsum(p, axis=-1)
+
+
+def scan_layer(
+    params: LstmParams | OnLstmParams,
+    x: Tensor,
+    skip: Tensor | None = None,
+    batch_major: bool = False,
     trace: list | None = None,
-) -> tuple[Tensor, Tensor]:
-    """One ordered-cell step: (h, c) -> (h', c')."""
-    h_prev, c_prev = state
-    f, i, o, g = _standard_gates(params.base, x_t, h_prev)
-    f_tilde, i_tilde = master_gates(params, x_t, h_prev, trace=trace)
-    return _cell_update(f, i, o, g, c_prev, f_tilde, i_tilde)
+) -> Tensor:
+    """Run one cell over a time-major (N, batch, d_in) input from a zero state.
+
+    Returns the hidden states, plus `skip` when given, as (N, batch, d_hidden),
+    or as a contiguous (batch, N, d_hidden) tensor when `batch_major`. For an
+    ordered cell, `trace` receives each step's chunk-level (erase, write)
+    gates. The scan is one tape entry.
+    """
+    on = isinstance(params, OnLstmParams)
+    base = params.base if on else params
+    if x.ndim != 3 or x.shape[2] != base.d_in:
+        raise ShapeError(f"scan input must be (N, batch, {base.d_in}), got {x.shape}")
+    n, batch, _ = x.shape
+    if n < 1:
+        raise DataError("cannot encode a length-0 sequence")
+    dh = base.d_hidden
+    # (input weight, hidden weight, bias) per block: the four gates, then the master heads
+    leaves = [base.w_x, base.w_h, base.bias]
+    if on:
+        leaves += [params.w_x_master, params.w_h_master, params.bias_master]
+        m, chunk = params.master_dim, params.chunk
+    w_x, w_h, bias = (np.concatenate([p.data for p in leaves[k::3]], axis=-1) for k in range(3))
+    inputs = (x, *leaves) + ((skip,) if skip is not None else ())
+    saving = _grad_recording(inputs)
+    saved = []  # per step, only while the tape records: what the backward reads
+    out = np.empty((batch, n, dh) if batch_major else (n, batch, dh), dtype=x.dtype)
+    out_t = out.transpose(1, 0, 2) if batch_major else out
+    h = c = np.zeros((batch, dh), dtype=x.dtype)
+    for t in range(n):
+        h_prev, c_prev = h, c
+        z = x.data[t] @ w_x + h_prev @ w_h + bias
+        s = _sigmoid(z[:, : 3 * dh])
+        f, i, o = s[:, :dh], s[:, dh : 2 * dh], s[:, 2 * dh : 3 * dh]
+        g = np.tanh(z[:, 3 * dh : 4 * dh])
+        if on:
+            p, cum = _cumax(z[:, 4 * dh :].reshape(batch, 2, m))
+            f_chunk, i_chunk = cum[:, 0], 1.0 - cum[:, 1]
+            if trace is not None:
+                trace.append((f_chunk.copy(), i_chunk))
+            ft = f_chunk if chunk == 1 else np.repeat(f_chunk, chunk, axis=-1)
+            it = i_chunk if chunk == 1 else np.repeat(i_chunk, chunk, axis=-1)
+            w = ft * it
+            f = f * w + (ft - w)
+            i = i * w + (it - w)
+        c = f * c_prev + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        out_t[t] = h if skip is None else h + skip.data[t]
+        if saving:
+            saved.append((h_prev, c_prev, s, g, tc, f, i) + ((ft, it, w, p) if on else ()))
+
+    def back(g_out):
+        g_out = g_out.transpose(1, 0, 2) if batch_major else g_out
+        dz = np.empty((n, batch, w_x.shape[1]), dtype=x.dtype)
+        if on:
+            # chunk sums, then cumsum's backward (a reverse running sum), as one matmul
+            rev = (np.arange(dh)[:, None] // chunk >= np.arange(m)).astype(x.dtype)
+        dh_rec = dc_rec = 0.0
+        for t in range(n - 1, -1, -1):
+            # f and i are the effective erase/write gates: raw, or master-blended
+            _, c_prev, s, g, tc, f, i = saved[t][:7]
+            dz_t = dz[t]
+            d_h = g_out[t] + dh_rec
+            d_c = d_h * s[:, 2 * dh :] * (1.0 - tc * tc) + dc_rec
+            d_f, d_i = d_c * c_prev, d_c * g
+            np.multiply(d_c * i, 1.0 - g * g, out=dz_t[:, 3 * dh : 4 * dh])
+            if on:
+                ft, it, w, p = saved[t][7:]
+                d_w = d_f * (s[:, :dh] - 1.0) + d_i * (s[:, dh : 2 * dh] - 1.0)
+                d_m = np.stack([d_f + d_w * it, -(d_i + d_w * ft)], axis=1)
+                d_cum = (d_m.reshape(2 * batch, dh) @ rev).reshape(batch, 2, m)
+                d_cum = p * (d_cum - (d_cum * p).sum(axis=-1, keepdims=True))
+                dz_t[:, 4 * dh :] = d_cum.reshape(batch, 2 * m)
+                d_f, d_i = d_f * w, d_i * w
+            dz_t[:, : 3 * dh] = _sigmoid_grad(s, np.concatenate([d_f, d_i, d_h * tc], axis=-1))
+            dc_rec = d_c * f
+            dh_rec = dz_t @ w_h.T
+        flat = dz.reshape(n * batch, -1)
+        h_prev = np.stack([step[0] for step in saved]).reshape(n * batch, dh)
+        full = (x.data.reshape(n * batch, -1).T @ flat, h_prev.T @ flat, flat.sum(axis=0))
+        cut = (0, 4 * dh, flat.shape[1])
+        grads = [(x, (flat @ w_x.T).reshape(x.shape))]
+        if skip is not None:
+            grads.append((skip, g_out))
+        for k, grad in enumerate(full):
+            grads += [(leaf, grad[..., cut[j] : cut[j + 1]]) for j, leaf in enumerate(leaves[k::3])]
+        return [(tensor, grad) for tensor, grad in grads if tensor.requires_grad]
+
+    return _record("scan_layer", inputs, out, back)
 
 
 class RecurrentEncoder:
-    """K stacked unidirectional cells scanning a step list left to right.
+    """K stacked unidirectional cells scanning left to right.
 
-    Input is a list of (batch, d_in) tensors, one per time step; output is the
-    top layer's (batch, N, d_hidden) sequence tensor. It takes no padding
+    Input is a time-major (N, batch, d_in) tensor; output is the top layer's
+    contiguous (batch, N, d_hidden) sequence tensor. It takes no padding
     mask: batches are right-padded, and a left-to-right scan never carries a
     padded step into a real one, so real rows equal those of an unpadded run.
     Rows at padded steps continue the scan over padding; nothing reads them.
 
-    Dropout is applied to the steps fed to layers above the first; returned
+    Dropout is applied to the input of layers above the first; returned
     outputs are raw. Layers above the first add their (undropped) input back
     onto their output.
     """
@@ -225,35 +260,16 @@ class RecurrentEncoder:
 
     def __call__(
         self,
-        steps: Sequence[Tensor],
+        x: Tensor,
         training: bool = False,
         rng: np.random.Generator | None = None,
         trace: dict[int, list] | None = None,
     ) -> Tensor:
-        steps = list(steps)
-        if not steps:
-            raise DataError("cannot encode a length-0 sequence")
-        batch = steps[0].shape[0]
-        dh = self.d_hidden
-        dt = steps[0].dtype
-        clean = steps
+        clean = x
+        last = len(self.layers) - 1
         for li, layer in enumerate(self.layers):
-            fed = clean
-            if li > 0:
-                fed = [dropout(x, self.dropout_rate, training, rng) for x in clean]
-            h = constant(np.zeros((batch, dh), dtype=dt))
-            c = constant(np.zeros((batch, dh), dtype=dt))
-            layer_trace: list | None = None
-            if trace is not None and self.kind == "onlstm":
-                layer_trace = trace.setdefault(li, [])
-            outs: list[Tensor] = []
-            for x_t in fed:
-                if self.kind == "onlstm":
-                    h, c = on_lstm_cell_step(layer, x_t, (h, c), trace=layer_trace)
-                else:
-                    h, c = lstm_cell_step(layer, x_t, (h, c))
-                outs.append(h)
-            if li > 0:
-                outs = [o + x for o, x in zip(outs, clean)]
-            clean = outs
-        return stack_steps(clean)
+            fed = dropout(clean, self.dropout_rate, training, rng) if li else clean
+            layer_trace = trace.setdefault(li, []) if trace is not None and self.kind == "onlstm" else None
+            clean = scan_layer(layer, fed, skip=clean if li else None,
+                               batch_major=li == last, trace=layer_trace)
+        return clean

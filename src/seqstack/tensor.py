@@ -190,9 +190,14 @@ def no_grad():
         _grad_enabled = previous
 
 
+def _grad_recording(inputs: tuple) -> bool:
+    """Whether an op over `inputs` records on the tape (see _record)."""
+    return _grad_enabled and any(t.requires_grad for t in inputs)
+
+
 def _record(op: str, inputs: tuple, out_data: np.ndarray, backward: Callable) -> Tensor:
     out = Tensor(out_data)
-    if _grad_enabled and any(t.requires_grad for t in inputs):
+    if _grad_recording(inputs):
         out.requires_grad = True
         active_tape().entries.append(TapeEntry(op, out, backward))
     return out
@@ -364,29 +369,6 @@ def scale(x: Tensor, factor: float) -> Tensor:
     return _record("scale", (x,), x.data * factor, back)
 
 
-def _sigmoid_grad(out_data: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return g * out_data * (1.0 - out_data)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    e = np.exp(-np.abs(x.data))
-    out = np.where(x.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-    def back(g):
-        return [(x, _sigmoid_grad(out, g))] if x.requires_grad else []
-
-    return _record("sigmoid", (x,), out, back)
-
-
-def tanh(x: Tensor) -> Tensor:
-    out = np.tanh(x.data)
-
-    def back(g):
-        return [(x, g * (1.0 - out * out))] if x.requires_grad else []
-
-    return _record("tanh", (x,), out, back)
-
-
 def relu(x: Tensor) -> Tensor:
     out = np.maximum(x.data, 0.0)
 
@@ -416,44 +398,6 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _record("softmax_rows", (x,), out, back)
 
 
-def cumsum_last(x: Tensor) -> Tensor:
-    """Cumulative sum along the last dimension."""
-    out = np.cumsum(x.data, axis=-1)
-
-    def back(g):
-        if not x.requires_grad:
-            return []
-        return [(x, np.flip(np.cumsum(np.flip(g, axis=-1), axis=-1), axis=-1))]
-
-    return _record("cumsum_last", (x,), out, back)
-
-
-def repeat_last(x: Tensor, k: int) -> Tensor:
-    """Repeat each entry of the last dimension k times (chunk expansion)."""
-    out = np.repeat(x.data, k, axis=-1)
-
-    def back(g):
-        if not x.requires_grad:
-            return []
-        return [(x, g.reshape(*x.shape, k).sum(axis=-1))]
-
-    return _record("repeat_last", (x,), out, back)
-
-
-def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
-    if not (0 <= start <= stop <= x.shape[-1]):
-        raise ShapeError(f"slice_last: [{start}:{stop}] out of range for {x.shape}")
-
-    def back(g):
-        if not x.requires_grad:
-            return []
-        full = np.zeros_like(x.data)
-        full[..., start:stop] = g
-        return [(x, full)]
-
-    return _record("slice_last", (x,), x.data[..., start:stop], back)
-
-
 def concat_last(parts: Sequence[Tensor]) -> Tensor:
     parts = tuple(parts)
     if not parts:
@@ -477,19 +421,6 @@ def concat_last(parts: Sequence[Tensor]) -> Tensor:
         return contribs
 
     return _record("concat_last", parts, out, back)
-
-
-def stack_steps(steps: Sequence[Tensor]) -> Tensor:
-    """Stack per-step (b, d) tensors into a (b, N, d) sequence tensor."""
-    steps = tuple(steps)
-    if not steps:
-        raise ShapeError("stack_steps: no steps")
-    out = np.stack([s.data for s in steps], axis=1)
-
-    def back(g):
-        return [(s, g[:, t, :]) for t, s in enumerate(steps) if s.requires_grad]
-
-    return _record("stack_steps", steps, out, back)
 
 
 def select_steps(x: Tensor, indices: np.ndarray) -> Tensor:

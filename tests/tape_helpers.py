@@ -2,14 +2,23 @@
 
 `sum_all` and `mean_all` contract a tensor to a scalar loss for gradient
 checks; they record on the active tape like the ops in `seqstack.tensor`.
+
+The rest is the recurrent cell built from per-step tape ops, the oracle the
+fused scan in `seqstack.recurrent` is held to: the elementwise ops it needs
+(`sigmoid`, `tanh`, `cumsum_last`, `repeat_last`, `slice_last`,
+`stack_steps`), the plain and ordered cells, and `tape_scan`, which runs a
+`RecurrentEncoder`'s layers with these cells one step at a time.
 `forced_onlstm_step` runs one ordered-cell step with given master gates, so
 the forced-gate identities can be checked against the plain cell.
 """
 
+from typing import Sequence
+
 import numpy as np
 
-from seqstack.recurrent import _cell_update, _standard_gates
-from seqstack.tensor import Tensor, _record
+from seqstack.errors import ShapeError
+from seqstack.recurrent import LstmParams, OnLstmParams
+from seqstack.tensor import Tensor, _record, constant, dropout, softmax_rows, sub
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -34,8 +43,201 @@ def parameter_count(params: dict[str, Tensor]) -> int:
     return sum(p.size for p in params.values())
 
 
+# ---------------------------------------------------------------------------
+# Tape ops used only by the per-step cell
+# ---------------------------------------------------------------------------
+
+
+def _sigmoid_grad(out_data: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return g * out_data * (1.0 - out_data)
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    e = np.exp(-np.abs(x.data))
+    out = np.where(x.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+    def back(g):
+        return [(x, _sigmoid_grad(out, g))] if x.requires_grad else []
+
+    return _record("sigmoid", (x,), out, back)
+
+
+def tanh(x: Tensor) -> Tensor:
+    out = np.tanh(x.data)
+
+    def back(g):
+        return [(x, g * (1.0 - out * out))] if x.requires_grad else []
+
+    return _record("tanh", (x,), out, back)
+
+
+def cumsum_last(x: Tensor) -> Tensor:
+    """Cumulative sum along the last dimension."""
+    out = np.cumsum(x.data, axis=-1)
+
+    def back(g):
+        if not x.requires_grad:
+            return []
+        return [(x, np.flip(np.cumsum(np.flip(g, axis=-1), axis=-1), axis=-1))]
+
+    return _record("cumsum_last", (x,), out, back)
+
+
+def repeat_last(x: Tensor, k: int) -> Tensor:
+    """Repeat each entry of the last dimension k times (chunk expansion)."""
+    out = np.repeat(x.data, k, axis=-1)
+
+    def back(g):
+        if not x.requires_grad:
+            return []
+        return [(x, g.reshape(*x.shape, k).sum(axis=-1))]
+
+    return _record("repeat_last", (x,), out, back)
+
+
+def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
+    if not (0 <= start <= stop <= x.shape[-1]):
+        raise ShapeError(f"slice_last: [{start}:{stop}] out of range for {x.shape}")
+
+    def back(g):
+        if not x.requires_grad:
+            return []
+        full = np.zeros_like(x.data)
+        full[..., start:stop] = g
+        return [(x, full)]
+
+    return _record("slice_last", (x,), x.data[..., start:stop], back)
+
+
+def stack_steps(steps: Sequence[Tensor]) -> Tensor:
+    """Stack per-step (b, d) tensors into a (b, N, d) sequence tensor."""
+    steps = tuple(steps)
+    if not steps:
+        raise ShapeError("stack_steps: no steps")
+    out = np.stack([s.data for s in steps], axis=1)
+
+    def back(g):
+        return [(s, g[:, t, :]) for t, s in enumerate(steps) if s.requires_grad]
+
+    return _record("stack_steps", steps, out, back)
+
+
+# ---------------------------------------------------------------------------
+# The per-step cells and the scan built from them
+# ---------------------------------------------------------------------------
+
+
+def cumax(logits: Tensor) -> Tensor:
+    """Cumulative sum of a softmax along the last axis: non-decreasing, ending at 1."""
+    return cumsum_last(softmax_rows(logits))
+
+
+def _standard_gates(params: LstmParams, x_t: Tensor, h_prev: Tensor):
+    dh = params.d_hidden
+    z = x_t @ params.w_x + h_prev @ params.w_h + params.bias
+    f = sigmoid(slice_last(z, 0, dh))
+    i = sigmoid(slice_last(z, dh, 2 * dh))
+    o = sigmoid(slice_last(z, 2 * dh, 3 * dh))
+    g = tanh(slice_last(z, 3 * dh, 4 * dh))
+    return f, i, o, g
+
+
+def _cell_update(f, i, o, g, c_prev, f_master=None, i_master=None):
+    """Shared state update; master gates, when given, reshape erase/write."""
+    if f_master is not None:
+        w = f_master * i_master
+        f = f * w + sub(f_master, w)
+        i = i * w + sub(i_master, w)
+    c = f * c_prev + i * g
+    h = o * tanh(c)
+    return h, c
+
+
+def lstm_cell_step(
+    params: LstmParams, x_t: Tensor, state: tuple[Tensor, Tensor]
+) -> tuple[Tensor, Tensor]:
+    """One standard cell step: (h, c) -> (h', c')."""
+    h_prev, c_prev = state
+    f, i, o, g = _standard_gates(params, x_t, h_prev)
+    return _cell_update(f, i, o, g, c_prev)
+
+
+def master_gates(
+    params: OnLstmParams,
+    x_t: Tensor,
+    h_prev: Tensor,
+    trace: list | None = None,
+) -> tuple[Tensor, Tensor]:
+    """Chunk-level erase/write gates expanded to neuron resolution.
+
+    The erase gate is the cumulative softmax of its head (rising to 1); the
+    write gate is one minus the cumulative softmax of its own head, so it
+    falls to 0. Chunk values are repeated across each chunk's neurons. When
+    `trace` is given the chunk-level values are appended to it as numpy
+    copies.
+    """
+    m = params.master_dim
+    z = x_t @ params.w_x_master + h_prev @ params.w_h_master + params.bias_master
+    f_chunk = cumax(slice_last(z, 0, m))
+    cu = cumax(slice_last(z, m, 2 * m))
+    i_chunk = sub(constant(np.ones_like(cu.data)), cu)
+    if trace is not None:
+        trace.append((f_chunk.data.copy(), i_chunk.data.copy()))
+    if params.chunk == 1:
+        return f_chunk, i_chunk
+    return repeat_last(f_chunk, params.chunk), repeat_last(i_chunk, params.chunk)
+
+
+def on_lstm_cell_step(
+    params: OnLstmParams,
+    x_t: Tensor,
+    state: tuple[Tensor, Tensor],
+    trace: list | None = None,
+) -> tuple[Tensor, Tensor]:
+    """One ordered-cell step: (h, c) -> (h', c')."""
+    h_prev, c_prev = state
+    f, i, o, g = _standard_gates(params.base, x_t, h_prev)
+    f_tilde, i_tilde = master_gates(params, x_t, h_prev, trace=trace)
+    return _cell_update(f, i, o, g, c_prev, f_tilde, i_tilde)
+
+
 def forced_onlstm_step(params, x_t, state, masters):
     """One ordered-cell step with fixed (erase, write) master gates."""
     h_prev, c_prev = state
     f, i, o, g = _standard_gates(params.base, x_t, h_prev)
     return _cell_update(f, i, o, g, c_prev, *masters)
+
+
+def tape_scan(enc, x: Tensor, training=False, rng=None, trace=None) -> Tensor:
+    """`enc(x, ...)` computed with the per-step tape cells.
+
+    Takes the same time-major (N, batch, d_in) input and returns the same
+    (batch, N, d_hidden) tensor. It draws each layer's dropout mask step by
+    step, as N (batch, d) draws.
+    """
+    clean = [_step(x, t) for t in range(x.shape[0])]
+    batch, dh = x.shape[1], enc.d_hidden
+    for li, layer in enumerate(enc.layers):
+        fed = [dropout(s, enc.dropout_rate, training, rng) for s in clean] if li else clean
+        h = c = constant(np.zeros((batch, dh), dtype=x.dtype))
+        layer_trace = trace.setdefault(li, []) if trace is not None and enc.kind == "onlstm" else None
+        outs = []
+        for x_t in fed:
+            if enc.kind == "onlstm":
+                h, c = on_lstm_cell_step(layer, x_t, (h, c), trace=layer_trace)
+            else:
+                h, c = lstm_cell_step(layer, x_t, (h, c))
+            outs.append(h)
+        clean = [o + s for o, s in zip(outs, clean)] if li else outs
+    return stack_steps(clean)
+
+
+def _step(x: Tensor, t: int) -> Tensor:
+    """x[t] of a time-major tensor, recorded on the tape."""
+
+    def back(g):
+        full = np.zeros_like(x.data)
+        full[t] = g
+        return [(x, full)]
+
+    return _record("step", (x,), x.data[t], back)

@@ -31,13 +31,8 @@ from seqstack.logic import (
     sample_expression,
     truth_vector,
 )
-from seqstack.recurrent import (
-    OnLstmParams,
-    cumax,
-    lstm_cell_step,
-    on_lstm_cell_step,
-)
-from tape_helpers import forced_onlstm_step
+from seqstack.recurrent import OnLstmParams
+from tape_helpers import cumax, forced_onlstm_step, lstm_cell_step, on_lstm_cell_step
 from test_recurrent import scalar_onlstm_step
 
 

@@ -14,6 +14,7 @@ import pytest
 
 import seqstack.cli as cli
 import seqstack.pipeline as P
+import seqstack.recurrent as recurrent
 import seqstack.tensor as T
 from seqstack.checkpoint import load_checkpoint, save_checkpoint
 from seqstack.logic import load_dataset, operator_count
@@ -360,7 +361,7 @@ class TestGradcheck:
         assert T.default_dtype() is np.float32
 
     def test_injected_gradient_fault_is_reported(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(T, "_sigmoid_grad", lambda out, g: g * out)
+        monkeypatch.setattr(recurrent, "_sigmoid_grad", lambda out, g: g * out)
         code = cli.main(["gradcheck", "--out", str(tmp_path / "gc")])
         assert code == 3
         assert T.default_dtype() is np.float32

@@ -8,10 +8,9 @@ from seqstack.encoder import Encoder, EncoderConfig
 from seqstack.errors import ConfigError, DataError
 from seqstack.gradcheck import finite_difference_check
 from seqstack.pipeline import PairClassifier, PreparedExample, TrainConfig, _batch_arrays
-from seqstack.recurrent import on_lstm_cell_step
 from seqstack.rng import SeedStreams
 
-from tape_helpers import mean_all, parameter_count, sum_all
+from tape_helpers import mean_all, on_lstm_cell_step, parameter_count, sum_all, tape_scan
 
 
 def config(kind="hybrid", **kw):
@@ -109,27 +108,37 @@ class TestFactoryWiring:
         assert out.h_san is None and out.seq is out.h_rnn
         h = c = T.constant(np.zeros((ids.shape[0], 8), np.float32))
         for t in range(ids.shape[1]):
-            h, c = on_lstm_cell_step(enc.rnn.layers[0], enc._embed_step(ids, t), (h, c))
+            h, c = on_lstm_cell_step(enc.rnn.layers[0], enc._embed_seq(ids[:, t]), (h, c))
             np.testing.assert_allclose(out.seq.data[:, t], h.data, atol=0)
 
     def test_embedding_rows_scaled_by_sqrt_d(self, rng):
         enc = build("lstm")
         ids = np.array([[3]])
-        out_step = enc._embed_step(ids, 0)
+        out_step = enc._embed_seq(ids)
         np.testing.assert_allclose(
-            out_step.data[0], enc.embedding.data[3] * np.sqrt(8.0), atol=1e-6
+            out_step.data[0, 0], enc.embedding.data[3] * np.sqrt(8.0), atol=1e-6
         )
 
     def test_hybrid_composes_the_two_stacks_exactly(self, rng):
         enc = build("hybrid", use_short_cut=True)
         ids = token_ids(rng)
         out = enc(ids)
-        emb_steps = [enc._embed_step(ids, t) for t in range(ids.shape[1])]
-        h_rnn = enc.rnn(emb_steps)
+        h_rnn = enc.rnn(enc._embed_seq(ids.T))
         h_san = enc.san(h_rnn)
         np.testing.assert_allclose(out.h_rnn.data, h_rnn.data, atol=0)
         np.testing.assert_allclose(out.h_san.data, h_san.data, atol=0)
         np.testing.assert_allclose(out.seq.data, h_rnn.data + h_san.data, atol=0)
+
+    def test_dropout_stream_matches_per_step_draws(self, rng):
+        enc = build("lstm", dropout=0.3)
+        ids = token_ids(rng, n=5)
+        got = enc(ids, training=True, rng=np.random.default_rng(8)).seq
+        # the same stream drawn one (batch, d) step at a time, through the tape cell
+        stream = np.random.default_rng(8)
+        steps = [T.dropout(enc._embed_seq(ids[:, t]), 0.3, True, stream) for t in range(5)]
+        emb = T.constant(np.stack([s.data for s in steps]))
+        ref = tape_scan(enc.rnn, emb, training=True, rng=stream)
+        assert np.array_equal(got.data, ref.data)
 
     def test_hybrid_without_short_cut_returns_attention_output(self, rng):
         enc = build("hybrid", use_short_cut=False)

@@ -8,6 +8,7 @@ from seqstack.errors import ConfigError, ContractError, NumericsError
 from seqstack.gradcheck import finite_difference_check
 from seqstack.optim import Adam, clip_global_norm
 
+import tape_helpers as H
 from tape_helpers import mean_all, sum_all
 
 
@@ -121,7 +122,7 @@ class TestFiniteDifferenceCheck:
         x = T.constant(rng.standard_normal((4, 3)))
 
         def build():
-            return mean_all(T.sigmoid(T.matmul(x, w)))
+            return mean_all(H.sigmoid(T.matmul(x, w)))
 
         return build, {"w": w}
 
@@ -132,7 +133,7 @@ class TestFiniteDifferenceCheck:
 
     def test_detects_injected_backward_fault(self, monkeypatch):
         build, params = self._quadratic_setup()
-        monkeypatch.setattr(T, "_sigmoid_grad", lambda out, g: g * out)
+        monkeypatch.setattr(H, "_sigmoid_grad", lambda out, g: g * out)
         report = finite_difference_check(build, params)
         assert report["w"] > 1e-2
 

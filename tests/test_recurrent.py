@@ -2,7 +2,10 @@
 
 The reference cells below are written with math-module scalars and explicit
 loops; they share no code with the vectorized implementation, so agreement is
-meaningful. Gate order everywhere is (forget, input, output, candidate).
+meaningful. They check the per-step tape cell in `tape_helpers`, and that
+cell in turn is the oracle for the fused scan `RecurrentEncoder` runs: its
+forward must match the cell bit for bit, its gradients to rounding. Gate
+order everywhere is (forget, input, output, candidate).
 """
 
 import math
@@ -13,18 +16,20 @@ import pytest
 from seqstack import tensor as T
 from seqstack.errors import ConfigError, ContractError, DataError, ShapeError
 from seqstack.gradcheck import finite_difference_check
-from seqstack.recurrent import (
-    LstmParams,
-    OnLstmParams,
-    RecurrentEncoder,
-    cumax,
-    lstm_cell_step,
-    master_gates,
-    on_lstm_cell_step,
-)
+import seqstack.recurrent as recurrent
+from seqstack.recurrent import LstmParams, OnLstmParams, RecurrentEncoder
 from seqstack.rng import SeedStreams
 
-from tape_helpers import forced_onlstm_step, mean_all, sum_all
+from tape_helpers import (
+    cumax,
+    forced_onlstm_step,
+    lstm_cell_step,
+    master_gates,
+    mean_all,
+    on_lstm_cell_step,
+    sum_all,
+    tape_scan,
+)
 
 
 def sig(v):
@@ -109,6 +114,11 @@ def scalar_onlstm_step(params, x, h, c, masters=None):
 
 def make_inputs(rng, batch, dims):
     return [T.constant(rng.standard_normal((batch, d))) for d in dims]
+
+
+def time_major(steps):
+    """Stack per-step (batch, d) tensors into the encoder's (N, batch, d) input."""
+    return T.constant(np.stack([s.data for s in steps]))
 
 
 class TestCumax:
@@ -299,7 +309,7 @@ class TestRecurrentEncoder:
         rng = np.random.default_rng(31)
         enc = self._encoder(kind="lstm", d=5)
         x = T.constant(rng.standard_normal((2, 5)))
-        seq = enc([x])
+        seq = enc(time_major([x]))
         assert seq.shape == (2, 1, 5)
         zeros = T.constant(np.zeros((2, 5), np.float32))
         ref_h, _ = lstm_cell_step(enc.layers[0], x, (zeros, zeros))
@@ -310,7 +320,7 @@ class TestRecurrentEncoder:
         for p in enc.parameters().values():
             p.data[...] = 0.0
         rng = np.random.default_rng(32)
-        steps = make_inputs(rng, 2, [4] * 3)
+        steps = time_major(make_inputs(rng, 2, [4] * 3))
         seq = enc(steps)
         assert seq.shape == (2, 3, 4)
         np.testing.assert_allclose(seq.data, 0.0, atol=0)
@@ -318,14 +328,14 @@ class TestRecurrentEncoder:
     def test_empty_sequence_rejected(self):
         enc = self._encoder()
         with pytest.raises(DataError):
-            enc([])
+            enc(T.constant(np.zeros((0, 1, 6))))
 
     def test_residual_adds_layer_input_back(self):
         enc = self._encoder(kind="lstm", layers=2, d=4)
         for p in enc.layers[1].parameters().values():
             p.data[...] = 0.0
         rng = np.random.default_rng(34)
-        steps = make_inputs(rng, 1, [4] * 4)
+        steps = time_major(make_inputs(rng, 1, [4] * 4))
         seq = enc(steps)
         solo = self._encoder(kind="lstm", layers=1, d=4)
         solo.layers[0] = enc.layers[0]
@@ -333,7 +343,7 @@ class TestRecurrentEncoder:
 
     def test_training_dropout_requires_rng(self):
         enc = self._encoder(dropout_rate=0.5, layers=2)
-        steps = make_inputs(np.random.default_rng(0), 1, [6, 6])
+        steps = time_major(make_inputs(np.random.default_rng(0), 1, [6, 6]))
         with pytest.raises(ContractError):
             enc(steps, training=True)
 
@@ -343,18 +353,18 @@ class TestRecurrentEncoder:
         outs = []
         for _ in range(2):
             enc = self._encoder(kind="onlstm", layers=2, seed=77)
-            outs.append(enc([T.constant(a.copy()) for a in arr]).data)
+            outs.append(enc(T.constant(np.stack(arr))).data)
         assert np.array_equal(outs[0], outs[1])
 
     def test_cell_state_stays_bounded(self):
         enc = self._encoder(kind="onlstm", layers=1, d=6, chunk=2)
         rng = np.random.default_rng(36)
-        steps = make_inputs(rng, 1, [6] * 50)
+        steps = time_major(make_inputs(rng, 1, [6] * 50))
         assert np.all(np.abs(enc(steps).data) <= 1.0 + 1e-6)
 
     def test_gate_trace_collection_and_csv(self):
         enc = self._encoder(kind="onlstm", layers=2, d=6, chunk=3)
-        steps = make_inputs(np.random.default_rng(37), 1, [6] * 4)
+        steps = time_major(make_inputs(np.random.default_rng(37), 1, [6] * 4))
         trace: dict[int, list] = {}
         enc(steps, trace=trace)
         assert sorted(trace) == [0, 1]
@@ -366,7 +376,7 @@ class TestRecurrentEncoder:
     def test_lstm_kind_collects_no_trace(self):
         enc = self._encoder(kind="lstm", layers=1, d=4)
         trace: dict[int, list] = {}
-        enc(make_inputs(np.random.default_rng(38), 1, [4, 4]), trace=trace)
+        enc(time_major(make_inputs(np.random.default_rng(38), 1, [4, 4])), trace=trace)
         assert trace == {}
 
     def test_gradients_pass_finite_difference_check(self):
@@ -377,9 +387,91 @@ class TestRecurrentEncoder:
             coeff = T.constant(rng.standard_normal((1, 4)))
 
             def build():
-                seq = enc([T.constant(a.copy()) for a in arr])
+                seq = enc(T.constant(np.stack(arr)))
                 last = T.select_steps(seq, np.array([len(arr) - 1]))
                 return T.add(sum_all(T.mul(last, coeff)), mean_all(seq))
 
             report = finite_difference_check(build, enc.parameters())
             assert max(report.values()) < 1e-3
+
+
+def _max_rel_gap(got: dict, ref: dict) -> float:
+    """Largest max|got - ref| / max|ref| over the named gradients."""
+    return max(
+        float(np.max(np.abs(got[k] - ref[k])) / max(np.max(np.abs(ref[k])), 1e-300))
+        for k in ref
+    )
+
+
+class TestFusedScanMatchesTapeOracle:
+    """The fused kernel against the per-step tape cell, on a right-padded batch.
+
+    Both scans train at dropout 0.2 from the same seeded stream, so their
+    forward passes draw the same masks only if one (N, batch, d) draw per
+    layer consumes the stream as N per-step draws do.
+    """
+
+    CASES = [
+        ("lstm", 1, 1), ("lstm", 2, 1),
+        ("onlstm", 1, 1), ("onlstm", 1, 4), ("onlstm", 2, 1), ("onlstm", 2, 4),
+    ]
+    LENGTHS = (6, 4, 3, 1)
+
+    def _run(self, kind, layers, chunk, dtype):
+        n, batch, d = max(self.LENGTHS), len(self.LENGTHS), 8
+        results = []
+        with T.dtype_scope(dtype):
+            enc = RecurrentEncoder(
+                kind, layers, d, d, SeedStreams(3).stream("init", "rnn"),
+                chunk=chunk, dropout_rate=0.2,
+            )
+            rng = np.random.default_rng(41)
+            real = np.arange(n)[:, None] < np.array(self.LENGTHS)[None, :]
+            x = rng.standard_normal((n, batch, d))
+            x[~real] = rng.standard_normal(d)  # one pad embedding at every padded step
+            coeff = T.constant((rng.standard_normal((batch, n, d)) * real.T[..., None]).astype(dtype))
+            for scan in (enc, lambda *a, **kw: tape_scan(enc, *a, **kw)):
+                for p in enc.parameters().values():
+                    p.zero_grad()
+                xt = T.parameter(x.astype(dtype))
+                trace: dict[int, list] = {}
+                with T.tape_scope():
+                    seq = scan(xt, training=True, rng=np.random.default_rng(9), trace=trace)
+                    T.backward(sum_all(T.mul(seq, coeff)))
+                grads = {name: p.grad for name, p in enc.parameters().items()}
+                grads["input"] = xt.grad
+                results.append((seq.data, trace, grads))
+        return results
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("kind,layers,chunk", CASES)
+    def test_forward_and_trace_are_bit_identical(self, kind, layers, chunk, dtype):
+        (seq, trace, _), (ref_seq, ref_trace, _) = self._run(kind, layers, chunk, dtype)
+        assert seq.dtype == np.dtype(dtype)
+        assert seq.flags["C_CONTIGUOUS"]
+        assert np.array_equal(seq, ref_seq)
+        assert sorted(trace) == sorted(ref_trace) == ([0, 1][:layers] if kind == "onlstm" else [])
+        for li in ref_trace:
+            assert len(trace[li]) == len(ref_trace[li]) == max(self.LENGTHS)
+            for got, ref in zip(trace[li], ref_trace[li]):
+                assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+    @pytest.mark.parametrize("kind,layers,chunk", CASES)
+    def test_float64_gradients_match_to_rounding(self, kind, layers, chunk):
+        (_, _, grads), (_, _, ref) = self._run(kind, layers, chunk, "float64")
+        assert sorted(grads) == sorted(ref)
+        assert _max_rel_gap(grads, ref) < 1e-12
+
+    @pytest.mark.parametrize("gate", [0, 1, 2])
+    def test_one_perturbed_gate_derivative_is_caught(self, gate, monkeypatch):
+        original = recurrent._sigmoid_grad
+
+        def perturbed(out, g):
+            d = original(out, g)
+            third = d.shape[-1] // 3
+            d[..., gate * third : (gate + 1) * third] *= 1.01
+            return d
+
+        monkeypatch.setattr(recurrent, "_sigmoid_grad", perturbed)
+        (_, _, grads), (_, _, ref) = self._run("onlstm", 2, 4, "float64")
+        assert _max_rel_gap(grads, ref) > 1e-4
