@@ -357,13 +357,16 @@ def _run_gradcheck(args) -> int:
             rng=np.random.default_rng(7),
         )
         for name in sorted(worst, key=worst.get, reverse=True):
-            status = "PASS" if worst[name] < _GRADCHECK_TOLERANCE else "FAIL"
-            lines.append(f"{kind} K={k} L={l}  {name}  {worst[name]:.3e}  {status}")
+            gap = worst[name]
+            status = "PASS" if gap < _GRADCHECK_TOLERANCE else "FAIL"
+            lines.append(f"{kind} K={k} L={l}  {name}  raw {gap.raw:.3e}  roundoff "
+                         f"{gap.roundoff:.3e}  error {gap:.3e}  {status}")
             if status == "FAIL":
-                failures.append((kind, k, l, name, worst[name]))
+                failures.append((kind, k, l, name, gap))
     report_path = out_dir / "report.txt"
     with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write(f"tolerance: {_GRADCHECK_TOLERANCE}\n")
+        fh.write(f"tolerance: {_GRADCHECK_TOLERANCE}\n"
+                 "per parameter: worst raw relative gap, its rounding bound, error net of it\n")
         fh.write("\n".join(lines) + "\n")
         fh.write(f"result: {'FAIL' if failures else 'PASS'}\n")
     _write_resolved_config(

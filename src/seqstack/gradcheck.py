@@ -30,13 +30,24 @@ DEFAULT_STEP = 1e-6
 _EPS = float(np.finfo(np.float64).eps)
 
 
+class GradientGap(float):
+    """A parameter's worst relative error, the pass/fail measure, carrying the
+    worst raw gap |ad - fd| / max(|ad|, |fd|, 1e-8) and the rounding bound of
+    that entry over the same denominator."""
+
+    def __new__(cls, error: float, raw: float, roundoff: float) -> "GradientGap":
+        gap = super().__new__(cls, error)
+        gap.raw, gap.roundoff = raw, roundoff
+        return gap
+
+
 def finite_difference_check(
     build_loss: Callable[[], Tensor],
     params: dict[str, Tensor],
     step: float = DEFAULT_STEP,
     max_entries: int | None = None,
     rng: np.random.Generator | None = None,
-) -> dict[str, float]:
+) -> dict[str, GradientGap]:
     """Compare analytic and numeric gradients for every parameter.
 
     `build_loss` must rebuild the scalar loss from scratch on each call and be
@@ -71,7 +82,7 @@ def finite_difference_check(
         with tape_scope(), no_grad():
             return build_loss().item()
 
-    worst: dict[str, float] = {}
+    worst: dict[str, GradientGap] = {}
     for name, p in params.items():
         analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
         if not np.all(np.isfinite(analytic)):
@@ -83,7 +94,7 @@ def finite_difference_check(
         else:
             indices = np.arange(n)
         a_flat = analytic.reshape(-1)
-        worst_rel = 0.0
+        error = raw = roundoff = 0.0
         for i in indices:
             original = flat[i]
             flat[i] = original + step
@@ -95,9 +106,10 @@ def finite_difference_check(
             if not np.isfinite(fd):
                 raise NumericsError(f"numeric gradient of {name!r} is not finite")
             ad = float(a_flat[i])
-            roundoff = _EPS * max(abs(hi), abs(lo)) / step
-            rel = max(abs(ad - fd) - roundoff, 0.0) / max(abs(ad), abs(fd), 1e-8)
-            if rel > worst_rel:
-                worst_rel = rel
-        worst[name] = worst_rel
+            bound = _EPS * max(abs(hi), abs(lo)) / step
+            scale = max(abs(ad), abs(fd), 1e-8)
+            error = max(error, max(abs(ad - fd) - bound, 0.0) / scale)
+            if abs(ad - fd) / scale >= raw:
+                raw, roundoff = abs(ad - fd) / scale, bound / scale
+        worst[name] = GradientGap(error, raw, roundoff)
     return worst

@@ -332,17 +332,8 @@ class PreparedExample:
 
 
 def prepare_examples(pairs) -> list[PreparedExample]:
-    out = []
-    for pair in pairs:
-        out.append(
-            PreparedExample(
-                premise_ids=encode_tokens(serialize(pair.premise)),
-                hyp_ids=encode_tokens(serialize(pair.hypothesis)),
-                label=int(pair.label),
-                op_count=pair.op_count,
-            )
-        )
-    return out
+    return [PreparedExample(encode_tokens(serialize(p.premise)), encode_tokens(serialize(p.hypothesis)),
+                            int(p.label), p.op_count) for p in pairs]
 
 
 def _batch_arrays(examples: list[PreparedExample], indices) -> tuple:
@@ -362,17 +353,35 @@ def _batch_arrays(examples: list[PreparedExample], indices) -> tuple:
     return ids, mask, labels
 
 
-def _predict(model: PairClassifier, examples: list[PreparedExample],
-             batch_size: int) -> np.ndarray:
-    """Argmax predictions for examples in their given order, gradient-free."""
+# Evaluation batch limits: pairs, and padded tokens per side (pairs x the
+# widest row). 256 x 16 keeps batches of short pairs at 256 pairs.
+EVAL_MAX_PAIRS = 256
+EVAL_MAX_TOKENS = 4096
+
+
+def _predict(model: PairClassifier, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Predictions and labels of labeled pairs in their given order, gradient-free.
+
+    Examples run sorted by padded width and cut greedily at both limits; a
+    pair wider than the token limit runs alone.
+    """
+    if not pairs:
+        raise DataError("no examples to evaluate")
+    examples = pairs if isinstance(pairs[0], PreparedExample) else prepare_examples(pairs)
+    widths = np.asarray([max(len(e.premise_ids), len(e.hyp_ids)) for e in examples])
+    order = np.argsort(widths, kind="stable")
     preds = np.empty(len(examples), dtype=np.int64)
+    start = 0
     with no_grad():
-        for start in range(0, len(examples), batch_size):
-            idx = range(start, min(start + batch_size, len(examples)))
+        while start < len(order):
+            # Widths ascend, so the pair counts whose tokens fit form a prefix.
+            w = widths[order[start : start + EVAL_MAX_PAIRS]]
+            stop = start + max(1, int(np.sum(np.arange(1, len(w) + 1) * w <= EVAL_MAX_TOKENS)))
+            idx = order[start:stop]
             ids, mask, _ = _batch_arrays(examples, idx)
-            logits = model.forward_joint(ids, mask, training=False)
-            preds[start : start + len(logits.data)] = np.argmax(logits.data, axis=1)
-    return preds
+            preds[idx] = np.argmax(model.forward_joint(ids, mask).data, axis=1)
+            start = stop
+    return preds, np.asarray([e.label for e in examples], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -413,20 +422,16 @@ class RunMetrics:
     test: LengthReport | None = None
 
 
-def _majority_fraction(labels: np.ndarray) -> float:
-    counts = np.bincount(labels, minlength=N_RELATIONS)
-    return float(counts.max() / labels.size)
-
-
-def _subset_stats(correct: np.ndarray, labels: np.ndarray, member: np.ndarray):
-    n = int(member.sum())
-    if n == 0:
-        return None
-    return BinStats(
-        n=n,
-        accuracy=float(correct[member].mean()),
-        majority_baseline=_majority_fraction(labels[member]),
-    )
+def _subset_stats(correct: np.ndarray, labels: np.ndarray, members: dict) -> dict:
+    """BinStats per named membership mask; empty subsets are left out."""
+    out = {}
+    for name, member in members.items():
+        n = int(member.sum())
+        if n:
+            counts = np.bincount(labels[member], minlength=N_RELATIONS)
+            out[name] = BinStats(n=n, accuracy=float(correct[member].mean()),
+                                 majority_baseline=float(counts.max() / n))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -435,55 +440,32 @@ def _subset_stats(correct: np.ndarray, labels: np.ndarray, member: np.ndarray):
 
 @dataclass
 class EvalResult:
-    n: int
     accuracy: float
     predictions: np.ndarray
     labels: np.ndarray
 
 
-def evaluate(model: PairClassifier, pairs, batch_size: int = 256) -> EvalResult:
+def evaluate(model: PairClassifier, pairs) -> EvalResult:
     """Accuracy over labeled pairs, in order, without touching gradients."""
-    if not pairs:
-        raise DataError("no examples to evaluate")
-    examples = pairs if isinstance(pairs[0], PreparedExample) else prepare_examples(pairs)
-    preds = _predict(model, examples, batch_size)
-    labels = np.asarray([e.label for e in examples], dtype=np.int64)
-    return EvalResult(
-        n=len(examples),
-        accuracy=float((preds == labels).mean()),
-        predictions=preds,
-        labels=labels,
-    )
+    preds, labels = _predict(model, pairs)
+    return EvalResult(float((preds == labels).mean()), preds, labels)
 
 
 def evaluate_by_length(model: PairClassifier, pairs, bins=None,
-                       batch_size: int = 256, boundary: int = 6) -> LengthReport:
+                       boundary: int = 6) -> LengthReport:
     """Per-bin accuracy with majority baselines; empty bins are omitted.
 
     Aggregate rows split the pairs at `boundary` operators: at most boundary
     (seen lengths under the default training cap) versus strictly more.
     """
-    if not pairs:
-        raise DataError("no examples to evaluate")
+    # Not via `evaluate`: perfbench's tracer wraps it to time train()'s dev pass.
+    preds, labels = _predict(model, pairs)
     bins = tuple(range(1, 13)) if bins is None else tuple(int(b) for b in bins)
-    examples = pairs if isinstance(pairs[0], PreparedExample) else prepare_examples(pairs)
-    preds = _predict(model, examples, batch_size)
-    labels = np.asarray([e.label for e in examples], dtype=np.int64)
-    ops = np.asarray([e.op_count for e in examples], dtype=np.int64)
+    ops = np.asarray([p.op_count for p in pairs], dtype=np.int64)
     correct = preds == labels
-    report_bins = {}
-    for b in bins:
-        stats = _subset_stats(correct, labels, ops == b)
-        if stats is not None:
-            report_bins[b] = stats
-    aggregates = {}
-    low = _subset_stats(correct, labels, ops <= boundary)
-    if low is not None:
-        aggregates[f"le{boundary}"] = low
-    high = _subset_stats(correct, labels, ops > boundary)
-    if high is not None:
-        aggregates[f"ge{boundary + 1}"] = high
-    return LengthReport(bins=report_bins, aggregates=aggregates, boundary=boundary)
+    split = {f"le{boundary}": ops <= boundary, f"ge{boundary + 1}": ops > boundary}
+    return LengthReport(bins=_subset_stats(correct, labels, {b: ops == b for b in bins}),
+                        aggregates=_subset_stats(correct, labels, split), boundary=boundary)
 
 
 def train(model: PairClassifier, train_pairs, dev_pairs,
@@ -535,7 +517,7 @@ def train(model: PairClassifier, train_pairs, dev_pairs,
             loss_sum += value * len(batch_idx)
             correct += int((np.argmax(logits.data, axis=1) == labels).sum())
             global_step += 1
-        dev_acc = evaluate(model, dev_ex, batch_size=max(config.batch_size, 256)).accuracy
+        dev_acc = evaluate(model, dev_ex).accuracy
         row = EpochMetrics(
             epoch=epoch,
             train_loss=loss_sum / len(train_ex),

@@ -47,20 +47,44 @@ def tiny_config(kind, encoder_overrides=None, **overrides):
     return P.TrainConfig(encoder=EncoderConfig(**enc), **train)
 
 
-class _OracleStub:
-    """Predicts the true label by reading the evaluation stream in order."""
+def _pair_key(premise_ids, hyp_ids):
+    return np.asarray(premise_ids).tobytes(), np.asarray(hyp_ids).tobytes()
 
-    def __init__(self, labels):
-        self.labels = list(labels)
-        self.cursor = 0
+
+def _batch_rows(ids, mask):
+    """The unpadded (premise ids, hypothesis ids) of each pair in a joint batch."""
+    b = ids.shape[0] // 2
+    n = np.asarray(mask).sum(axis=1).astype(int)
+    return [(ids[i, : n[i]], ids[b + i, : n[b + i]]) for i in range(b)]
+
+
+class _OracleStub:
+    """Predicts the true label by looking each pair up by its token ids, so it
+    is right whatever order and batches the evaluation visits the pairs in."""
+
+    def __init__(self, examples):
+        self.labels = {_pair_key(e.premise_ids, e.hyp_ids): e.label for e in examples}
 
     def forward_joint(self, ids, mask, training=False, rng=None):
-        b = ids.shape[0] // 2
-        logits = np.zeros((b, P.N_RELATIONS))
-        for i in range(b):
-            logits[i, self.labels[self.cursor + i]] = 10.0
-        self.cursor += b
+        rows = _batch_rows(ids, mask)
+        logits = np.zeros((len(rows), P.N_RELATIONS))
+        for i, row in enumerate(rows):
+            logits[i, self.labels[_pair_key(*row)]] = 10.0
         return T.constant(logits)
+
+
+class _BatchRecorder:
+    """Records each batch's pair keys and pair widths; predicts label 0."""
+
+    def __init__(self):
+        self.batches = []
+
+    def forward_joint(self, ids, mask, training=False, rng=None):
+        rows = _batch_rows(ids, mask)
+        widths = [max(len(p), len(h)) for p, h in rows]
+        assert ids.shape[1] == max(widths)
+        self.batches.append(([_pair_key(*row) for row in rows], widths))
+        return T.constant(np.zeros((len(rows), P.N_RELATIONS)))
 
 
 class _RandomStub:
@@ -351,8 +375,8 @@ class TestEvaluation:
     def test_oracle_stub_scores_one_everywhere(self):
         pairs = pairs_with_ops(14, 4, max_ops=8)
         ex = P.prepare_examples(pairs)
-        stub = _OracleStub([e.label for e in ex])
-        report = P.evaluate_by_length(stub, ex, batch_size=32)
+        stub = _OracleStub(ex)
+        report = P.evaluate_by_length(stub, ex)
         assert report.bins, "expected populated bins"
         for stats in report.bins.values():
             assert stats.accuracy == 1.0
@@ -361,7 +385,7 @@ class TestEvaluation:
 
     def test_random_stub_sits_near_one_seventh(self):
         pairs = pairs_with_ops(15, 40, max_ops=6)
-        result = P.evaluate(_RandomStub(3), P.prepare_examples(pairs), batch_size=128)
+        result = P.evaluate(_RandomStub(3), P.prepare_examples(pairs))
         assert abs(result.accuracy - 1.0 / 7.0) < 0.03
 
     def test_majority_column_matches_independent_histogram(self):
@@ -377,7 +401,7 @@ class TestEvaluation:
     def test_empty_bins_and_aggregates_are_absent(self):
         pairs = [p for p in pairs_with_ops(17, 3, max_ops=3)]
         ex = P.prepare_examples(pairs)
-        report = P.evaluate_by_length(_OracleStub([e.label for e in ex]), ex)
+        report = P.evaluate_by_length(_OracleStub(ex), ex)
         assert set(report.bins) <= {1, 2, 3}
         assert "ge7" not in report.aggregates
         assert "le6" in report.aggregates
@@ -385,15 +409,61 @@ class TestEvaluation:
     def test_aggregates_split_at_boundary(self):
         pairs = pairs_with_ops(18, 5, max_ops=8)
         ex = P.prepare_examples(pairs)
-        report = P.evaluate_by_length(_OracleStub([e.label for e in ex]), ex)
+        report = P.evaluate_by_length(_OracleStub(ex), ex)
         n_low = sum(1 for e in ex if e.op_count <= 6)
         n_high = sum(1 for e in ex if e.op_count >= 7)
         assert report.aggregates["le6"].n == n_low
         assert report.aggregates["ge7"].n == n_high
 
+    # The shipped limits, and limits small enough that pairs over the token
+    # limit occur and must run alone.
+    @pytest.mark.parametrize("max_pairs, max_tokens", [(P.EVAL_MAX_PAIRS, P.EVAL_MAX_TOKENS), (7, 30)])
+    def test_batches_sort_by_width_within_both_limits(self, max_pairs, max_tokens, monkeypatch):
+        monkeypatch.setattr(P, "EVAL_MAX_PAIRS", max_pairs)
+        monkeypatch.setattr(P, "EVAL_MAX_TOKENS", max_tokens)
+        pairs = [p for p in pairs_with_ops(21, 40, max_ops=8) if p.op_count >= 1]
+        ex = P.prepare_examples([pairs[i] for i in np.random.default_rng(3).permutation(len(pairs))])
+        recorder = _BatchRecorder()
+        P.evaluate(recorder, ex)
+        seen = Counter(key for keys, _ in recorder.batches for key in keys)
+        assert seen == Counter(_pair_key(e.premise_ids, e.hyp_ids) for e in ex)
+        widths = [w for _, batch_widths in recorder.batches for w in batch_widths]
+        assert widths == sorted(widths)
+        assert len(recorder.batches) > 2
+        for i, (keys, batch_widths) in enumerate(recorder.batches):
+            n, width = len(keys), max(batch_widths)
+            assert n == 1 or (n <= max_pairs and n * width <= max_tokens)
+            if i + 1 < len(recorder.batches):  # greedy: the next pair did not fit
+                assert n == max_pairs or (n + 1) * recorder.batches[i + 1][1][0] > max_tokens
+        if max_tokens < P.EVAL_MAX_TOKENS:
+            assert any(w > max_tokens for w in widths)
+
+    def test_predictions_match_single_pair_argmax_in_input_order(self):
+        pairs = [p for p in pairs_with_ops(22, 36, max_ops=8) if p.op_count >= 1]
+        ex = P.prepare_examples([pairs[i] for i in np.random.default_rng(4).permutation(len(pairs))])
+        model = P.PairClassifier(tiny_config("hybrid"))
+        preds = P.evaluate(model, ex).predictions
+        with T.no_grad():
+            singles = np.concatenate([
+                model.forward_joint(*P._batch_arrays(ex, [i])[:2]).data for i in range(len(ex))
+            ])
+        # Padding moves logits at rounding level; near-ties may flip.
+        top2 = np.sort(singles, axis=1)[:, -2:]
+        clear = top2[:, 1] - top2[:, 0] > 1e-4
+        assert len(ex) > P.EVAL_MAX_PAIRS and clear.sum() > len(ex) // 2
+        np.testing.assert_array_equal(preds[clear], np.argmax(singles, axis=1)[clear])
+
+    def test_length_report_does_not_go_through_evaluate(self, monkeypatch):
+        # perfbench's tracer wraps `evaluate` to time train()'s dev pass alone.
+        ex = P.prepare_examples(pairs_with_ops(23, 2, max_ops=3))
+        monkeypatch.setattr(P, "evaluate", None)
+        assert P.evaluate_by_length(_OracleStub(ex), ex).aggregates["le6"].accuracy == 1.0
+
     def test_empty_evaluation_is_an_error(self):
         with pytest.raises(DataError, match="no examples"):
             P.evaluate(_RandomStub(0), [])
+        with pytest.raises(DataError, match="no examples"):
+            P.evaluate_by_length(_RandomStub(0), [])
 
 
 class TestConfigAndCsv:
@@ -435,7 +505,7 @@ class TestConfigAndCsv:
     def test_length_csv_layout(self):
         pairs = pairs_with_ops(20, 3, max_ops=8)
         ex = P.prepare_examples(pairs)
-        report = P.evaluate_by_length(_OracleStub([e.label for e in ex]), ex)
+        report = P.evaluate_by_length(_OracleStub(ex), ex)
         import io
 
         buf = io.StringIO()
