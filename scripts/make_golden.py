@@ -1,7 +1,10 @@
 """Build the golden eval fixture under tests/golden/.
 
-Run once from the repository root when the model or checkpoint format
-changes intentionally:
+The committed fixture is frozen. Training has changed since it was made
+(the u - v head init, the fused recurrent scan), so a re-run trains a
+different model and rewrites all four files (test.tsv comes out the same,
+the other three differ). Re-run it from the repository root only when the
+checkpoint format changes on purpose, and commit the four files together:
 
     python3 scripts/make_golden.py
 
@@ -13,8 +16,7 @@ test.tsv, one padded batch, one row per pair. The eval regression tests
 replay model.ckpt on test.tsv and compare its CSV with bins.csv
 byte-for-byte and its logits with logits.txt within a tolerance (the golden
 model predicts the majority class in every bin, so the CSV alone cannot see
-a change in the forward pass). The four files are rebuilt and committed
-together.
+a change in the forward pass).
 """
 
 import json

@@ -13,11 +13,11 @@ from .errors import ConfigError, ShapeError
 from .tensor import (
     Tensor,
     add,
-    bmm,
     constant,
     default_dtype,
     dropout,
     layer_norm,
+    linear,
     matmul,
     permute,
     relu,
@@ -56,31 +56,15 @@ def key_mask_bias(mask: np.ndarray, dtype) -> np.ndarray:
 def scaled_dot_attention(
     q: Tensor, k: Tensor, v: Tensor, mask_bias: np.ndarray | None = None
 ) -> Tensor:
-    """softmax(q k^T / sqrt(d_k)) v over (B, n_q, d_k) batches.
+    """softmax(q k^T / sqrt(d_k)) v over (..., n_q, d_k) queries.
 
-    `mask_bias` is an additive score offset that broadcasts to the (B, n_q,
-    N) scores, such as the (B, 1, N) output of `key_mask_bias`.
+    q, k and v share their leading (batch) axes; `matmul` rejects any other
+    shapes. `mask_bias` is an additive score offset that broadcasts to the
+    (..., n_q, N) scores, such as the (B, 1, N) output of `key_mask_bias`.
     """
-    if q.ndim != 3 or k.ndim != 3 or v.ndim != 3:
-        raise ShapeError(f"attention needs rank-3 q, k, v, got {q.shape}, {k.shape}, {v.shape}")
-    if q.shape[-1] != k.shape[-1]:
-        raise ShapeError(f"query dim {q.shape} does not match key dim {k.shape}")
-    if k.shape[-2] != v.shape[-2]:
-        raise ShapeError(f"key count {k.shape} does not match value count {v.shape}")
-    scores = scale(bmm(q, permute(k, (0, 2, 1))), 1.0 / np.sqrt(q.shape[-1]))
-    if mask_bias is not None:
-        scores = add(scores, constant(np.broadcast_to(mask_bias, scores.shape).copy()))
-    return bmm(softmax_rows(scores), v)
-
-
-def _project(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Apply a (d_in -> d_out) map over the last axis of (B, N, d_in)."""
-    batch, n, d_in = x.shape
-    flat = reshape(x, (batch * n, d_in))
-    out = matmul(flat, w)
-    if b is not None:
-        out = add(out, b)
-    return reshape(out, (batch, n, w.shape[1]))
+    k_t = permute(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))
+    scores = scale(matmul(q, k_t), 1.0 / np.sqrt(q.shape[-1]))
+    return matmul(softmax_rows(scores, mask_bias), v)
 
 
 def _affine_params(d_in: int, d_out: int, rng: np.random.Generator):
@@ -120,24 +104,19 @@ class MultiHeadAttention:
         }
 
     def _split_heads(self, x: Tensor, batch: int, n: int) -> Tensor:
-        x = reshape(x, (batch, n, self.heads, self.d_head))
-        x = permute(x, (0, 2, 1, 3))
-        return reshape(x, (batch * self.heads, n, self.d_head))
+        """(B, N, d) -> (B, H, N, d_head)."""
+        return permute(reshape(x, (batch, n, self.heads, self.d_head)), (0, 2, 1, 3))
 
     def __call__(self, x: Tensor, mask_bias: np.ndarray | None = None) -> Tensor:
-        """Self-attention over (B, N, d); `mask_bias` is a (B, 1, N) key offset."""
-        batch, n, d = x.shape
-        if d != self.d:
-            raise ShapeError(f"input dim {d} does not match model dim {self.d}")
-        q = self._split_heads(_project(x, self.w_q, self.b_q), batch, n)
-        k = self._split_heads(_project(x, self.w_k), batch, n)
-        v = self._split_heads(_project(x, self.w_v, self.b_v), batch, n)
-        if mask_bias is not None:
-            mask_bias = np.repeat(mask_bias, self.heads, axis=0)
+        """Self-attention over (B, N, d); `mask_bias` is a (B, 1, 1, N) key offset,
+        broadcast over the heads and the query rows."""
+        batch, n, _ = x.shape
+        q = self._split_heads(linear(x, self.w_q, self.b_q), batch, n)
+        k = self._split_heads(linear(x, self.w_k), batch, n)
+        v = self._split_heads(linear(x, self.w_v, self.b_v), batch, n)
         mixed = scaled_dot_attention(q, k, v, mask_bias)
-        mixed = reshape(mixed, (batch, self.heads, n, self.d_head))
         mixed = reshape(permute(mixed, (0, 2, 1, 3)), (batch, n, self.d))
-        return _project(mixed, self.w_o, self.b_o)
+        return linear(mixed, self.w_o, self.b_o)
 
 
 class FeedForward:
@@ -156,7 +135,7 @@ class FeedForward:
         }
 
     def __call__(self, x: Tensor) -> Tensor:
-        return _project(relu(_project(x, self.w1, self.b1)), self.w2, self.b2)
+        return linear(relu(linear(x, self.w1, self.b1)), self.w2, self.b2)
 
 
 class LayerNormParams:
@@ -255,9 +234,7 @@ class SanEncoder:
             pos = sinusoidal_positions(n, d).astype(x.dtype)
             x = add(x, constant(np.broadcast_to(pos, x.shape).copy()))
         x = dropout(x, self.dropout_rate, training, rng)
-        mask_bias = None
-        if mask is not None:
-            mask_bias = key_mask_bias(mask, x.dtype)
+        mask_bias = None if mask is None else key_mask_bias(mask, x.dtype)[:, None]  # (B, 1, 1, N)
         for layer in self.layers:
             x = layer(x, mask_bias, training, rng)
         return self.final(x)

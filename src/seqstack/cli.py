@@ -344,6 +344,7 @@ def _run_gradcheck(args) -> int:
     examples = prepare_examples(pairs)
     failures = []
     lines = []
+    unresolved = probed = 0
     for kind, k, l in _GRADCHECK_MATRIX:
         config = _gradcheck_config(kind, k, l)
         model = PairClassifier(config)
@@ -359,15 +360,24 @@ def _run_gradcheck(args) -> int:
         for name in sorted(worst, key=worst.get, reverse=True):
             gap = worst[name]
             status = "PASS" if gap < _GRADCHECK_TOLERANCE else "FAIL"
+            # entries whose rounding bound alone reaches the tolerance: an
+            # error that large in them would pass unseen
+            blind = int(np.count_nonzero(gap.bounds >= _GRADCHECK_TOLERANCE))
+            unresolved += blind
+            probed += gap.bounds.size
             lines.append(f"{kind} K={k} L={l}  {name}  raw {gap.raw:.3e}  roundoff "
-                         f"{gap.roundoff:.3e}  error {gap:.3e}  {status}")
+                         f"{gap.roundoff:.3e}  unresolved {blind}/{gap.bounds.size}  "
+                         f"error {gap:.3e}  {status}")
             if status == "FAIL":
                 failures.append((kind, k, l, name, gap))
+    total = (f"unresolved: {unresolved} of {probed} probed entries have a rounding bound "
+             f"at or above the tolerance")
     report_path = out_dir / "report.txt"
     with open(report_path, "w", encoding="utf-8") as fh:
         fh.write(f"tolerance: {_GRADCHECK_TOLERANCE}\n"
-                 "per parameter: worst raw relative gap, its rounding bound, error net of it\n")
-        fh.write("\n".join(lines) + "\n")
+                 "per parameter: worst raw relative gap, its rounding bound, probed entries "
+                 "whose rounding bound reaches the tolerance, error net of the bound\n")
+        fh.write("\n".join(lines + [total]) + "\n")
         fh.write(f"result: {'FAIL' if failures else 'PASS'}\n")
     _write_resolved_config(
         out_dir,
@@ -378,7 +388,7 @@ def _run_gradcheck(args) -> int:
             "out": str(out_dir),
         },
     )
-    print("\n".join(lines))
+    print("\n".join(lines + [total]))
     if failures:
         worst_line = max(failures, key=lambda f: f[4])
         print(

@@ -32,12 +32,14 @@ _EPS = float(np.finfo(np.float64).eps)
 
 class GradientGap(float):
     """A parameter's worst relative error, the pass/fail measure, carrying the
-    worst raw gap |ad - fd| / max(|ad|, |fd|, 1e-8) and the rounding bound of
-    that entry over the same denominator."""
+    worst raw gap |ad - fd| / max(|ad|, |fd|, 1e-8), the rounding bound of
+    that entry over the same denominator, and that relative bound for every
+    probed entry (`bounds`)."""
 
-    def __new__(cls, error: float, raw: float, roundoff: float) -> "GradientGap":
+    def __new__(cls, error: float, raw: float, roundoff: float,
+                bounds: np.ndarray) -> "GradientGap":
         gap = super().__new__(cls, error)
-        gap.raw, gap.roundoff = raw, roundoff
+        gap.raw, gap.roundoff, gap.bounds = raw, roundoff, bounds
         return gap
 
 
@@ -95,7 +97,8 @@ def finite_difference_check(
             indices = np.arange(n)
         a_flat = analytic.reshape(-1)
         error = raw = roundoff = 0.0
-        for i in indices:
+        bounds = np.empty(len(indices))
+        for j, i in enumerate(indices):
             original = flat[i]
             flat[i] = original + step
             hi = loss_value()
@@ -108,8 +111,9 @@ def finite_difference_check(
             ad = float(a_flat[i])
             bound = _EPS * max(abs(hi), abs(lo)) / step
             scale = max(abs(ad), abs(fd), 1e-8)
+            bounds[j] = bound / scale
             error = max(error, max(abs(ad - fd) - bound, 0.0) / scale)
             if abs(ad - fd) / scale >= raw:
-                raw, roundoff = abs(ad - fd) / scale, bound / scale
-        worst[name] = GradientGap(error, raw, roundoff)
+                raw, roundoff = abs(ad - fd) / scale, bounds[j]
+        worst[name] = GradientGap(error, raw, roundoff, bounds)
     return worst

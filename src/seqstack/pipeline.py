@@ -29,19 +29,17 @@ from .optim import Adam, clip_global_norm
 from .rng import SeedStreams
 from .tensor import (
     Tensor,
-    add,
     backward,
-    concat_last,
     cross_entropy,
     default_dtype,
     dropout,
-    matmul,
+    linear,
     no_grad,
     parameter,
+    permute,
     relu,
     reshape,
     select_steps,
-    slice_rows,
     tape_scope,
     tile_batch,
 )
@@ -143,11 +141,11 @@ class ClassifierHead:
         }
 
     def __call__(self, pair: Tensor, training: bool = False, rng=None) -> Tensor:
-        h = relu(add(matmul(pair, self.w1), self.b1))
+        h = relu(linear(pair, self.w1, self.b1))
         h = dropout(h, self.dropout_rate, training, rng)
-        h = relu(add(matmul(h, self.w2), self.b2))
+        h = relu(linear(h, self.w2, self.b2))
         h = dropout(h, self.dropout_rate, training, rng)
-        return add(matmul(h, self.w3), self.b3)
+        return linear(h, self.w3, self.b3)
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +312,9 @@ class PairClassifier:
             pooled = pool_last_hidden(seq, np.asarray(mask).sum(axis=1).astype(np.int64))
         else:
             pooled = pool_trainable_queries(self.queries, seq, mask)
-        u = slice_rows(pooled, 0, b)
-        v = slice_rows(pooled, b, 2 * b)
-        return self.head(concat_last([u, v]), training=training, rng=rng)
+        # Row i of the pair batch is [u_i, v_i] = pooled rows i and b + i.
+        pair = reshape(permute(reshape(pooled, (2, b, -1)), (1, 0, 2)), (b, 2 * self.d_sent))
+        return self.head(pair, training=training, rng=rng)
 
 
 # ---------------------------------------------------------------------------

@@ -106,23 +106,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}{flag})"
 
-    # Operator sugar for readable model code.
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other) -> "Tensor":
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
 
 def parameter(data) -> Tensor:
     return Tensor(data, requires_grad=True)
@@ -152,12 +135,6 @@ class GradTape:
 
     def __init__(self):
         self.entries: list[TapeEntry] = []
-
-    def clear(self) -> None:
-        self.entries.clear()
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 _tape_stack: list[GradTape] = [GradTape()]
@@ -239,42 +216,50 @@ def backward(loss: Tensor) -> None:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two rank-2 tensors with gradient recording."""
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    """Product over the last two axes, batched over equal leading axes."""
+    if a.ndim < 2 or a.shape[:-2] != b.shape[:-2] or a.shape[-1:] != b.shape[-2:-1]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
     out = a.data @ b.data
 
     def back(g):
         contribs = []
         if a.requires_grad:
-            contribs.append((a, g @ b.data.T))
+            contribs.append((a, g @ b.data.swapaxes(-1, -2)))
         if b.requires_grad:
-            contribs.append((b, a.data.T @ g))
+            contribs.append((b, a.data.swapaxes(-1, -2) @ g))
         return contribs
 
     return _record("matmul", (a, b), out, back)
 
 
-def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product: (B,n,k) @ (B,k,m) -> (B,n,m)."""
-    if (
-        a.ndim != 3
-        or b.ndim != 3
-        or a.shape[0] != b.shape[0]
-        or a.shape[2] != b.shape[1]
-    ):
-        raise ShapeError(f"bmm: incompatible shapes {a.shape} x {b.shape}")
-    out = a.data @ b.data
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """Affine map `x @ w + b` over the last axis of x, of any rank.
+
+    One tape entry: x is flattened to (-1, d_in) rows, multiplied, the bias
+    is added in place into the fresh product, and the rows are reshaped back.
+    """
+    if w.ndim != 2 or x.shape[-1:] != w.shape[:1] or (b is not None and b.shape != w.shape[1:]):
+        raise ShapeError(f"linear: incompatible shapes {x.shape} x {w.shape} + "
+                         f"{None if b is None else b.shape}")
+    d_in, d_out = w.shape
+    rows = x.data.reshape(-1, d_in)
+    out = rows @ w.data
+    if b is not None:
+        out += b.data
 
     def back(g):
+        g = g.reshape(-1, d_out)
         contribs = []
-        if a.requires_grad:
-            contribs.append((a, g @ b.data.transpose(0, 2, 1)))
-        if b.requires_grad:
-            contribs.append((b, a.data.transpose(0, 2, 1) @ g))
+        if x.requires_grad:
+            contribs.append((x, (g @ w.data.T).reshape(x.shape)))
+        if w.requires_grad:
+            contribs.append((w, rows.T @ g))
+        if b is not None and b.requires_grad:
+            contribs.append((b, g.sum(axis=0)))
         return contribs
 
-    return _record("bmm", (a, b), out, back)
+    inputs = (x, w) if b is None else (x, w, b)
+    return _record("linear", inputs, out.reshape(x.shape[:-1] + (d_out,)), back)
 
 
 def permute(x: Tensor, axes: Sequence[int]) -> Tensor:
@@ -301,63 +286,20 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _bias_broadcastable(a: Tensor, b: Tensor) -> bool:
-    return b.ndim == 1 and a.ndim >= 2 and a.shape[-1] == b.shape[0]
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; the only permitted broadcast is a trailing-dim bias."""
-    if a.shape == b.shape:
-        def back(g):
-            contribs = []
-            if a.requires_grad:
-                contribs.append((a, g))
-            if b.requires_grad:
-                contribs.append((b, g))
-            return contribs
-
-        return _record("add", (a, b), a.data + b.data, back)
-    if _bias_broadcastable(a, b):
-        def back(g):
-            contribs = []
-            if a.requires_grad:
-                contribs.append((a, g))
-            if b.requires_grad:
-                contribs.append((b, g.reshape(-1, b.shape[0]).sum(axis=0)))
-            return contribs
-
-        return _record("add", (a, b), a.data + b.data, back)
-    raise ShapeError(f"add: incompatible shapes {a.shape} + {b.shape}")
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum of two tensors of one shape."""
     if a.shape != b.shape:
-        raise ShapeError(f"sub: incompatible shapes {a.shape} - {b.shape}")
+        raise ShapeError(f"add: incompatible shapes {a.shape} + {b.shape}")
 
     def back(g):
         contribs = []
         if a.requires_grad:
             contribs.append((a, g))
         if b.requires_grad:
-            contribs.append((b, -g))
+            contribs.append((b, g))
         return contribs
 
-    return _record("sub", (a, b), a.data - b.data, back)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: incompatible shapes {a.shape} * {b.shape}")
-
-    def back(g):
-        contribs = []
-        if a.requires_grad:
-            contribs.append((a, g * b.data))
-        if b.requires_grad:
-            contribs.append((b, g * a.data))
-        return contribs
-
-    return _record("mul", (a, b), a.data * b.data, back)
+    return _record("add", (a, b), a.data + b.data, back)
 
 
 def scale(x: Tensor, factor: float) -> Tensor:
@@ -383,9 +325,16 @@ def relu(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Softmax over the last dimension, computed with max subtraction."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+def softmax_rows(x: Tensor, bias: np.ndarray | None = None) -> Tensor:
+    """Softmax over the last dimension, computed with max subtraction.
+
+    `bias` is a constant added to x first, such as a key mask bias; it must
+    broadcast to x's shape. It takes no gradient.
+    """
+    if bias is not None and np.broadcast_shapes(bias.shape, x.shape) != x.shape:
+        raise ShapeError(f"softmax_rows: bias {bias.shape} does not broadcast to {x.shape}")
+    z = x.data if bias is None else x.data + bias
+    shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=-1, keepdims=True)
 
@@ -396,31 +345,6 @@ def softmax_rows(x: Tensor) -> Tensor:
         return [(x, out * (g - inner))]
 
     return _record("softmax_rows", (x,), out, back)
-
-
-def concat_last(parts: Sequence[Tensor]) -> Tensor:
-    parts = tuple(parts)
-    if not parts:
-        raise ShapeError("concat_last: no operands")
-    lead = parts[0].shape[:-1]
-    for p in parts[1:]:
-        if p.shape[:-1] != lead:
-            raise ShapeError(
-                f"concat_last: leading dims differ: {parts[0].shape} vs {p.shape}"
-            )
-    widths = [p.shape[-1] for p in parts]
-    out = np.concatenate([p.data for p in parts], axis=-1)
-
-    def back(g):
-        contribs = []
-        offset = 0
-        for p, w in zip(parts, widths):
-            if p.requires_grad:
-                contribs.append((p, g[..., offset : offset + w]))
-            offset += w
-        return contribs
-
-    return _record("concat_last", parts, out, back)
 
 
 def select_steps(x: Tensor, indices: np.ndarray) -> Tensor:
@@ -444,21 +368,6 @@ def select_steps(x: Tensor, indices: np.ndarray) -> Tensor:
         return [(x, full)]
 
     return _record("select_steps", (x,), x.data[rows, idx, :], back)
-
-
-def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous slice along the leading (batch) axis."""
-    if not (0 <= start < stop <= x.shape[0]):
-        raise ShapeError(f"slice_rows: bad range [{start}, {stop}) for {x.shape}")
-
-    def back(g):
-        if not x.requires_grad:
-            return []
-        full = np.zeros_like(x.data)
-        full[start:stop] = g
-        return [(x, full)]
-
-    return _record("slice_rows", (x,), x.data[start:stop], back)
 
 
 def tile_batch(x: Tensor, batch: int) -> Tensor:

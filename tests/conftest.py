@@ -15,10 +15,10 @@ from seqstack import tensor
 def _clean_tensor_state():
     """Keep tests independent: fresh default tape, float32 build precision."""
     tensor.set_default_dtype("float32")
-    tensor.active_tape().clear()
+    tensor.active_tape().entries.clear()
     yield
     tensor.set_default_dtype("float32")
-    tensor.active_tape().clear()
+    tensor.active_tape().entries.clear()
 
 
 @pytest.fixture

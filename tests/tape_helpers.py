@@ -1,11 +1,13 @@
 """Test-side helpers built on seqstack's tape: code the program never calls.
 
 `sum_all` and `mean_all` contract a tensor to a scalar loss for gradient
-checks; they record on the active tape like the ops in `seqstack.tensor`.
+checks; `sub` and `mul` are the same-shape elementwise ops tests build
+losses and references from. They record on the active tape like the ops in
+`seqstack.tensor`.
 
 The rest is the recurrent cell built from per-step tape ops, the oracle the
-fused scan in `seqstack.recurrent` is held to: the elementwise ops it needs
-(`sigmoid`, `tanh`, `cumsum_last`, `repeat_last`, `slice_last`,
+fused scan in `seqstack.recurrent` is held to: the ops it needs
+(`add_bias`, `sigmoid`, `tanh`, `cumsum_last`, `repeat_last`, `slice_last`,
 `stack_steps`), the plain and ordered cells, and `tape_scan`, which runs a
 `RecurrentEncoder`'s layers with these cells one step at a time.
 `forced_onlstm_step` runs one ordered-cell step with given master gates, so
@@ -18,7 +20,7 @@ import numpy as np
 
 from seqstack.errors import ShapeError
 from seqstack.recurrent import LstmParams, OnLstmParams
-from seqstack.tensor import Tensor, _record, constant, dropout, softmax_rows, sub
+from seqstack.tensor import Tensor, _record, add, constant, dropout, matmul, softmax_rows
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -43,9 +45,55 @@ def parameter_count(params: dict[str, Tensor]) -> int:
     return sum(p.size for p in params.values())
 
 
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    if a.shape != b.shape:
+        raise ShapeError(f"sub: incompatible shapes {a.shape} - {b.shape}")
+
+    def back(g):
+        contribs = []
+        if a.requires_grad:
+            contribs.append((a, g))
+        if b.requires_grad:
+            contribs.append((b, -g))
+        return contribs
+
+    return _record("sub", (a, b), a.data - b.data, back)
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    if a.shape != b.shape:
+        raise ShapeError(f"mul: incompatible shapes {a.shape} * {b.shape}")
+
+    def back(g):
+        contribs = []
+        if a.requires_grad:
+            contribs.append((a, g * b.data))
+        if b.requires_grad:
+            contribs.append((b, g * a.data))
+        return contribs
+
+    return _record("mul", (a, b), a.data * b.data, back)
+
+
 # ---------------------------------------------------------------------------
 # Tape ops used only by the per-step cell
 # ---------------------------------------------------------------------------
+
+
+def add_bias(x: Tensor, bias: Tensor) -> Tensor:
+    """x + bias, a (d,) bias broadcast over the rows of a (..., d) tensor."""
+    if bias.ndim != 1 or x.shape[-1:] != bias.shape:
+        raise ShapeError(f"add_bias: incompatible shapes {x.shape} + {bias.shape}")
+
+    def back(g):
+        contribs = []
+        if x.requires_grad:
+            contribs.append((x, g))
+        if bias.requires_grad:
+            contribs.append((bias, g.reshape(-1, bias.shape[0]).sum(axis=0)))
+        return contribs
+
+    return _record("add_bias", (x, bias), x.data + bias.data, back)
 
 
 def _sigmoid_grad(out_data: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -134,7 +182,7 @@ def cumax(logits: Tensor) -> Tensor:
 
 def _standard_gates(params: LstmParams, x_t: Tensor, h_prev: Tensor):
     dh = params.d_hidden
-    z = x_t @ params.w_x + h_prev @ params.w_h + params.bias
+    z = add_bias(add(matmul(x_t, params.w_x), matmul(h_prev, params.w_h)), params.bias)
     f = sigmoid(slice_last(z, 0, dh))
     i = sigmoid(slice_last(z, dh, 2 * dh))
     o = sigmoid(slice_last(z, 2 * dh, 3 * dh))
@@ -145,11 +193,11 @@ def _standard_gates(params: LstmParams, x_t: Tensor, h_prev: Tensor):
 def _cell_update(f, i, o, g, c_prev, f_master=None, i_master=None):
     """Shared state update; master gates, when given, reshape erase/write."""
     if f_master is not None:
-        w = f_master * i_master
-        f = f * w + sub(f_master, w)
-        i = i * w + sub(i_master, w)
-    c = f * c_prev + i * g
-    h = o * tanh(c)
+        w = mul(f_master, i_master)
+        f = add(mul(f, w), sub(f_master, w))
+        i = add(mul(i, w), sub(i_master, w))
+    c = add(mul(f, c_prev), mul(i, g))
+    h = mul(o, tanh(c))
     return h, c
 
 
@@ -177,7 +225,10 @@ def master_gates(
     copies.
     """
     m = params.master_dim
-    z = x_t @ params.w_x_master + h_prev @ params.w_h_master + params.bias_master
+    z = add_bias(
+        add(matmul(x_t, params.w_x_master), matmul(h_prev, params.w_h_master)),
+        params.bias_master,
+    )
     f_chunk = cumax(slice_last(z, 0, m))
     cu = cumax(slice_last(z, m, 2 * m))
     i_chunk = sub(constant(np.ones_like(cu.data)), cu)
@@ -228,7 +279,7 @@ def tape_scan(enc, x: Tensor, training=False, rng=None, trace=None) -> Tensor:
             else:
                 h, c = lstm_cell_step(layer, x_t, (h, c))
             outs.append(h)
-        clean = [o + s for o, s in zip(outs, clean)] if li else outs
+        clean = [add(o, s) for o, s in zip(outs, clean)] if li else outs
     return stack_steps(clean)
 
 

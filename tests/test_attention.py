@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from seqstack import attention
 from seqstack import tensor as T
 from seqstack.attention import (
     MultiHeadAttention,
@@ -18,7 +19,7 @@ from seqstack.errors import ConfigError, ShapeError
 from seqstack.gradcheck import finite_difference_check
 from seqstack.rng import SeedStreams
 
-from tape_helpers import sum_all
+from tape_helpers import mul, sum_all
 
 
 def ref_attention(q, k, v):
@@ -187,6 +188,23 @@ class TestMultiHeadAttention:
         assert np.all(weights >= 0)
         np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-6)
 
+    def test_masked_call_records_one_linear_per_projection(self, rng, monkeypatch):
+        made = []
+
+        def spy_constant(data):
+            made.append(np.shape(data))
+            return T.constant(data)
+
+        monkeypatch.setattr(attention, "constant", spy_constant)
+        mha = MultiHeadAttention(8, 4, streams(4))
+        mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]], dtype=float)
+        with T.tape_scope() as tape:
+            mha(T.constant(rng.standard_normal((2, 5, 8))), key_mask_bias(mask, np.float32)[:, None])
+        ops = [e.op for e in tape.entries]
+        assert ops.count("linear") == 4 and "add" not in ops
+        assert not made, "the mask bias is broadcast, not copied into a constant"
+        assert all(e.output.shape != (2 * 4, 5, 5) for e in tape.entries)
+
     def test_heads_must_divide_dim(self):
         with pytest.raises(ConfigError):
             MultiHeadAttention(8, 3, streams(5))
@@ -277,7 +295,7 @@ class TestSanEncoder:
             coeff = T.constant(rng.standard_normal((1, 3, 8)))
 
             def build():
-                return sum_all(T.mul(enc(T.constant(x.copy())), coeff))
+                return sum_all(mul(enc(T.constant(x.copy())), coeff))
 
             report = finite_difference_check(build, enc.parameters())
             assert max(report.values()) < 1e-3

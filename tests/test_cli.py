@@ -346,6 +346,24 @@ class TestGradcheck:
         resolved = json.loads((out / "resolved-config.json").read_text())
         assert resolved["dtype"] == "float64"
 
+    def test_report_counts_entries_the_check_cannot_resolve(self, tmp_path):
+        # The attention-final layer norm's bias gets a gradient too small for
+        # the central quotient at step 1e-6: at seed 42 its relative rounding
+        # bound is about 4.5e-2, far above the 1e-3 tolerance.
+        out = tmp_path / "gc"
+        assert cli.main(["gradcheck", "--seed", "42", "--out", str(out)]) == 0
+        report = (out / "report.txt").read_text().splitlines()
+        counts = {}
+        for ln in report:
+            if ln.endswith("PASS") and "unresolved" in ln:
+                kind, k, l, name = ln.split()[:4]
+                blind, probed = ln.split("unresolved ")[1].split()[0].split("/")
+                counts[(kind, k, l, name)] = (int(blind), int(probed))
+        blind, probed = counts[("hybrid", "K=2", "L=1", "encoder.san.final.bias")]
+        assert blind >= 1 and probed == 4
+        total = sum(b for b, _ in counts.values())
+        assert f"unresolved: {total} of {sum(p for _, p in counts.values())} " in "\n".join(report)
+
     # Seeds 1 and 3 draw entries whose gradients sit below the quotient's
     # roundoff at steps 1e-6 and 1e-5; at step 1e-4, seeds 2 and 5 put relu
     # kinks inside the probe window.

@@ -10,7 +10,9 @@ from seqstack.gradcheck import finite_difference_check
 from seqstack.pipeline import PairClassifier, PreparedExample, TrainConfig, _batch_arrays
 from seqstack.rng import SeedStreams
 
-from tape_helpers import mean_all, on_lstm_cell_step, parameter_count, sum_all, tape_scan
+from tape_helpers import (
+    mean_all, mul, on_lstm_cell_step, parameter_count, sum_all, tape_scan,
+)
 
 
 def config(kind="hybrid", **kw):
@@ -87,7 +89,7 @@ class TestShortCutCombine:
         with T.tape_scope():
             combined = T.add(a, b)
             coeff = T.constant(rng.standard_normal((2, 4)))
-            T.backward(sum_all(T.mul(combined, coeff)))
+            T.backward(sum_all(mul(combined, coeff)))
         np.testing.assert_array_equal(a.grad, b.grad)
 
 
@@ -273,7 +275,7 @@ class TestGradientFlow:
             def loss():
                 out = enc(ids)
                 last = T.select_steps(out.h_rnn, np.array([ids.shape[1] - 1]))
-                return T.add(sum_all(T.mul(out.seq, coeff)), mean_all(last))
+                return T.add(sum_all(mul(out.seq, coeff)), mean_all(last))
 
             report = finite_difference_check(
                 loss, enc.parameters(), max_entries=6, rng=np.random.default_rng(2)

@@ -9,7 +9,7 @@ from seqstack.gradcheck import finite_difference_check
 from seqstack.optim import Adam, clip_global_norm
 
 import tape_helpers as H
-from tape_helpers import mean_all, sum_all
+from tape_helpers import mean_all, mul, sub, sum_all
 
 
 def adam_scalar_reference(grads, lr, beta1, beta2, eps, x0):
@@ -51,8 +51,8 @@ class TestAdam:
         for _ in range(800):
             opt.zero_grad()
             with T.tape_scope():
-                delta = T.sub(x, T.constant(np.array([3.0])))
-                T.backward(sum_all(T.mul(delta, delta)))
+                delta = sub(x, T.constant(np.array([3.0])))
+                T.backward(sum_all(mul(delta, delta)))
             opt.step()
         np.testing.assert_allclose(x.data, [3.0], atol=1e-3)
 
@@ -141,7 +141,7 @@ class TestFiniteDifferenceCheck:
         w = T.parameter(np.zeros(2, dtype=np.float32))
 
         def build():
-            return sum_all(T.mul(w, w))
+            return sum_all(mul(w, w))
 
         with pytest.raises(ContractError, match="float64"):
             finite_difference_check(build, {"w": w})

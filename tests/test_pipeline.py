@@ -165,18 +165,39 @@ class TestClassifierHead:
             if name.startswith("w"):
                 p.data[:] = 0.0
         head.b3.data[:] = np.arange(7.0)
-        u = T.constant(rng.standard_normal((5, 6)))
-        v = T.constant(rng.standard_normal((5, 6)))
-        logits = head(T.concat_last([u, v]))
+        pair = T.constant(rng.standard_normal((5, 12)))
+        logits = head(pair)
         np.testing.assert_allclose(logits.data, np.tile(np.arange(7.0), (5, 1)), atol=1e-12)
 
     def test_swapping_sides_changes_logits(self, rng):
         head = P.ClassifierHead(12, 16, 0.0, np.random.default_rng(7))
-        u = T.constant(rng.standard_normal((4, 6)))
-        v = T.constant(rng.standard_normal((4, 6)))
-        fwd = head(T.concat_last([u, v]))
-        rev = head(T.concat_last([v, u]))
+        u = rng.standard_normal((4, 6))
+        v = rng.standard_normal((4, 6))
+        fwd = head(T.constant(np.concatenate([u, v], axis=1)))
+        rev = head(T.constant(np.concatenate([v, u], axis=1)))
         assert np.abs(fwd.data - rev.data).max() > 1e-4
+
+    @pytest.mark.parametrize("kind", ["lstm", "hybrid"])
+    def test_pair_rows_join_premise_and_hypothesis(self, kind, monkeypatch):
+        model = P.PairClassifier(tiny_config(kind))
+        ex = P.prepare_examples(pairs_with_ops(2, 1, max_ops=4))
+        ids, mask, _ = P._batch_arrays(ex, range(len(ex)))
+        seen = {}
+        pool_name = "pool_last_hidden" if kind == "lstm" else "pool_trainable_queries"
+        pool = getattr(P, pool_name)
+
+        def spy_pool(*args):
+            seen["pooled"] = pool(*args)
+            return seen["pooled"]
+
+        monkeypatch.setattr(P, pool_name, spy_pool)
+        monkeypatch.setattr(model, "head", lambda pair, **kw: seen.setdefault("pair", pair))
+        model.forward_joint(ids, mask)
+        pooled = seen["pooled"].data
+        b = len(ex)
+        expected = np.concatenate([pooled[:b], pooled[b:]], axis=1)
+        assert seen["pair"].shape == (b, 2 * model.d_sent)
+        np.testing.assert_array_equal(seen["pair"].data, expected)
 
     def test_full_model_gradcheck_at_small_width(self):
         pairs = pairs_with_ops(3, 1, max_ops=4)

@@ -26,6 +26,7 @@ from tape_helpers import (
     lstm_cell_step,
     master_gates,
     mean_all,
+    mul,
     on_lstm_cell_step,
     sum_all,
     tape_scan,
@@ -389,7 +390,7 @@ class TestRecurrentEncoder:
             def build():
                 seq = enc(T.constant(np.stack(arr)))
                 last = T.select_steps(seq, np.array([len(arr) - 1]))
-                return T.add(sum_all(T.mul(last, coeff)), mean_all(seq))
+                return T.add(sum_all(mul(last, coeff)), mean_all(seq))
 
             report = finite_difference_check(build, enc.parameters())
             assert max(report.values()) < 1e-3
@@ -437,7 +438,7 @@ class TestFusedScanMatchesTapeOracle:
                 trace: dict[int, list] = {}
                 with T.tape_scope():
                     seq = scan(xt, training=True, rng=np.random.default_rng(9), trace=trace)
-                    T.backward(sum_all(T.mul(seq, coeff)))
+                    T.backward(sum_all(mul(seq, coeff)))
                 grads = {name: p.grad for name, p in enc.parameters().items()}
                 grads["input"] = xt.grad
                 results.append((seq.data, trace, grads))

@@ -5,6 +5,9 @@ estimate computed in float64, and matmul against a triple-loop reference,
 so the tape implementation is never its own oracle.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,7 @@ from seqstack import tensor as T
 from seqstack.errors import ConfigError, ContractError, DataError, ShapeError
 
 import tape_helpers as H
-from tape_helpers import mean_all, sum_all
+from tape_helpers import mean_all, mul, sub, sum_all
 
 
 def matmul_loops(a, b):
@@ -59,14 +62,14 @@ def check_op_grad(build, shapes, seed=0, tol=1e-6):
         with T.tape_scope():
             out = build(inputs)
             coeffs = T.constant(np.asarray(rng.standard_normal(out.shape)))
-            loss = sum_all(T.mul(out, coeffs))
+            loss = sum_all(mul(out, coeffs))
             T.backward(loss)
         for idx in range(len(arrays)):
             def scalar(x, idx=idx):
                 probe = [T.constant(a) for a in arrays]
                 probe[idx] = T.constant(x)
                 with T.no_grad():
-                    val = sum_all(T.mul(build(probe), coeffs))
+                    val = sum_all(mul(build(probe), coeffs))
                 return val.item()
 
             expected = numeric_grad(scalar, arrays[idx].copy())
@@ -91,12 +94,34 @@ class TestForwardValues:
             got = T.matmul(T.constant(a), T.constant(b))
             np.testing.assert_allclose(got.data, matmul_loops(a, b), atol=1e-5)
 
-    def test_bmm_matches_per_slice_loop(self, rng):
-        a = rng.standard_normal((4, 3, 5)).astype(np.float32)
-        b = rng.standard_normal((4, 5, 2)).astype(np.float32)
-        got = T.bmm(T.constant(a), T.constant(b))
-        for i in range(4):
+    @pytest.mark.parametrize("lead", [(4,), (2, 3)])
+    def test_batched_matmul_matches_per_slice_loop(self, rng, lead):
+        a = rng.standard_normal(lead + (3, 5)).astype(np.float32)
+        b = rng.standard_normal(lead + (5, 2)).astype(np.float32)
+        got = T.matmul(T.constant(a), T.constant(b))
+        assert got.shape == lead + (3, 2)
+        for i in np.ndindex(*lead):
             np.testing.assert_allclose(got.data[i], matmul_loops(a[i], b[i]), atol=1e-5)
+
+    @pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4)])
+    def test_linear_matches_matmul_plus_bias(self, rng, shape):
+        x = rng.standard_normal(shape)
+        w = rng.standard_normal((4, 3))
+        b = rng.standard_normal(3)
+        got = T.linear(T.constant(x), T.constant(w), T.constant(b))
+        assert got.shape == shape[:-1] + (3,)
+        np.testing.assert_allclose(got.data, x @ w + b, atol=1e-12)
+        bare = T.linear(T.constant(x), T.constant(w))
+        np.testing.assert_allclose(bare.data, x @ w, atol=1e-12)
+
+    def test_softmax_rows_bias_equals_softmax_of_the_sum(self, rng):
+        x = rng.standard_normal((2, 3, 4, 5))
+        bias = rng.standard_normal((2, 1, 1, 5))
+        bias[0, ..., 3:] = -1e9
+        got = T.softmax_rows(T.constant(x), bias)
+        summed = T.softmax_rows(T.constant(x + bias))
+        np.testing.assert_array_equal(got.data, summed.data)
+        assert np.all(got.data[0, ..., 3:] == 0.0)
 
     def test_softmax_rows_is_normalized_and_shift_invariant(self, rng):
         x = rng.standard_normal((6, 9))
@@ -164,16 +189,27 @@ class TestGradients:
     def test_matmul(self):
         check_op_grad(lambda t: T.matmul(t[0], t[1]), [(3, 4), (4, 2)])
 
-    def test_bmm(self):
-        check_op_grad(lambda t: T.bmm(t[0], t[1]), [(2, 3, 4), (2, 4, 2)])
+    def test_batched_matmul(self):
+        check_op_grad(lambda t: T.matmul(t[0], t[1]), [(2, 3, 4), (2, 4, 2)])
+        check_op_grad(lambda t: T.matmul(t[0], t[1]), [(2, 3, 2, 4), (2, 3, 4, 5)])
 
-    def test_add_equal_and_bias(self):
+    def test_linear(self):
+        check_op_grad(lambda t: T.linear(t[0], t[1], t[2]), [(3, 4), (4, 5), (5,)])
+        check_op_grad(lambda t: T.linear(t[0], t[1], t[2]), [(2, 3, 4), (4, 5), (5,)])
+        check_op_grad(lambda t: T.linear(t[0], t[1]), [(3, 4), (4, 5)])
+        check_op_grad(lambda t: T.linear(t[0], t[1]), [(2, 3, 4), (4, 5)])
+
+    def test_add(self):
         check_op_grad(lambda t: T.add(t[0], t[1]), [(3, 4), (3, 4)])
-        check_op_grad(lambda t: T.add(t[0], t[1]), [(2, 3, 4), (4,)])
+        check_op_grad(lambda t: H.add_bias(t[0], t[1]), [(2, 3, 4), (4,)])
+
+    def test_softmax_rows_with_bias(self):
+        bias = np.random.default_rng(4).standard_normal((2, 1, 5))
+        check_op_grad(lambda t: T.softmax_rows(t[0], bias), [(2, 3, 5)])
 
     def test_sub_mul_scale(self):
-        check_op_grad(lambda t: T.sub(t[0], t[1]), [(3, 4), (3, 4)])
-        check_op_grad(lambda t: T.mul(t[0], t[1]), [(3, 4), (3, 4)])
+        check_op_grad(lambda t: sub(t[0], t[1]), [(3, 4), (3, 4)])
+        check_op_grad(lambda t: mul(t[0], t[1]), [(3, 4), (3, 4)])
         check_op_grad(lambda t: T.scale(t[0], -2.5), [(3, 4)])
 
     def test_pointwise_nonlinearities(self):
@@ -199,10 +235,13 @@ class TestGradients:
         check_op_grad(lambda t: T.permute(t[0], (2, 0, 1)), [(2, 3, 4)])
         check_op_grad(lambda t: H.slice_last(t[0], 1, 4), [(2, 6)])
         check_op_grad(lambda t: H.repeat_last(t[0], 3), [(2, 4)])
-        check_op_grad(lambda t: T.concat_last(t), [(2, 3), (2, 4), (2, 1)])
         check_op_grad(lambda t: H.stack_steps(t), [(2, 3), (2, 3), (2, 3)])
         check_op_grad(lambda t: T.tile_batch(t[0], 5), [(2, 3)])
-        check_op_grad(lambda t: T.slice_rows(t[0], 1, 3), [(4, 3)])
+        # the pair split: rows i and 3 + i side by side
+        check_op_grad(
+            lambda t: T.reshape(T.permute(T.reshape(t[0], (2, 3, -1)), (1, 0, 2)), (3, 8)),
+            [(6, 4)],
+        )
         check_op_grad(
             lambda t: T.select_steps(t[0], np.array([2, 0, 1])), [(3, 4, 5)]
         )
@@ -220,13 +259,6 @@ class TestGradients:
             T.select_steps(x, np.array([0, 3]))
         with pytest.raises(ShapeError):
             T.select_steps(x, np.array([0]))
-
-    def test_slice_rows_roundtrip(self, rng):
-        x = rng.standard_normal((5, 3))
-        out = T.slice_rows(T.constant(x), 2, 5)
-        np.testing.assert_array_equal(out.data, x[2:5])
-        with pytest.raises(ShapeError):
-            T.slice_rows(T.constant(x), 3, 3)
 
     def test_reductions(self):
         check_op_grad(lambda t: sum_all(t[0]), [(3, 4)])
@@ -247,7 +279,7 @@ class TestGradients:
         g = rng.standard_normal((40, 9, 16)).astype(np.float32)
         with T.tape_scope():
             out = T.gather_rows(table, ids)
-            T.backward(sum_all(T.mul(out, T.constant(g))))
+            T.backward(sum_all(mul(out, T.constant(g))))
         expected = np.zeros((12, 16), dtype=np.float32)
         for i, row in zip(ids.reshape(-1), g.reshape(-1, 16)):
             expected[i] += row
@@ -270,7 +302,7 @@ class TestGradients:
 
     def test_two_layer_composite(self):
         def build(t):
-            h = H.tanh(T.add(T.matmul(t[0], t[1]), t[2]))
+            h = H.tanh(T.linear(t[0], t[1], t[2]))
             return T.matmul(h, t[3])
 
         check_op_grad(build, [(4, 5), (5, 6), (6,), (6, 2)])
@@ -280,7 +312,7 @@ class TestTapeMechanics:
     def test_repeated_backward_accumulates(self):
         x = T.parameter(np.array([2.0, 3.0]))
         with T.tape_scope():
-            loss = sum_all(T.mul(x, x))
+            loss = sum_all(mul(x, x))
             T.backward(loss)
             first = x.grad.copy()
             T.backward(loss)
@@ -290,7 +322,7 @@ class TestTapeMechanics:
     def test_fanout_accumulates_once_per_consumer(self):
         x = T.parameter(np.array([1.5]))
         with T.tape_scope():
-            y = T.mul(x, x)
+            y = mul(x, x)
             loss = sum_all(T.add(y, y))
             T.backward(loss)
         np.testing.assert_allclose(x.grad, [6.0], atol=1e-6)
@@ -310,16 +342,16 @@ class TestTapeMechanics:
             with T.no_grad():
                 y = H.sigmoid(x)
             assert not y.requires_grad
-            assert len(tape) == 0
+            assert len(tape.entries) == 0
 
     def test_tape_scope_isolates_entries(self):
         x = T.parameter(np.array([1.0]))
         outer = T.active_tape()
-        before = len(outer)
+        before = len(outer.entries)
         with T.tape_scope() as inner:
             H.tanh(x)
-            assert len(inner) == 1
-        assert len(outer) == before
+            assert len(inner.entries) == 1
+        assert len(outer.entries) == before
 
     def test_entries_record_op_ids_in_execution_order(self):
         x = T.parameter(np.array([[0.5, 1.0]]))
@@ -342,7 +374,7 @@ class TestTapeMechanics:
         x = T.parameter(np.array([1.0]))
         c = T.constant(np.array([2.0]))
         with T.tape_scope():
-            T.backward(sum_all(T.mul(x, c)))
+            T.backward(sum_all(mul(x, c)))
         assert c.grad is None
         np.testing.assert_allclose(x.grad, [2.0], atol=1e-7)
 
@@ -356,9 +388,19 @@ class TestValidationAndDtype:
         with pytest.raises(ShapeError):
             T.add(a, T.constant(np.ones((3, 2))))
         with pytest.raises(ShapeError):
-            T.mul(a, T.constant(np.ones(3)))
+            T.add(a, T.constant(np.ones(3)))  # no bias broadcast: that is linear's
         with pytest.raises(ShapeError):
-            T.bmm(T.constant(np.ones((2, 3, 4))), T.constant(np.ones((3, 4, 2))))
+            mul(a, T.constant(np.ones(3)))
+        with pytest.raises(ShapeError):
+            T.matmul(T.constant(np.ones((2, 3, 4))), T.constant(np.ones((3, 4, 2))))
+        with pytest.raises(ShapeError):
+            T.matmul(T.constant(np.ones((2, 3, 4))), T.constant(np.ones((4, 2))))
+        with pytest.raises(ShapeError):
+            T.linear(a, T.constant(np.ones((2, 4))))
+        with pytest.raises(ShapeError):
+            T.linear(a, T.constant(np.ones((3, 4))), T.constant(np.ones(3)))
+        with pytest.raises(ShapeError):
+            T.softmax_rows(a, np.ones((2, 1, 3)))
         with pytest.raises(ShapeError):
             H.slice_last(a, 2, 9)
 
@@ -388,3 +430,36 @@ class TestValidationAndDtype:
     def test_unknown_dtype_rejected(self):
         with pytest.raises(ConfigError):
             T.set_default_dtype("float16")
+
+
+class TestOpSet:
+    def test_every_tape_op_has_a_caller_in_src(self):
+        """Each op of seqstack.tensor that records on the tape is called from
+        another module of the package; ops only tests need live in
+        tests/tape_helpers.py."""
+        src = Path(T.__file__).parent
+        ops = {
+            fn.name
+            for fn in ast.parse((src / "tensor.py").read_text()).body
+            if isinstance(fn, ast.FunctionDef)
+            and any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                    and n.func.id == "_record" for n in ast.walk(fn))
+        }
+        assert {"add", "linear", "matmul", "softmax_rows"} <= ops
+        called = set()
+        for path in src.glob("*.py"):
+            if path.name == "tensor.py":
+                continue
+            tree = ast.parse(path.read_text())
+            local = {  # local name -> tensor op, for names imported from .tensor
+                alias.asname or alias.name: alias.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module in ("tensor", "seqstack.tensor")
+                for alias in node.names
+            }
+            called.update(
+                local[node.func.id] for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in local
+            )
+        assert sorted(ops - called) == []
