@@ -29,7 +29,6 @@ from .logic import (
     serialize,
 )
 from .pipeline import (
-    VOCAB,
     PairClassifier,
     TrainConfig,
     _batch_arrays,
@@ -58,7 +57,6 @@ DEFAULT_BIN_COUNTS = {b: 6250 for b in range(1, MAX_OPS + 1)}
 TINY_BIN_COUNTS = {1: 3750, 2: 3750}
 
 _BASE_ENCODER = dict(
-    vocab_size=len(VOCAB),
     d=256,
     heads=4,
     d_ff=1024,
@@ -67,7 +65,7 @@ _BASE_ENCODER = dict(
 )
 
 PRESETS = {
-    "san": dict(_BASE_ENCODER, kind="san", attention_layers=2, use_positional=True),
+    "san": dict(_BASE_ENCODER, kind="san", attention_layers=2),
     "lstm": dict(_BASE_ENCODER, kind="lstm", recurrent_layers=2),
     "onlstm": dict(_BASE_ENCODER, kind="onlstm", recurrent_layers=2),
     "hybrid": dict(
@@ -85,7 +83,7 @@ PRESETS = {
 # the majority-class plateau inside ten epochs at any stable step size, while
 # one layer at a slightly hotter step clears it with margin.
 _TINY_ENCODER = dict(d=64, d_ff=256, chunk=4, heads=4, dropout=0.0)
-_TINY_TRAIN = dict(epochs=10, batch_size=64, lr=1e-3, dropout=0.0, classifier_hidden=256)
+_TINY_TRAIN = dict(epochs=10, batch_size=64, lr=1e-3, classifier_hidden=256)
 _TINY_BY_PRESET = {
     "onlstm": {"lr": 2e-3, "encoder": {"recurrent_layers": 1}},
 }
@@ -313,18 +311,11 @@ _GRADCHECK_MATRIX = [
 
 
 def _gradcheck_config(kind: str, k: int, l: int) -> TrainConfig:
-    enc = dict(
-        kind=kind, vocab_size=len(VOCAB), d=8, heads=2, d_ff=16, chunk=2,
-        recurrent_layers=k, attention_layers=l, dropout=0.0,
+    enc = EncoderConfig(
+        kind=kind, d=8, heads=2, d_ff=16, chunk=2, recurrent_layers=k,
+        attention_layers=l, use_short_cut=kind == "hybrid",
     )
-    if kind == "san":
-        enc["use_positional"] = True
-    if kind == "hybrid":
-        enc["use_short_cut"] = True
-    return TrainConfig(
-        encoder=EncoderConfig(**enc), dropout=0.0, classifier_hidden=8,
-        eval_bins=tuple(range(1, 9)),
-    )
+    return TrainConfig(encoder=enc, classifier_hidden=8, eval_bins=tuple(range(1, 9)))
 
 
 def cmd_gradcheck(args) -> int:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .attention import SanEncoder
 from .errors import ConfigError, DataError
+from .logic import VOCAB
 from .rng import SeedStreams
 from .recurrent import RecurrentEncoder
 from .tensor import (
@@ -38,7 +39,6 @@ class EncoderConfig:
     """
 
     kind: str
-    vocab_size: int
     d: int = 256
     recurrent_layers: int = 0
     attention_layers: int = 0
@@ -46,17 +46,16 @@ class EncoderConfig:
     d_ff: int = 1024
     chunk: int = 16
     dropout: float = 0.0
-    use_positional: bool = False
     use_short_cut: bool = False
 
     def validate(self) -> None:
         k, l = self.recurrent_layers, self.attention_layers
         if self.kind not in ENCODER_KINDS:
             raise ConfigError(f"kind must be one of {ENCODER_KINDS}, got {self.kind!r}")
-        if self.vocab_size < 1:
-            raise ConfigError(f"vocab_size must be positive, got {self.vocab_size}")
         if self.d < 1:
             raise ConfigError(f"model dim must be positive, got {self.d}")
+        if self.kind == "san" and self.d % 2:
+            raise ConfigError(f"kind=san needs an even model dim for sinusoidal positions, got {self.d}")
         if self.kind == "san" and (k != 0 or l < 1):
             raise ConfigError(f"kind=san requires recurrent_layers=0 and attention_layers>=1, got K={k}, L={l}")
         if self.kind in ("lstm", "onlstm") and (l != 0 or k < 1):
@@ -65,8 +64,6 @@ class EncoderConfig:
             raise ConfigError(f"kind=hybrid requires at least one layer of each stack, got K={k}, L={l}")
         if self.kind != "hybrid" and self.use_short_cut:
             raise ConfigError("use_short_cut only applies to kind=hybrid")
-        if self.kind in ("lstm", "onlstm") and self.use_positional:
-            raise ConfigError("use_positional needs an attention stack")
         if l >= 1:
             if self.heads < 1 or self.d % self.heads != 0:
                 raise ConfigError(f"heads ({self.heads}) must divide model dim ({self.d})")
@@ -79,19 +76,6 @@ class EncoderConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
-@dataclass
-class EncoderOutput:
-    """seq is what downstream consumers read; the stack outputs stay inspectable.
-
-    Each is (batch, N, d). In a right-padded batch only the rows at real steps
-    are meaningful; consumers must not read the rows at padded steps.
-    """
-
-    seq: Tensor
-    h_rnn: Tensor | None = None
-    h_san: Tensor | None = None
-
-
 class Encoder:
     """Token ids in, contextual states out, per the configured stack layout."""
 
@@ -102,7 +86,7 @@ class Encoder:
         emb_rng = streams.stream("init", "embedding")
         s = 1.0 / np.sqrt(config.d)
         self.embedding = Tensor(
-            emb_rng.uniform(-s, s, (config.vocab_size, config.d)).astype(dt),
+            emb_rng.uniform(-s, s, (len(VOCAB), config.d)).astype(dt),
             requires_grad=True,
         )
         self.rnn: RecurrentEncoder | None = None
@@ -125,7 +109,7 @@ class Encoder:
                 config.d_ff,
                 streams.stream("init", "san"),
                 dropout_rate=config.dropout,
-                use_positional=config.use_positional,
+                use_positional=config.kind == "san",
             )
 
     def parameters(self, prefix: str = "") -> dict[str, Tensor]:
@@ -153,12 +137,13 @@ class Encoder:
         training: bool = False,
         rng: np.random.Generator | None = None,
         trace: dict[int, list] | None = None,
-    ) -> EncoderOutput:
-        """Encode (batch, N) token ids; `mask` marks real tokens with 1.
+    ) -> Tensor:
+        """Encode (batch, N) token ids to (batch, N, d); `mask` marks real tokens with 1.
 
-        The mask must be right padding, each row ones then zeros; anything
-        else raises DataError. The recurrent stack reads no mask: right
-        padding alone keeps its real rows exact.
+        Only the rows at real steps are meaningful. The mask must be right
+        padding, each row ones then zeros; anything else raises DataError.
+        The recurrent stack reads no mask: right padding alone keeps its real
+        rows exact.
         """
         ids = self._check_ids(ids)
         if mask is not None:
@@ -167,14 +152,12 @@ class Encoder:
                 raise DataError(f"mask must be {ids.shape} right padding: each row ones, then zeros")
         cfg = self.config
         if cfg.kind == "san":
-            h_san = self.san(self._embed_seq(ids), mask=mask, training=training, rng=rng)
-            return EncoderOutput(seq=h_san, h_san=h_san)
+            return self.san(self._embed_seq(ids), mask=mask, training=training, rng=rng)
         # Time-major for the scan; one (N, batch, d) dropout draw consumes the
         # stream exactly as N per-step (batch, d) draws would.
         emb = dropout(self._embed_seq(ids.T), cfg.dropout, training, rng)
         h_rnn = self.rnn(emb, training=training, rng=rng, trace=trace)
         if cfg.kind in ("lstm", "onlstm"):
-            return EncoderOutput(seq=h_rnn, h_rnn=h_rnn)
+            return h_rnn
         h_san = self.san(h_rnn, mask=mask, training=training, rng=rng)
-        seq = add(h_rnn, h_san) if cfg.use_short_cut else h_san
-        return EncoderOutput(seq=seq, h_rnn=h_rnn, h_san=h_san)
+        return add(h_rnn, h_san) if cfg.use_short_cut else h_san

@@ -23,6 +23,8 @@ from .errors import ConfigError, DataError
 from .rng import SeedStreams
 
 ATOMS = ("a", "b", "c", "d", "e", "f")
+# Model vocabulary: padding, the serialized syntax, then the atoms.
+VOCAB = ("<pad>", "(", ")", "not", "or", "and") + ATOMS
 N_ASSIGNMENTS = 1 << len(ATOMS)
 FULL_SET = (1 << N_ASSIGNMENTS) - 1
 
@@ -120,14 +122,6 @@ LABEL_ALIASES = {
     "#": Relation.INDEPENDENCE,
     "v": Relation.COVER,
 }
-
-
-def converse(label: Relation) -> Relation:
-    if label == Relation.FORWARD_ENTAILMENT:
-        return Relation.REVERSE_ENTAILMENT
-    if label == Relation.REVERSE_ENTAILMENT:
-        return Relation.FORWARD_ENTAILMENT
-    return label
 
 
 def relate(p: Expr, h: Expr) -> Relation:

@@ -24,7 +24,7 @@ from .attention import key_mask_bias, scaled_dot_attention
 from .checkpoint import load_checkpoint, restore_parameters, save_checkpoint
 from .encoder import Encoder, EncoderConfig
 from .errors import ConfigError, DataError, NumericsError
-from .logic import serialize
+from .logic import VOCAB, serialize
 from .optim import Adam, clip_global_norm
 from .rng import SeedStreams
 from .tensor import (
@@ -44,7 +44,6 @@ from .tensor import (
     tile_batch,
 )
 
-VOCAB = ("<pad>", "(", ")", "not", "or", "and", "a", "b", "c", "d", "e", "f")
 PAD_ID = 0
 TOKEN_IDS = {tok: i for i, tok in enumerate(VOCAB)}
 N_RELATIONS = 7
@@ -158,8 +157,6 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 128
     lr: float = 1e-4
-    dropout: float = 0.2
-    clip_norm: float = 5.0
     seed: int = 42
     train_cap: int = 6
     eval_bins: tuple = tuple(range(1, 13))
@@ -173,10 +170,6 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not (np.isfinite(self.lr) and self.lr >= 0):
             raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
-        if not (0.0 <= self.dropout < 1.0):
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if not (np.isfinite(self.clip_norm) and self.clip_norm > 0):
-            raise ConfigError(f"clip_norm must be positive, got {self.clip_norm}")
         if self.train_cap < 1:
             raise ConfigError(f"train_cap must be >= 1, got {self.train_cap}")
         if not self.eval_bins or any(int(b) < 1 for b in self.eval_bins):
@@ -203,11 +196,13 @@ class TrainConfig:
         enc_raw = data.pop("encoder", None)
         if enc_raw is None:
             raise ConfigError("train config is missing the 'encoder' section")
+        retired = _pop_retired(data, "train")
         _check_fields(cls, data, "train")
         if "eval_bins" in data:
             data["eval_bins"] = tuple(data["eval_bins"])
         cfg = cls(encoder=encoder_config_from_dict(enc_raw), **data)
         cfg.validate()
+        _check_retired(retired, cfg, "train")
         return cfg
 
 
@@ -235,32 +230,52 @@ def _check_fields(cls, raw: dict, section: str) -> None:
             raise ConfigError(f"{section} config key {name!r} must be {fields[name]}, got {value!r}")
 
 
-# Ablation switches that no experiment used. Configs and checkpoints written
-# before their removal store each one; only the value the code still
-# implements is accepted.
-_RETIRED_ENCODER_KEYS = {
-    "reverse_cascade": False,
-    "inter_layer_residual": True,
-    "post_norm": False,
-    "reversed_input_gate": False,
+# Removed fields: ablation switches that no experiment used, and knobs that
+# every experiment set one way. Configs and checkpoints written before their
+# removal store each one; it is accepted only with its old type and at the
+# value the code implements, given the rest of its config section.
+_RETIRED_KEYS = {
+    "encoder": {
+        "reverse_cascade": ("bool", lambda enc: False),
+        "inter_layer_residual": ("bool", lambda enc: True),
+        "post_norm": ("bool", lambda enc: False),
+        "reversed_input_gate": ("bool", lambda enc: False),
+        "use_positional": ("bool", lambda enc: enc.kind == "san"),
+        "vocab_size": ("int", lambda enc: len(VOCAB)),
+    },
+    "train": {
+        "dropout": ("float", lambda cfg: cfg.encoder.dropout),
+        "clip_norm": ("float", lambda cfg: CLIP_NORM),
+    },
 }
+
+
+def _pop_retired(raw: dict, section: str) -> dict:
+    return {key: raw.pop(key) for key in _RETIRED_KEYS[section] if key in raw}
+
+
+def _check_retired(retired: dict, cfg, section: str) -> None:
+    for key, value in retired.items():
+        annotation, implemented = _RETIRED_KEYS[section][key]
+        kept = implemented(cfg)
+        if not _type_ok(value, annotation) or value != kept:
+            raise ConfigError(
+                f"{section} config key {key!r} is retired; only {str(kept).lower()} is accepted"
+            )
 
 
 def encoder_config_from_dict(raw: dict) -> EncoderConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"encoder config must be an object, got {type(raw).__name__}")
     raw = dict(raw)
-    for key, kept in _RETIRED_ENCODER_KEYS.items():
-        if key in raw and raw.pop(key) is not kept:
-            raise ConfigError(
-                f"encoder config key {key!r} is retired; only {str(kept).lower()} is accepted"
-            )
+    retired = _pop_retired(raw, "encoder")
     _check_fields(EncoderConfig, raw, "encoder")
     try:
         cfg = EncoderConfig(**raw)
     except TypeError as exc:
         raise ConfigError(f"bad encoder config: {exc}") from exc
     cfg.validate()
+    _check_retired(retired, cfg, "encoder")
     return cfg
 
 
@@ -290,7 +305,7 @@ class PairClassifier:
             d_sent = d
         self.d_sent = d_sent
         self.head = ClassifierHead(
-            2 * d_sent, config.classifier_hidden, config.dropout,
+            2 * d_sent, config.classifier_hidden, config.encoder.dropout,
             streams.stream("init", "classifier"),
         )
 
@@ -307,7 +322,7 @@ class PairClassifier:
         if ids.shape[0] % 2 != 0:
             raise DataError(f"joint batch must stack premise and hypothesis rows, got {ids.shape}")
         b = ids.shape[0] // 2
-        seq = self.encoder(ids, mask=mask, training=training, rng=rng).seq
+        seq = self.encoder(ids, mask=mask, training=training, rng=rng)
         if self.pooling == "last_hidden":
             pooled = pool_last_hidden(seq, np.asarray(mask).sum(axis=1).astype(np.int64))
         else:
@@ -407,7 +422,6 @@ class LengthReport:
 
     bins: dict
     aggregates: dict
-    boundary: int
 
 
 @dataclass
@@ -463,7 +477,11 @@ def evaluate_by_length(model: PairClassifier, pairs, bins=None,
     correct = preds == labels
     split = {f"le{boundary}": ops <= boundary, f"ge{boundary + 1}": ops > boundary}
     return LengthReport(bins=_subset_stats(correct, labels, {b: ops == b for b in bins}),
-                        aggregates=_subset_stats(correct, labels, split), boundary=boundary)
+                        aggregates=_subset_stats(correct, labels, split))
+
+
+# Global gradient-norm ceiling of every training step.
+CLIP_NORM = 5.0
 
 
 def train(model: PairClassifier, train_pairs, dev_pairs,
@@ -509,7 +527,7 @@ def train(model: PairClassifier, train_pairs, dev_pairs,
                         f"batch {start // config.batch_size}, global step {global_step}"
                     )
                 backward(loss)
-            clip_global_norm(params, config.clip_norm)
+            clip_global_norm(params, CLIP_NORM)
             adam.step()
             adam.zero_grad()
             loss_sum += value * len(batch_idx)

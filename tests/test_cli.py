@@ -5,6 +5,7 @@ the dataset is small enough that the whole file stays in the one-second range
 apart from the deliberate two-epoch training runs.
 """
 
+import argparse
 import csv
 import json
 from pathlib import Path
@@ -22,6 +23,14 @@ from seqstack.logic import load_dataset, operator_count
 
 BINS = "1:40,2:40,3:40,7:30,8:30"
 GOLDEN = Path(__file__).parent / "golden"
+RETIRED_TRAIN_KEYS = ("dropout", "clip_norm")
+RETIRED_ENCODER_KEYS = ("use_positional", "vocab_size", "reverse_cascade",
+                        "inter_layer_residual", "post_norm", "reversed_input_gate")
+
+
+def resolve(preset, config=None, tiny=False):
+    args = argparse.Namespace(preset=preset, config=config, tiny=tiny, epochs=None, seed=None)
+    return cli.resolve_train_config(args)[0]
 
 
 @pytest.fixture(scope="module")
@@ -88,11 +97,11 @@ class TestTrain:
         resolved = json.loads((run / "resolved-config.json").read_text())
         train_cfg = resolved["train"]
         # Every field must be recorded, including ones the user never set.
-        assert train_cfg["clip_norm"] == 5.0
         assert train_cfg["seed"] == 42
         assert train_cfg["train_cap"] == 6
-        assert train_cfg["encoder"]["use_positional"] is False
         assert train_cfg["encoder"]["d"] == 64
+        assert not set(RETIRED_TRAIN_KEYS) & set(train_cfg)
+        assert not set(RETIRED_ENCODER_KEYS) & set(train_cfg["encoder"])
         assert resolved["tiny"] is True
         assert resolved["preset"] == "hybrid-shortcut"
         P.TrainConfig.from_dict(train_cfg)
@@ -186,6 +195,62 @@ class TestTrain:
         )
         assert code == 1
         assert "post_norm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "preset, file_cfg, key",
+        [
+            ("lstm", {"dropout": 0.1}, "dropout"),
+            ("lstm", {"clip_norm": 4.0}, "clip_norm"),
+            ("hybrid", {"encoder": {"use_positional": True}}, "use_positional"),
+            ("lstm", {"encoder": {"vocab_size": 5}}, "vocab_size"),
+        ],
+        ids=["dropout", "clip_norm", "use_positional", "vocab_size"],
+    )
+    def test_retired_knob_at_other_value_is_usage_error(
+        self, workspace, tmp_path, capsys, preset, file_cfg, key
+    ):
+        # the lstm preset's encoder dropout is 0.2, so a head rate of 0.1 is
+        # a second rate the model no longer has
+        cfg_path = tmp_path / "retired.json"
+        cfg_path.write_text(json.dumps(file_cfg))
+        out = tmp_path / "x"
+        code = cli.main(
+            ["train", str(workspace["data"]), "--preset", preset,
+             "--config", str(cfg_path), "--out", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error:") and repr(key) in err
+        assert not out.exists()
+
+    def test_retired_knobs_at_their_values_resolve_unchanged(self, tmp_path):
+        cfg_path = tmp_path / "old.json"
+        cfg_path.write_text(json.dumps({
+            "dropout": 0.2, "clip_norm": 5.0,
+            "encoder": {"use_positional": True, "vocab_size": 12},
+        }))
+        assert resolve("san", str(cfg_path)) == resolve("san")
+
+    def test_odd_width_san_fails_before_the_run_starts(self, workspace, tmp_path, capsys):
+        cfg_path = tmp_path / "odd.json"
+        cfg_path.write_text(json.dumps({"encoder": {"d": 9, "heads": 3, "d_ff": 18}}))
+        out = tmp_path / "x"
+        code = cli.main(
+            ["train", str(workspace["data"]), "--preset", "san",
+             "--config", str(cfg_path), "--out", str(out)]
+        )
+        assert code == 1
+        assert "even model dim" in capsys.readouterr().err
+        assert not (out / "resolved-config.json").exists()
+
+    @pytest.mark.parametrize("tiny", [False, True], ids=["desk", "tiny"])
+    @pytest.mark.parametrize("preset", sorted(cli.PRESETS))
+    def test_presets_resolve_without_retired_keys(self, preset, tiny):
+        config = resolve(preset, tiny=tiny)
+        raw = config.to_dict()
+        assert P.TrainConfig.from_dict(raw) == config
+        assert not set(RETIRED_TRAIN_KEYS) & set(raw)
+        assert not set(RETIRED_ENCODER_KEYS) & set(raw["encoder"])
 
     def test_missing_dataset_is_data_error(self, tmp_path):
         code = cli.main(
@@ -324,6 +389,14 @@ class TestMalformedCheckpoint:
         path = tmp_path / "reverse.ckpt"
         save_checkpoint(path, config, {k: T.constant(a) for k, a in arrays.items()})
         assert "reverse_cascade" in self._eval(path, tmp_path, capsys)
+
+    def test_retired_train_key_at_other_value(self, tmp_path, capsys):
+        config, arrays = load_checkpoint(GOLDEN / "model.ckpt")
+        assert config["train"]["clip_norm"] == 5.0
+        config["train"]["clip_norm"] = 4.0
+        path = tmp_path / "clip.ckpt"
+        save_checkpoint(path, config, {k: T.constant(a) for k, a in arrays.items()})
+        assert "clip_norm" in self._eval(path, tmp_path, capsys)
 
     def test_wrongly_typed_config_value(self, tmp_path, capsys):
         config, arrays = load_checkpoint(GOLDEN / "model.ckpt")

@@ -7,6 +7,7 @@ from seqstack import tensor as T
 from seqstack.encoder import Encoder, EncoderConfig
 from seqstack.errors import ConfigError, DataError
 from seqstack.gradcheck import finite_difference_check
+from seqstack.logic import VOCAB
 from seqstack.pipeline import PairClassifier, PreparedExample, TrainConfig, _batch_arrays
 from seqstack.rng import SeedStreams
 
@@ -16,11 +17,9 @@ from tape_helpers import (
 
 
 def config(kind="hybrid", **kw):
-    base = dict(
-        kind=kind, vocab_size=5, d=8, heads=2, d_ff=16, chunk=2, dropout=0.0
-    )
+    base = dict(kind=kind, d=8, heads=2, d_ff=16, chunk=2, dropout=0.0)
     if kind == "san":
-        base.update(attention_layers=2, use_positional=True)
+        base.update(attention_layers=2)
     elif kind in ("lstm", "onlstm"):
         base.update(recurrent_layers=2)
     else:
@@ -31,6 +30,12 @@ def config(kind="hybrid", **kw):
 
 def build(kind="hybrid", seed=0, **kw):
     return Encoder(config(kind, **kw), SeedStreams(seed))
+
+
+def stacks(enc, ids, mask=None):
+    """The recurrent and attention stack outputs of a hybrid, recomputed."""
+    h_rnn = enc.rnn(enc._embed_seq(ids.T))
+    return h_rnn, enc.san(h_rnn, mask=mask)
 
 
 def token_ids(rng, batch=2, n=4, vocab=5):
@@ -51,8 +56,13 @@ class TestConfigValidation:
     def test_hybrid_only_flags(self):
         with pytest.raises(ConfigError, match="short_cut"):
             config("san", use_short_cut=True).validate()
-        with pytest.raises(ConfigError, match="positional"):
-            config("onlstm", use_positional=True).validate()
+
+    def test_san_needs_an_even_model_dim(self):
+        # sinusoidal positions pair a sine and a cosine column per frequency
+        with pytest.raises(ConfigError, match="even model dim"):
+            config("san", d=9, heads=3, d_ff=18).validate()
+        # the cascade adds no positions, so an odd width is fine there
+        config("hybrid", d=9, heads=3, d_ff=18, chunk=3).validate()
 
     def test_dimension_constraints(self):
         with pytest.raises(ConfigError, match="heads"):
@@ -100,18 +110,18 @@ class TestFactoryWiring:
         got = enc(ids)
         emb = T.scale(T.gather_rows(enc.embedding, ids), np.sqrt(8.0))
         manual = enc.san(emb)
-        np.testing.assert_allclose(got.seq.data, manual.data, atol=0)
-        assert got.h_rnn is None
+        np.testing.assert_allclose(got.data, manual.data, atol=0)
+        assert enc.rnn is None and enc.san.use_positional
 
     def test_recurrent_kind_returns_the_cell_states(self, rng):
         ids = token_ids(rng)
         enc = build("onlstm", recurrent_layers=1)
         out = enc(ids)
-        assert out.h_san is None and out.seq is out.h_rnn
+        assert enc.san is None
         h = c = T.constant(np.zeros((ids.shape[0], 8), np.float32))
         for t in range(ids.shape[1]):
             h, c = on_lstm_cell_step(enc.rnn.layers[0], enc._embed_seq(ids[:, t]), (h, c))
-            np.testing.assert_allclose(out.seq.data[:, t], h.data, atol=0)
+            np.testing.assert_allclose(out.data[:, t], h.data, atol=0)
 
     def test_embedding_rows_scaled_by_sqrt_d(self, rng):
         enc = build("lstm")
@@ -125,16 +135,14 @@ class TestFactoryWiring:
         enc = build("hybrid", use_short_cut=True)
         ids = token_ids(rng)
         out = enc(ids)
-        h_rnn = enc.rnn(enc._embed_seq(ids.T))
-        h_san = enc.san(h_rnn)
-        np.testing.assert_allclose(out.h_rnn.data, h_rnn.data, atol=0)
-        np.testing.assert_allclose(out.h_san.data, h_san.data, atol=0)
-        np.testing.assert_allclose(out.seq.data, h_rnn.data + h_san.data, atol=0)
+        h_rnn, h_san = stacks(enc, ids)
+        assert not enc.san.use_positional
+        np.testing.assert_allclose(out.data, h_rnn.data + h_san.data, atol=0)
 
     def test_dropout_stream_matches_per_step_draws(self, rng):
         enc = build("lstm", dropout=0.3)
         ids = token_ids(rng, n=5)
-        got = enc(ids, training=True, rng=np.random.default_rng(8)).seq
+        got = enc(ids, training=True, rng=np.random.default_rng(8))
         # the same stream drawn one (batch, d) step at a time, through the tape cell
         stream = np.random.default_rng(8)
         steps = [T.dropout(enc._embed_seq(ids[:, t]), 0.3, True, stream) for t in range(5)]
@@ -144,44 +152,43 @@ class TestFactoryWiring:
 
     def test_hybrid_without_short_cut_returns_attention_output(self, rng):
         enc = build("hybrid", use_short_cut=False)
-        out = enc(token_ids(rng))
-        assert out.seq is out.h_san
+        ids = token_ids(rng)
+        _, h_san = stacks(enc, ids)
+        np.testing.assert_allclose(enc(ids).data, h_san.data, atol=0)
 
     def test_short_cut_difference_identity(self, rng):
         enc = build("hybrid", use_short_cut=True)
-        out = enc(token_ids(rng))
-        np.testing.assert_allclose(
-            out.seq.data - out.h_san.data, out.h_rnn.data, atol=1e-6
-        )
+        ids = token_ids(rng)
+        h_rnn, h_san = stacks(enc, ids)
+        np.testing.assert_allclose(enc(ids).data - h_san.data, h_rnn.data, atol=1e-6)
 
     def test_zeroed_attention_sublayers_collapse_to_recurrent_output(self, rng):
         enc = build("hybrid")
         for name, p in enc.san.parameters().items():
             if "ln" not in name and "final" not in name:
                 p.data[...] = 0.0
-        out = enc(token_ids(rng))
-        np.testing.assert_allclose(out.h_san.data, enc.san.final(out.h_rnn).data, atol=0)
+        h_rnn, h_san = stacks(enc, token_ids(rng))
+        np.testing.assert_allclose(h_san.data, enc.san.final(h_rnn).data, atol=0)
 
     def test_information_flows_forward_only(self, rng):
         ids = token_ids(rng)
         enc = build("hybrid", seed=3)
-        base = enc(ids)
+        base_rnn, base_san = stacks(enc, ids)
         for p in enc.san.parameters().values():
             p.data[...] += 0.05
-        after_san = enc(ids)
-        np.testing.assert_allclose(after_san.h_rnn.data, base.h_rnn.data, atol=0)
-        assert np.abs(after_san.h_san.data - base.h_san.data).max() > 1e-5
+        after_rnn, after_san = stacks(enc, ids)
+        np.testing.assert_allclose(after_rnn.data, base_rnn.data, atol=0)
+        assert np.abs(after_san.data - base_san.data).max() > 1e-5
         enc2 = build("hybrid", seed=3)
         for p in enc2.rnn.parameters().values():
             p.data[...] += 0.05
-        after_rnn = enc2(ids)
-        assert np.abs(after_rnn.h_san.data - base.h_san.data).max() > 1e-5
+        assert np.abs(stacks(enc2, ids)[1].data - base_san.data).max() > 1e-5
 
     def test_same_seed_reproduces_bitwise(self, rng):
         ids = token_ids(rng)
         a = build("hybrid", seed=9)(ids)
         b = build("hybrid", seed=9)(ids)
-        assert np.array_equal(a.seq.data, b.seq.data)
+        assert np.array_equal(a.data, b.data)
 
     def test_zero_length_rejected(self):
         enc = build("san")
@@ -206,7 +213,7 @@ class TestPaddingContract:
         with T.dtype_scope("float64"):
             enc_cfg = config(**PADDING_CASES[case])
             model = PairClassifier(
-                TrainConfig(encoder=enc_cfg, dropout=0.0, classifier_hidden=16),
+                TrainConfig(encoder=enc_cfg, classifier_hidden=16),
                 SeedStreams(11),
             )
             rng = np.random.default_rng(0)
@@ -215,10 +222,10 @@ class TestPaddingContract:
                 for lp, lh in [(3, 6), (7, 2), (5, 7)]
             ]
             ids, mask, _ = _batch_arrays(examples, range(len(examples)))
-            seq = model.encoder(ids, mask=mask).seq.data
+            seq = model.encoder(ids, mask=mask).data
             for row, length in enumerate(mask.sum(axis=1).astype(int)):
                 solo = model.encoder(ids[row : row + 1, :length], mask=np.ones((1, length)))
-                np.testing.assert_allclose(seq[row, :length], solo.seq.data[0], atol=1e-9)
+                np.testing.assert_allclose(seq[row, :length], solo.data[0], atol=1e-9)
             logits = model.forward_joint(ids, mask).data
             for i in range(len(examples)):
                 one_ids, one_mask, _ = _batch_arrays(examples, [i])
@@ -237,7 +244,7 @@ class TestPaddingContract:
 
 class TestParameterCounts:
     def test_hand_counts_per_kind(self):
-        v, d, dff, chunk = 5, 8, 16, 2
+        v, d, dff, chunk = len(VOCAB), 8, 16, 2
         m = d // chunk
         emb = v * d
         lstm_layer = d * 4 * d + d * 4 * d + 4 * d
@@ -273,9 +280,9 @@ class TestGradientFlow:
             coeff = T.constant(rng.standard_normal((1, 3, 8)))
 
             def loss():
-                out = enc(ids)
-                last = T.select_steps(out.h_rnn, np.array([ids.shape[1] - 1]))
-                return T.add(sum_all(mul(out.seq, coeff)), mean_all(last))
+                h_rnn, _ = stacks(enc, ids)
+                last = T.select_steps(h_rnn, np.array([ids.shape[1] - 1]))
+                return T.add(sum_all(mul(enc(ids), coeff)), mean_all(last))
 
             report = finite_difference_check(
                 loss, enc.parameters(), max_entries=6, rng=np.random.default_rng(2)

@@ -20,7 +20,6 @@ from seqstack.logic import (
     Or,
     Relation,
     audit_pairs,
-    converse,
     generate_dataset,
     load_dataset,
     make_pair,
@@ -31,6 +30,15 @@ from seqstack.logic import (
     serialize,
     truth_vector,
 )
+
+
+def converse(label):
+    """The relation of the swapped pair: the two entailments trade places."""
+    if label == Relation.FORWARD_ENTAILMENT:
+        return Relation.REVERSE_ENTAILMENT
+    if label == Relation.REVERSE_ENTAILMENT:
+        return Relation.FORWARD_ENTAILMENT
+    return label
 
 
 def ref_eval(e, env):

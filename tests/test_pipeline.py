@@ -31,9 +31,9 @@ def pairs_with_ops(seed, per_bin, max_ops=8):
 
 
 def tiny_config(kind, encoder_overrides=None, **overrides):
-    enc = dict(kind=kind, vocab_size=len(P.VOCAB), d=8, heads=2, d_ff=16, chunk=2)
+    enc = dict(kind=kind, d=8, heads=2, d_ff=16, chunk=2)
     if kind == "san":
-        enc.update(attention_layers=2, use_positional=True)
+        enc.update(attention_layers=2)
     elif kind == "hybrid":
         enc.update(recurrent_layers=1, attention_layers=1, use_short_cut=True)
     else:
@@ -202,7 +202,7 @@ class TestClassifierHead:
     def test_full_model_gradcheck_at_small_width(self):
         pairs = pairs_with_ops(3, 1, max_ops=4)
         with T.dtype_scope("float64"):
-            model = P.PairClassifier(tiny_config("hybrid", dropout=0.0))
+            model = P.PairClassifier(tiny_config("hybrid"))
             ex = P.prepare_examples(pairs[:4])
             ids, mask, labels = P._batch_arrays(ex, range(4))
 
@@ -229,10 +229,7 @@ class TestBuildPrecision:
         dt = np.dtype(build)
         pairs = pairs_with_ops(4, 2, max_ops=4)
         with T.dtype_scope(build):
-            cfg = tiny_config(
-                kind, dropout=0.2,
-                encoder_overrides=dict(dropout=0.2, use_short_cut=short_cut),
-            )
+            cfg = tiny_config(kind, encoder_overrides=dict(dropout=0.2, use_short_cut=short_cut))
             model = P.PairClassifier(cfg)
             ids, mask, labels = P._batch_arrays(P.prepare_examples(pairs), range(8))
             assert (mask == 0).any(), "the batch must carry padding"
@@ -287,8 +284,7 @@ class TestTraining:
     def test_train_step_leaves_grad_on_parameters_only(self, monkeypatch):
         pairs = pairs_with_ops(21, 2, max_ops=3)
         model = P.PairClassifier(tiny_config(
-            "hybrid", epochs=1, batch_size=len(pairs), dropout=0.2,
-            encoder_overrides=dict(dropout=0.2),
+            "hybrid", epochs=1, batch_size=len(pairs), encoder_overrides=dict(dropout=0.2),
         ))
         seen = []
         real_backward = P.backward
@@ -305,21 +301,20 @@ class TestTraining:
         assert outputs and all(t.grad is None for t in outputs)
         assert all(g is not None for g in grads.values())
 
-    @pytest.mark.parametrize(
-        "kind, encoder_dropout",
-        [("lstm", 0.2), ("onlstm", 0.2), ("san", 0.2), ("hybrid", 0.2), ("lstm", 0.0)],
-        ids=["lstm", "onlstm", "san", "hybrid", "head"],
-    )
-    def test_training_dropout_without_rng_is_contract_error(self, kind, encoder_dropout):
-        # the "head" case leaves the encoder without dropout, so only the
-        # classifier head draws a mask
-        model = P.PairClassifier(tiny_config(
-            kind, dropout=0.2, encoder_overrides=dict(dropout=encoder_dropout),
-        ))
+    @pytest.mark.parametrize("kind", ["lstm", "onlstm", "san", "hybrid"])
+    def test_training_dropout_without_rng_is_contract_error(self, kind):
+        model = P.PairClassifier(tiny_config(kind, encoder_overrides=dict(dropout=0.2)))
         ex = P.prepare_examples(pairs_with_ops(22, 1, max_ops=2))
         ids, mask, _ = P._batch_arrays(ex, range(2))
         with pytest.raises(ContractError, match="rng"):
             model.forward_joint(ids, mask, training=True)
+
+    def test_head_training_dropout_without_rng_is_contract_error(self, rng):
+        # the head alone: no encoder gate can raise first
+        head = P.ClassifierHead(12, 16, 0.2, rng)
+        pair = T.constant(rng.standard_normal((3, 12)).astype(np.float32))
+        with pytest.raises(ContractError, match="rng"):
+            head(pair, training=True, rng=None)
 
     def test_zero_learning_rate_leaves_parameters_untouched(self):
         pairs = pairs_with_ops(6, 3, max_ops=4)
@@ -354,7 +349,7 @@ class TestTraining:
 
     def test_small_subset_is_learnable(self):
         pairs = [p for p in pairs_with_ops(10, 3, max_ops=4) if p.op_count <= 4][:16]
-        cfg = tiny_config("lstm", epochs=80, batch_size=8, lr=1e-2, dropout=0.0)
+        cfg = tiny_config("lstm", epochs=80, batch_size=8, lr=1e-2)
         cfg.encoder.d = 16
         model = P.PairClassifier(cfg)
         metrics = P.train(model, pairs, pairs)
