@@ -1,8 +1,11 @@
 """Multi-head self-attention encoder layers with sinusoidal positions.
 
 Layers use the residual form with layer norm applied before each sublayer
-and a two-linear feed-forward sublayer. Key padding is handled by adding a
-large negative constant to masked score columns before the softmax.
+and a two-linear feed-forward sublayer. Every position-wise op runs on the
+packed rows of a batch (see `tensor.Packing`); only the attention core
+scatters queries, keys and values to the padded (B, N) grid, where key
+padding is handled by adding a large negative constant to masked score
+columns before the softmax.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .tensor import (
+    Packing,
     Tensor,
     add,
     constant,
@@ -19,11 +23,13 @@ from .tensor import (
     layer_norm,
     linear,
     matmul,
+    pack_rows,
     permute,
     relu,
     reshape,
     scale,
     softmax_rows,
+    unpack_rows,
 )
 
 MASK_FILL = -1e9
@@ -103,20 +109,21 @@ class MultiHeadAttention:
             f"{prefix}w_o": self.w_o, f"{prefix}b_o": self.b_o,
         }
 
-    def _split_heads(self, x: Tensor, batch: int, n: int) -> Tensor:
-        """(B, N, d) -> (B, H, N, d_head)."""
+    def _split_heads(self, x: Tensor, packing: Packing) -> Tensor:
+        """Packed (T, d) rows -> padded (B, H, N, d_head), zero at padding."""
+        batch, n = packing.shape
+        x = unpack_rows(x, packing.grid)
         return permute(reshape(x, (batch, n, self.heads, self.d_head)), (0, 2, 1, 3))
 
-    def __call__(self, x: Tensor, mask_bias: np.ndarray | None = None) -> Tensor:
-        """Self-attention over (B, N, d); `mask_bias` is a (B, 1, 1, N) key offset,
-        broadcast over the heads and the query rows."""
-        batch, n, _ = x.shape
-        q = self._split_heads(linear(x, self.w_q, self.b_q), batch, n)
-        k = self._split_heads(linear(x, self.w_k), batch, n)
-        v = self._split_heads(linear(x, self.w_v, self.b_v), batch, n)
+    def __call__(self, x: Tensor, packing: Packing, mask_bias: np.ndarray | None = None) -> Tensor:
+        """Self-attention over packed (T, d) rows; `mask_bias` is a (B, 1, 1, N)
+        key offset, broadcast over the heads and the query rows."""
+        q = self._split_heads(linear(x, self.w_q, self.b_q), packing)
+        k = self._split_heads(linear(x, self.w_k), packing)
+        v = self._split_heads(linear(x, self.w_v, self.b_v), packing)
         mixed = scaled_dot_attention(q, k, v, mask_bias)
-        mixed = reshape(permute(mixed, (0, 2, 1, 3)), (batch, n, self.d))
-        return linear(mixed, self.w_o, self.b_o)
+        mixed = reshape(permute(mixed, (0, 2, 1, 3)), packing.shape + (self.d,))
+        return linear(pack_rows(mixed, packing.index), self.w_o, self.b_o)
 
 
 class FeedForward:
@@ -178,17 +185,18 @@ class SanLayer:
     def __call__(
         self,
         x: Tensor,
+        packing: Packing,
         mask_bias: np.ndarray | None = None,
         training: bool = False,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
-        rate = self.dropout_rate
-        x = add(x, dropout(self.mha(self.ln1(x), mask_bias), rate, training, rng))
-        return add(x, dropout(self.ffn(self.ln2(x)), rate, training, rng))
+        rate, grid = self.dropout_rate, packing.grid
+        x = add(x, dropout(self.mha(self.ln1(x), packing, mask_bias), rate, training, rng, grid))
+        return add(x, dropout(self.ffn(self.ln2(x)), rate, training, rng, grid))
 
 
 class SanEncoder:
-    """L stacked self-attention layers over a (batch, N, d) sequence.
+    """L stacked self-attention layers over packed (T, d) rows.
 
     Adds sinusoidal positions when configured, applies input dropout while
     training, and finishes with a layer norm (the pre-norm residual stream is
@@ -223,19 +231,17 @@ class SanEncoder:
     def __call__(
         self,
         x: Tensor,
-        mask: np.ndarray | None = None,
+        packing: Packing,
         training: bool = False,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
-        if x.ndim != 3 or x.shape[-1] != self.d:
-            raise ShapeError(f"expected (batch, N, {self.d}), got {x.shape}")
-        batch, n, d = x.shape
+        if x.shape != (len(packing.steps), self.d):
+            raise ShapeError(f"expected ({len(packing.steps)}, {self.d}) packed rows, got {x.shape}")
         if self.use_positional:
-            pos = sinusoidal_positions(n, d).astype(x.dtype)
-            x = add(x, constant(np.broadcast_to(pos, x.shape).copy()))
-        x = dropout(x, self.dropout_rate, training, rng)
-        mask_bias = None if mask is None else key_mask_bias(mask, x.dtype)[:, None]  # (B, 1, 1, N)
+            pos = sinusoidal_positions(packing.shape[1], self.d).astype(x.dtype)
+            x = add(x, constant(pos[packing.steps]))
+        x = dropout(x, self.dropout_rate, training, rng, packing.grid)
+        mask_bias = key_mask_bias(packing.mask, x.dtype)[:, None]  # (B, 1, 1, N)
         for layer in self.layers:
-            x = layer(x, mask_bias, training, rng)
+            x = layer(x, packing, mask_bias, training, rng)
         return self.final(x)
-

@@ -19,6 +19,7 @@ from .logic import VOCAB
 from .rng import SeedStreams
 from .recurrent import RecurrentEncoder
 from .tensor import (
+    Packing,
     Tensor,
     add,
     default_dtype,
@@ -124,40 +125,30 @@ class Encoder:
         """Scaled embeddings, shaped like `ids` plus a trailing d."""
         return scale(gather_rows(self.embedding, ids), np.sqrt(self.config.d))
 
-    def _check_ids(self, ids: np.ndarray) -> np.ndarray:
-        ids = np.asarray(ids)
-        if ids.ndim != 2 or ids.shape[1] < 1:
-            raise DataError(f"token ids must be (batch, N>=1), got shape {ids.shape}")
-        return ids
-
     def __call__(
         self,
         ids: np.ndarray,
-        mask: np.ndarray | None = None,
+        packing: Packing | None = None,
         training: bool = False,
         rng: np.random.Generator | None = None,
         trace: dict[int, list] | None = None,
     ) -> Tensor:
-        """Encode (batch, N) token ids to (batch, N, d); `mask` marks real tokens with 1.
+        """Encode (batch, N) token ids to packed (T, d) rows, one per real token.
 
-        Only the rows at real steps are meaningful. The mask must be right
-        padding, each row ones then zeros; anything else raises DataError.
-        The recurrent stack reads no mask: right padding alone keeps its real
-        rows exact.
+        `packing` marks the real tokens (see `tensor.Packing`); without one,
+        every token is real. The rows follow the packing's order.
         """
-        ids = self._check_ids(ids)
-        if mask is not None:
-            m = np.asarray(mask)
-            if m.shape != ids.shape or not np.array_equal(m, np.arange(m.shape[1]) < m.sum(1, keepdims=True)):
-                raise DataError(f"mask must be {ids.shape} right padding: each row ones, then zeros")
+        ids = np.asarray(ids)
+        packing = Packing(np.ones(ids.shape)) if packing is None else packing
+        if ids.shape != packing.shape:
+            raise DataError(f"token ids {ids.shape} do not match the packing's {packing.shape} batch")
         cfg = self.config
+        emb = self._embed_seq(ids.reshape(-1)[packing.index])
         if cfg.kind == "san":
-            return self.san(self._embed_seq(ids), mask=mask, training=training, rng=rng)
-        # Time-major for the scan; one (N, batch, d) dropout draw consumes the
-        # stream exactly as N per-step (batch, d) draws would.
-        emb = dropout(self._embed_seq(ids.T), cfg.dropout, training, rng)
-        h_rnn = self.rnn(emb, training=training, rng=rng, trace=trace)
+            return self.san(emb, packing, training=training, rng=rng)
+        emb = dropout(emb, cfg.dropout, training, rng, packing.time_grid)
+        h_rnn = self.rnn(emb, packing, training=training, rng=rng, trace=trace)
         if cfg.kind in ("lstm", "onlstm"):
             return h_rnn
-        h_san = self.san(h_rnn, mask=mask, training=training, rng=rng)
+        h_san = self.san(h_rnn, packing, training=training, rng=rng)
         return add(h_rnn, h_san) if cfg.use_short_cut else h_san

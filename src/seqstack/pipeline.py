@@ -28,6 +28,7 @@ from .logic import VOCAB, serialize
 from .optim import Adam, clip_global_norm
 from .rng import SeedStreams
 from .tensor import (
+    Packing,
     Tensor,
     backward,
     cross_entropy,
@@ -35,13 +36,14 @@ from .tensor import (
     dropout,
     linear,
     no_grad,
+    pack_rows,
     parameter,
     permute,
     relu,
     reshape,
-    select_steps,
     tape_scope,
     tile_batch,
+    unpack_rows,
 )
 
 PAD_ID = 0
@@ -74,21 +76,23 @@ def encode_tokens(text: str) -> np.ndarray:
 # pooling
 
 
-def pool_last_hidden(seq: Tensor, lengths: np.ndarray) -> Tensor:
-    """Last real output row of each (batch, N, d) example, given its length."""
-    return select_steps(seq, np.asarray(lengths, dtype=np.int64) - 1)
+def pool_last_hidden(seq: Tensor, packing: Packing) -> Tensor:
+    """Each example's last real output row, read from packed (T, d) rows."""
+    return pack_rows(seq, packing.last)
 
 
-def pool_trainable_queries(queries: Tensor, seq: Tensor, mask: np.ndarray) -> Tensor:
-    """Attend each learned query over the unmasked output rows; concatenate the reads.
+def pool_trainable_queries(queries: Tensor, seq: Tensor, packing: Packing) -> Tensor:
+    """Attend each learned query over the real output rows; concatenate the reads.
 
-    Keys and values are the encoder output rows themselves, so the only
-    parameters here are the query vectors. Output is (batch, n_queries * d).
+    Keys and values are the encoder output rows themselves, scattered from
+    packed (T, d) rows to the padded grid, so the only parameters here are
+    the query vectors. Output is (batch, n_queries * d).
     """
     nq, d = queries.shape
-    b = seq.shape[0]
+    b = packing.shape[0]
     q = tile_batch(queries, b)
-    pooled = scaled_dot_attention(q, seq, seq, key_mask_bias(mask, seq.dtype))
+    seq = unpack_rows(seq, packing.grid)
+    pooled = scaled_dot_attention(q, seq, seq, key_mask_bias(packing.mask, seq.dtype))
     return reshape(pooled, (b, nq * d))
 
 
@@ -322,11 +326,12 @@ class PairClassifier:
         if ids.shape[0] % 2 != 0:
             raise DataError(f"joint batch must stack premise and hypothesis rows, got {ids.shape}")
         b = ids.shape[0] // 2
-        seq = self.encoder(ids, mask=mask, training=training, rng=rng)
+        packing = Packing(mask)
+        seq = self.encoder(ids, packing, training=training, rng=rng)
         if self.pooling == "last_hidden":
-            pooled = pool_last_hidden(seq, np.asarray(mask).sum(axis=1).astype(np.int64))
+            pooled = pool_last_hidden(seq, packing)
         else:
-            pooled = pool_trainable_queries(self.queries, seq, mask)
+            pooled = pool_trainable_queries(self.queries, seq, packing)
         # Row i of the pair batch is [u_i, v_i] = pooled rows i and b + i.
         pair = reshape(permute(reshape(pooled, (2, b, -1)), (1, 0, 2)), (b, 2 * self.d_sent))
         return self.head(pair, training=training, rng=rng)

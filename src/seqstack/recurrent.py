@@ -6,12 +6,13 @@ a running sum). The erase gate rises across chunks, the write gate falls,
 and their overlap decides where the standard gates act; outside the overlap
 the master values take over directly (Shen et al. 2019, arXiv:1810.09536).
 
-Each layer is one fused kernel: the whole scan runs in plain numpy over a
-time-major (N, batch, d) input and is recorded as a single tape entry whose
-backward is hand-written backpropagation through time. Each step makes one
-input and one hidden matmul, against the gate weights concatenated with the
-master heads' weights, and keeps what the backward reads only while the
-tape records. `tests/tape_helpers.py` keeps the per-step cell built from
+Each layer is one fused kernel: the whole scan runs in plain numpy over the
+packed rows of a batch (see `tensor.Packing`) and is recorded as a single
+tape entry whose backward is hand-written backpropagation through time.
+Each step runs only the sequences that have not ended, makes one input and
+one hidden matmul, against the gate weights concatenated with the master
+heads' weights, and keeps what the backward reads only while the tape
+records. `tests/tape_helpers.py` keeps the per-step cell built from
 tape ops; the tests hold the kernel's forward to it bit for bit.
 """
 
@@ -19,8 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ShapeError
-from .tensor import Tensor, _grad_recording, _record, default_dtype, dropout
+from .errors import ConfigError, ShapeError
+from .tensor import Packing, Tensor, _grad_recording, _record, default_dtype, dropout
 
 
 class LstmParams:
@@ -116,27 +117,35 @@ def _cumax(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, np.cumsum(p, axis=-1)
 
 
+def _gemm(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """a @ w summed by gemm even for one row of a.
+
+    numpy hands a one-row product to gemv, which sums in another order than
+    gemm. Once a scan's batch has shrunk to one sequence, doubling the row
+    keeps the bits of the full batch's product.
+    """
+    return a @ w if len(a) != 1 else (np.concatenate([a, a]) @ w)[:1]
+
+
 def scan_layer(
     params: LstmParams | OnLstmParams,
     x: Tensor,
+    packing: Packing,
     skip: Tensor | None = None,
-    batch_major: bool = False,
     trace: list | None = None,
 ) -> Tensor:
-    """Run one cell over a time-major (N, batch, d_in) input from a zero state.
+    """Run one cell from a zero state over packed (T, d_in) input rows.
 
-    Returns the hidden states, plus `skip` when given, as (N, batch, d_hidden),
-    or as a contiguous (batch, N, d_hidden) tensor when `batch_major`. For an
-    ordered cell, `trace` receives each step's chunk-level (erase, write)
-    gates. The scan is one tape entry.
+    Returns the hidden states, plus `skip` when given, as packed
+    (T, d_hidden) rows. Step t runs only the sequences still going, the
+    first rows of the step before. For an ordered cell, `trace` receives
+    each step's chunk-level (erase, write) gates, one row per running
+    sequence in packed order. The scan is one tape entry.
     """
     on = isinstance(params, OnLstmParams)
     base = params.base if on else params
-    if x.ndim != 3 or x.shape[2] != base.d_in:
-        raise ShapeError(f"scan input must be (N, batch, {base.d_in}), got {x.shape}")
-    n, batch, _ = x.shape
-    if n < 1:
-        raise DataError("cannot encode a length-0 sequence")
+    if x.shape != (len(packing.steps), base.d_in):
+        raise ShapeError(f"scan input must be ({len(packing.steps)}, {base.d_in}) packed rows, got {x.shape}")
     dh = base.d_hidden
     # (input weight, hidden weight, bias) per block: the four gates, then the master heads
     leaves = [base.w_x, base.w_h, base.bias]
@@ -147,17 +156,24 @@ def scan_layer(
     inputs = (x, *leaves) + ((skip,) if skip is not None else ())
     saving = _grad_recording(inputs)
     saved = []  # per step, only while the tape records: what the backward reads
-    out = np.empty((batch, n, dh) if batch_major else (n, batch, dh), dtype=x.dtype)
-    out_t = out.transpose(1, 0, 2) if batch_major else out
-    h = c = np.zeros((batch, dh), dtype=x.dtype)
-    for t in range(n):
-        h_prev, c_prev = h, c
-        z = x.data[t] @ w_x + h_prev @ w_h + bias
+    # The products sum as the padded batch's per-step products did: by gemm,
+    # or row by row by gemv when the batch holds one sequence. The input
+    # product runs once for all steps.
+    many = packing.shape[0] > 1
+    x_w = x.data @ w_x if many else (x.data[:, None] @ w_x)[:, 0]
+    h_w = _gemm if many else np.matmul
+    spans = [(lo, hi) for lo, hi in zip(packing.offsets[:-1], packing.offsets[1:]) if hi > lo]
+    out = np.empty((x.shape[0], dh), dtype=x.dtype)
+    h = c = np.zeros((packing.batch_sizes[0], dh), dtype=x.dtype)
+    for lo, hi in spans:
+        b = hi - lo
+        h_prev, c_prev = h[:b], c[:b]
+        z = x_w[lo:hi] + h_w(h_prev, w_h) + bias
         s = _sigmoid(z[:, : 3 * dh])
         f, i, o = s[:, :dh], s[:, dh : 2 * dh], s[:, 2 * dh : 3 * dh]
         g = np.tanh(z[:, 3 * dh : 4 * dh])
         if on:
-            p, cum = _cumax(z[:, 4 * dh :].reshape(batch, 2, m))
+            p, cum = _cumax(z[:, 4 * dh :].reshape(b, 2, m))
             f_chunk, i_chunk = cum[:, 0], 1.0 - cum[:, 1]
             if trace is not None:
                 trace.append((f_chunk.copy(), i_chunk))
@@ -169,41 +185,43 @@ def scan_layer(
         c = f * c_prev + i * g
         tc = np.tanh(c)
         h = o * tc
-        out_t[t] = h if skip is None else h + skip.data[t]
+        out[lo:hi] = h if skip is None else h + skip.data[lo:hi]
         if saving:
             saved.append((h_prev, c_prev, s, g, tc, f, i) + ((ft, it, w, p) if on else ()))
 
     def back(g_out):
-        g_out = g_out.transpose(1, 0, 2) if batch_major else g_out
-        dz = np.empty((n, batch, w_x.shape[1]), dtype=x.dtype)
+        dz = np.empty((x.shape[0], w_x.shape[1]), dtype=x.dtype)
         if on:
             # chunk sums, then cumsum's backward (a reverse running sum), as one matmul
             rev = (np.arange(dh)[:, None] // chunk >= np.arange(m)).astype(x.dtype)
-        dh_rec = dc_rec = 0.0
-        for t in range(n - 1, -1, -1):
+        # Gradients carried back from step t + 1. The batch grows going back,
+        # and the rows of sequences that end at step t were never written: 0.
+        dh_rec = np.zeros((packing.batch_sizes[0], dh), dtype=x.dtype)
+        dc_rec = np.zeros_like(dh_rec)
+        for (lo, hi), step in zip(reversed(spans), reversed(saved)):
             # f and i are the effective erase/write gates: raw, or master-blended
-            _, c_prev, s, g, tc, f, i = saved[t][:7]
-            dz_t = dz[t]
-            d_h = g_out[t] + dh_rec
-            d_c = d_h * s[:, 2 * dh :] * (1.0 - tc * tc) + dc_rec
+            _, c_prev, s, g, tc, f, i = step[:7]
+            b = hi - lo
+            dz_t = dz[lo:hi]
+            d_h = g_out[lo:hi] + dh_rec[:b]
+            d_c = d_h * s[:, 2 * dh :] * (1.0 - tc * tc) + dc_rec[:b]
             d_f, d_i = d_c * c_prev, d_c * g
             np.multiply(d_c * i, 1.0 - g * g, out=dz_t[:, 3 * dh : 4 * dh])
             if on:
-                ft, it, w, p = saved[t][7:]
+                ft, it, w, p = step[7:]
                 d_w = d_f * (s[:, :dh] - 1.0) + d_i * (s[:, dh : 2 * dh] - 1.0)
                 d_m = np.stack([d_f + d_w * it, -(d_i + d_w * ft)], axis=1)
-                d_cum = (d_m.reshape(2 * batch, dh) @ rev).reshape(batch, 2, m)
+                d_cum = (d_m.reshape(2 * b, dh) @ rev).reshape(b, 2, m)
                 d_cum = p * (d_cum - (d_cum * p).sum(axis=-1, keepdims=True))
-                dz_t[:, 4 * dh :] = d_cum.reshape(batch, 2 * m)
+                dz_t[:, 4 * dh :] = d_cum.reshape(b, 2 * m)
                 d_f, d_i = d_f * w, d_i * w
             dz_t[:, : 3 * dh] = _sigmoid_grad(s, np.concatenate([d_f, d_i, d_h * tc], axis=-1))
-            dc_rec = d_c * f
-            dh_rec = dz_t @ w_h.T
-        flat = dz.reshape(n * batch, -1)
-        h_prev = np.stack([step[0] for step in saved]).reshape(n * batch, dh)
-        full = (x.data.reshape(n * batch, -1).T @ flat, h_prev.T @ flat, flat.sum(axis=0))
-        cut = (0, 4 * dh, flat.shape[1])
-        grads = [(x, (flat @ w_x.T).reshape(x.shape))]
+            np.multiply(d_c, f, out=dc_rec[:b])
+            np.matmul(dz_t, w_h.T, out=dh_rec[:b])
+        h_prev = np.concatenate([step[0] for step in saved])
+        full = (x.data.T @ dz, h_prev.T @ dz, dz.sum(axis=0))
+        cut = (0, 4 * dh, dz.shape[1])
+        grads = [(x, dz @ w_x.T)]
         if skip is not None:
             grads.append((skip, g_out))
         for k, grad in enumerate(full):
@@ -216,15 +234,13 @@ def scan_layer(
 class RecurrentEncoder:
     """K stacked unidirectional cells scanning left to right.
 
-    Input is a time-major (N, batch, d_in) tensor; output is the top layer's
-    contiguous (batch, N, d_hidden) sequence tensor. It takes no padding
-    mask: batches are right-padded, and a left-to-right scan never carries a
-    padded step into a real one, so real rows equal those of an unpadded run.
-    Rows at padded steps continue the scan over padding; nothing reads them.
+    Input and output are packed rows (see `tensor.Packing`): (T, d_in) in,
+    the top layer's (T, d_hidden) out. Each sequence runs over its own
+    steps only, so its rows equal those of an unpadded run.
 
-    Dropout is applied to the input of layers above the first; returned
-    outputs are raw. Layers above the first add their (undropped) input back
-    onto their output.
+    Dropout is applied to the input of layers above the first, drawn over
+    the time-major padded grid; returned outputs are raw. Layers above the
+    first add their (undropped) input back onto their output.
     """
 
     def __init__(
@@ -261,15 +277,14 @@ class RecurrentEncoder:
     def __call__(
         self,
         x: Tensor,
+        packing: Packing,
         training: bool = False,
         rng: np.random.Generator | None = None,
         trace: dict[int, list] | None = None,
     ) -> Tensor:
         clean = x
-        last = len(self.layers) - 1
         for li, layer in enumerate(self.layers):
-            fed = dropout(clean, self.dropout_rate, training, rng) if li else clean
+            fed = dropout(clean, self.dropout_rate, training, rng, packing.time_grid) if li else clean
             layer_trace = trace.setdefault(li, []) if trace is not None and self.kind == "onlstm" else None
-            clean = scan_layer(layer, fed, skip=clean if li else None,
-                               batch_major=li == last, trace=layer_trace)
+            clean = scan_layer(layer, fed, packing, skip=clean if li else None, trace=layer_trace)
         return clean

@@ -282,6 +282,90 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# Packed rows
+# ---------------------------------------------------------------------------
+
+
+class Packing:
+    """Where the real tokens of a right-padded (B, N) batch sit, as packed rows.
+
+    Built once per batch from its 0/1 mask, which must be right padding (each
+    row ones, then zeros) with at least one real token per row. Packed rows
+    run time-major: step t holds the `batch_sizes[t]` sequences longer than t,
+    longest first and ties in batch order, at rows offsets[t]:offsets[t + 1].
+    So each step's sequences are a prefix of the step before's, and a
+    recurrent scan drops finished sequences by shrinking its batch.
+
+    `steps` holds each packed row's step and `index` its place in the padded
+    (B, N) grid flattened to rows. `grid` pairs that grid's shape with
+    `index`, and `time_grid` does the same for the time-major (N, B) grid:
+    the (lead, index) pairs `unpack_rows` and `dropout` take. `last` is the
+    packed row of each sequence's last token, in batch order.
+    """
+
+    def __init__(self, mask):
+        mask = np.asarray(mask)
+        if mask.ndim != 2 or mask.shape[1] < 1:
+            raise DataError(f"a batch must be (B, N>=1) tokens, got shape {mask.shape}")
+        batch, n = mask.shape
+        lengths = mask.sum(axis=1).astype(np.int64)
+        if not np.array_equal(mask, np.arange(n) < lengths[:, None]):
+            raise DataError(f"mask must be {mask.shape} right padding: each row ones, then zeros")
+        if np.any(lengths < 1):
+            raise DataError("cannot encode a length-0 sequence")
+        order = np.argsort(-lengths, kind="stable")
+        rank = np.empty(batch, dtype=np.int64)
+        rank[order] = np.arange(batch)
+        self.shape = (batch, n)
+        self.mask = mask
+        self.batch_sizes = np.count_nonzero(lengths > np.arange(n)[:, None], axis=1)
+        self.offsets = np.concatenate(([0], np.cumsum(self.batch_sizes)))
+        self.steps = np.repeat(np.arange(n), self.batch_sizes)
+        rows = order[np.arange(self.offsets[-1]) - self.offsets[self.steps]]
+        self.index = rows * n + self.steps
+        self.grid = (self.shape, self.index)
+        self.time_grid = ((n, batch), self.steps * batch + rows)
+        self.last = self.offsets[lengths - 1] + rank
+
+
+def pack_rows(x: Tensor, index: np.ndarray) -> Tensor:
+    """Rows `index` of x with its leading axes flattened: (..., d) -> (len(index), d).
+
+    The rows must be distinct; the backward writes each row's gradient back.
+    """
+    d = x.shape[-1]
+    rows = x.data.reshape(-1, d)
+
+    def back(g):
+        if not x.requires_grad:
+            return []
+        full = np.zeros_like(rows)
+        full[index] = g
+        return [(x, full.reshape(x.shape))]
+
+    return _record("pack_rows", (x,), rows[index], back)
+
+
+def unpack_rows(x: Tensor, grid: tuple) -> Tensor:
+    """Scatter (T, d) rows into a zero (*lead, d) array, given `grid` = (lead, index).
+
+    Row i lands at place index[i] of the array flattened to rows: the
+    inverse of `pack_rows`. Every other row is 0.
+    """
+    lead, index = grid
+    if x.ndim != 2 or x.shape[0] != len(index):
+        raise ShapeError(f"unpack_rows: need one index per row, got {len(index)} for {x.shape}")
+    d = x.shape[1]
+    out = np.zeros((int(np.prod(lead)), d), dtype=x.dtype)
+    out[index] = x.data
+
+    def back(g):
+        return [(x, g.reshape(-1, d)[index])] if x.requires_grad else []
+
+    return _record("unpack_rows", (x,), out.reshape(tuple(lead) + (d,)), back)
+
+
+# ---------------------------------------------------------------------------
 # Elementwise algebra
 # ---------------------------------------------------------------------------
 
@@ -345,29 +429,6 @@ def softmax_rows(x: Tensor, bias: np.ndarray | None = None) -> Tensor:
         return [(x, out * (g - inner))]
 
     return _record("softmax_rows", (x,), out, back)
-
-
-def select_steps(x: Tensor, indices: np.ndarray) -> Tensor:
-    """Pick one step per example: out[i] = x[i, indices[i], :]."""
-    if x.ndim != 3:
-        raise ShapeError(f"select_steps: expected rank 3, got {x.shape}")
-    idx = np.asarray(indices)
-    if idx.shape != (x.shape[0],):
-        raise ShapeError(
-            f"select_steps: need one index per example, got {idx.shape} for {x.shape}"
-        )
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[1]):
-        raise ShapeError(f"select_steps: step index out of range for {x.shape}")
-    rows = np.arange(x.shape[0])
-
-    def back(g):
-        if not x.requires_grad:
-            return []
-        full = np.zeros_like(x.data)
-        full[rows, idx, :] = g
-        return [(x, full)]
-
-    return _record("select_steps", (x,), x.data[rows, idx, :], back)
 
 
 def tile_batch(x: Tensor, batch: int) -> Tensor:
@@ -443,12 +504,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 
 def dropout(x: Tensor, rate: float, training: bool,
-            rng: np.random.Generator | None) -> Tensor:
+            rng: np.random.Generator | None, grid: tuple | None = None) -> Tensor:
     """Inverted dropout: zero with probability `rate`, scale survivors by 1/(1-rate).
 
     Identity (the same tensor, no tape entry) in eval mode and at rate 0.
     Otherwise `rng` must be a named substream so the mask sequence is
     reproducible; training at a positive rate without one is a ContractError.
+    When x holds packed rows, `grid` is their Packing's (lead, index) pair:
+    the mask is drawn over the whole padded (*lead, d) array and indexed, so
+    each row keeps its padded position's mask and the stream advances as a
+    padded draw would.
     """
     if not (0.0 <= rate < 1.0):
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
@@ -456,8 +521,12 @@ def dropout(x: Tensor, rate: float, training: bool,
         return x
     if rng is None:
         raise ContractError("training with dropout needs an rng stream")
-    keep = (rng.random(x.shape) >= rate).astype(x.data.dtype)
-    mask = keep / (1.0 - rate)
+    if grid is None:
+        keep = rng.random(x.shape) >= rate
+    else:
+        lead, index = grid
+        keep = (rng.random(tuple(lead) + x.shape[-1:]) >= rate).reshape(-1, x.shape[-1])[index]
+    mask = keep.astype(x.data.dtype) / (1.0 - rate)
 
     def back(g):
         return [(x, g * mask)] if x.requires_grad else []

@@ -12,15 +12,25 @@ fused scan in `seqstack.recurrent` is held to: the ops it needs
 `RecurrentEncoder`'s layers with these cells one step at a time.
 `forced_onlstm_step` runs one ordered-cell step with given master gates, so
 the forced-gate identities can be checked against the plain cell.
+
+Last, the padded formulation of the encoder, the oracle its packed rows are
+held to: `padded_encode` runs an `Encoder` on the (B, N, d) grid, padding
+included, with `tape_scan` for the recurrent stack and `padded_san` for the
+attention stack, and `padded_logits` finishes a `PairClassifier` from it.
+`pack` and `unpack` move between padded arrays and packed rows.
 """
 
 from typing import Sequence
 
 import numpy as np
 
+from seqstack.attention import key_mask_bias, scaled_dot_attention, sinusoidal_positions
 from seqstack.errors import ShapeError
 from seqstack.recurrent import LstmParams, OnLstmParams
-from seqstack.tensor import Tensor, _record, add, constant, dropout, matmul, softmax_rows
+from seqstack.tensor import (
+    Packing, Tensor, _record, add, constant, dropout, linear, matmul, permute, reshape,
+    softmax_rows, tile_batch, unpack_rows,
+)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -292,3 +302,78 @@ def _step(x: Tensor, t: int) -> Tensor:
         return [(x, full)]
 
     return _record("step", (x,), x.data[t], back)
+
+
+# ---------------------------------------------------------------------------
+# Packed rows and the padded formulation
+# ---------------------------------------------------------------------------
+
+
+def pack(x: np.ndarray, mask=None) -> tuple[Tensor, Packing]:
+    """The packed rows of a padded (B, N, d) array, and their Packing."""
+    packing = Packing(np.ones(x.shape[:2]) if mask is None else mask)
+    return Tensor(x.reshape(-1, x.shape[-1])[packing.index]), packing
+
+
+def unpack(rows: Tensor, packing: Packing) -> np.ndarray:
+    """Packed (T, d) rows as a padded (B, N, d) array, 0 at padding."""
+    return unpack_rows(rows, packing.grid).data
+
+
+def padded_mha(mha, x: Tensor, mask_bias=None) -> Tensor:
+    """`MultiHeadAttention` over a padded (B, N, d) tensor."""
+    batch, n, _ = x.shape
+
+    def split(y):
+        return permute(reshape(y, (batch, n, mha.heads, mha.d_head)), (0, 2, 1, 3))
+
+    mixed = scaled_dot_attention(split(linear(x, mha.w_q, mha.b_q)), split(linear(x, mha.w_k)),
+                                 split(linear(x, mha.w_v, mha.b_v)), mask_bias)
+    return linear(reshape(permute(mixed, (0, 2, 1, 3)), (batch, n, mha.d)), mha.w_o, mha.b_o)
+
+
+def padded_san(san, x: Tensor, mask=None, training=False, rng=None) -> Tensor:
+    """`SanEncoder` over a padded (B, N, d) tensor: every op runs on the padding too."""
+    batch, n, d = x.shape
+    if san.use_positional:
+        pos = sinusoidal_positions(n, d).astype(x.dtype)
+        x = add(x, constant(np.broadcast_to(pos, x.shape).copy()))
+    x = dropout(x, san.dropout_rate, training, rng)
+    mask_bias = None if mask is None else key_mask_bias(mask, x.dtype)[:, None]
+    for layer in san.layers:
+        rate = layer.dropout_rate
+        x = add(x, dropout(padded_mha(layer.mha, layer.ln1(x), mask_bias), rate, training, rng))
+        x = add(x, dropout(layer.ffn(layer.ln2(x)), rate, training, rng))
+    return san.final(x)
+
+
+def padded_encode(enc, ids: np.ndarray, mask=None, training=False, rng=None, trace=None) -> Tensor:
+    """`Encoder` output as a padded (B, N, d) tensor, computed on the whole grid.
+
+    Dropout draws the same shapes in the same order as the packed encoder:
+    time-major for the embedding and the recurrent stack, batch-major above.
+    """
+    cfg = enc.config
+    if cfg.kind == "san":
+        return padded_san(enc.san, enc._embed_seq(ids), mask, training, rng)
+    emb = dropout(enc._embed_seq(ids.T), cfg.dropout, training, rng)
+    h_rnn = tape_scan(enc.rnn, emb, training=training, rng=rng, trace=trace)
+    if cfg.kind in ("lstm", "onlstm"):
+        return h_rnn
+    h_san = padded_san(enc.san, h_rnn, mask, training, rng)
+    return add(h_rnn, h_san) if cfg.use_short_cut else h_san
+
+
+def padded_logits(model, ids: np.ndarray, mask: np.ndarray) -> Tensor:
+    """`PairClassifier.forward_joint` at eval, pooling the padded encoder output."""
+    seq = padded_encode(model.encoder, ids, mask)
+    batch = ids.shape[0]
+    if model.pooling == "last_hidden":
+        last = np.asarray(mask).sum(axis=1).astype(np.int64) - 1
+        pooled = constant(seq.data[np.arange(batch), last])
+    else:
+        q = tile_batch(model.queries, batch)
+        pooled = scaled_dot_attention(q, seq, seq, key_mask_bias(mask, seq.dtype))
+        pooled = reshape(pooled, (batch, -1))
+    pair = reshape(permute(reshape(pooled, (2, batch // 2, -1)), (1, 0, 2)), (batch // 2, -1))
+    return model.head(pair)

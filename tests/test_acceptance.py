@@ -179,9 +179,10 @@ class TestCriterion3ShortCutExactness:
             mask = np.ones((b, n))
             if b > 1:
                 mask[-1, max(1, n // 2):] = 0.0
-            out = enc(ids, mask=mask)
-            h_rnn = enc.rnn(enc._embed_seq(ids.T))
-            h_san = enc.san(h_rnn, mask=mask)
+            packing = T.Packing(mask)
+            out = enc(ids, packing)
+            h_rnn = enc.rnn(enc._embed_seq(ids.reshape(-1)[packing.index]), packing)
+            h_san = enc.san(h_rnn, packing)
             residual = out.data - h_san.data
             worst = max(worst, float(np.max(np.abs(residual - h_rnn.data))))
         verdict(

@@ -19,7 +19,7 @@ from seqstack.errors import ConfigError, ShapeError
 from seqstack.gradcheck import finite_difference_check
 from seqstack.rng import SeedStreams
 
-from tape_helpers import mul, sum_all
+from tape_helpers import mul, pack, sum_all, unpack
 
 
 def ref_attention(q, k, v):
@@ -57,6 +57,13 @@ def ref_mha(x, mha):
 
 def streams(seed=0):
     return SeedStreams(seed).stream("init", "san")
+
+
+def on_grid(module, x, mask=None, *args, **kwargs):
+    """Run a packed-row module on a padded (B, N, d) array: pack its real rows,
+    call `module(rows, packing, *args, **kwargs)`, return the output padded (0 at padding)."""
+    rows, packing = pack(np.asarray(x), mask)
+    return unpack(module(rows, packing, *args, **kwargs), packing)
 
 
 class TestSinusoidalPositions:
@@ -152,7 +159,7 @@ class TestMultiHeadAttention:
             mha = MultiHeadAttention(6, 1, streams(1))
             rng = np.random.default_rng(9)
             x = rng.standard_normal((1, 4, 6))
-            got = mha(T.constant(x))
+            got = on_grid(mha, x)
             q = x[0] @ mha.w_q.data + mha.b_q.data
             k = x[0] @ mha.w_k.data
             v = x[0] @ mha.w_v.data + mha.b_v.data
@@ -160,29 +167,28 @@ class TestMultiHeadAttention:
                 T.constant(q[None]), T.constant(k[None]), T.constant(v[None])
             )
             expected = core.data[0] @ mha.w_o.data + mha.b_o.data
-            np.testing.assert_allclose(got.data[0], expected, atol=1e-9)
+            np.testing.assert_allclose(got[0], expected, atol=1e-9)
 
     def test_zero_value_path_yields_output_bias(self, rng):
         mha = MultiHeadAttention(8, 2, streams(2))
         mha.w_v.data[...] = 0.0
         mha.b_v.data[...] = 0.0
         mha.b_o.data[...] = rng.standard_normal(8)
-        x = T.constant(rng.standard_normal((2, 3, 8)))
-        out = mha(x)
-        np.testing.assert_allclose(out.data, np.broadcast_to(mha.b_o.data, (2, 3, 8)), atol=1e-6)
+        out = on_grid(mha, rng.standard_normal((2, 3, 8)))
+        np.testing.assert_allclose(out, np.broadcast_to(mha.b_o.data, (2, 3, 8)), atol=1e-6)
 
     def test_two_heads_match_reference(self):
         with T.dtype_scope("float64"):
             mha = MultiHeadAttention(8, 2, streams(3))
             rng = np.random.default_rng(10)
             x = rng.standard_normal((1, 3, 8))
-            got = mha(T.constant(x))
-            np.testing.assert_allclose(got.data[0], ref_mha(x[0], mha), atol=1e-6)
+            got = on_grid(mha, x)
+            np.testing.assert_allclose(got[0], ref_mha(x[0], mha), atol=1e-6)
 
     def test_attention_rows_are_distributions(self, rng):
         mha = MultiHeadAttention(8, 4, streams(4))
         with T.tape_scope() as tape:
-            mha(T.constant(rng.standard_normal((2, 5, 8))))
+            on_grid(mha, rng.standard_normal((2, 5, 8)))
         (entry,) = [e for e in tape.entries if e.op == "softmax_rows"]
         weights = entry.output.data.reshape(2, 4, 5, 5)
         assert np.all(weights >= 0)
@@ -198,10 +204,14 @@ class TestMultiHeadAttention:
         monkeypatch.setattr(attention, "constant", spy_constant)
         mha = MultiHeadAttention(8, 4, streams(4))
         mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]], dtype=float)
+        rows, packing = pack(rng.standard_normal((2, 5, 8)).astype(np.float32), mask)
         with T.tape_scope() as tape:
-            mha(T.constant(rng.standard_normal((2, 5, 8))), key_mask_bias(mask, np.float32)[:, None])
+            mha(rows, packing, key_mask_bias(mask, np.float32)[:, None])
         ops = [e.op for e in tape.entries]
         assert ops.count("linear") == 4 and "add" not in ops
+        # the projections run on the 8 real rows; only q, k and v are scattered
+        assert [e.output.shape for e in tape.entries if e.op == "linear"] == [(8, 8)] * 4
+        assert ops.count("unpack_rows") == 3 and ops.count("pack_rows") == 1
         assert not made, "the mask bias is broadcast, not copied into a constant"
         assert all(e.output.shape != (2 * 4, 5, 5) for e in tape.entries)
 
@@ -217,16 +227,16 @@ class TestSanLayer:
             if "ln" not in name:
                 p.data[...] = 0.0
         x = rng.standard_normal((2, 3, 8)).astype(np.float32)
-        out = layer(T.constant(x))
-        np.testing.assert_allclose(out.data, x, atol=0)
+        out = on_grid(layer, x)
+        np.testing.assert_allclose(out, x, atol=0)
 
     def test_permutation_equivariance_without_positions(self, rng):
         layer = SanLayer(8, 2, 16, streams(7))
         x = rng.standard_normal((1, 6, 8))
-        base = layer(T.constant(x)).data[0]
+        base = on_grid(layer, x)[0]
         for _ in range(5):
             perm = rng.permutation(6)
-            permuted = layer(T.constant(x[:, perm])).data[0]
+            permuted = on_grid(layer, x[:, perm])[0]
             np.testing.assert_allclose(permuted, base[perm], atol=1e-5)
 
 
@@ -240,9 +250,9 @@ class TestSanEncoder:
 
     def test_single_layer_composes_layer_and_final_norm(self, rng):
         enc = self._encoder(layers=1)
-        x = rng.standard_normal((1, 4, 8))
-        got = enc(T.constant(x))
-        manual = enc.final(enc.layers[0](T.constant(x)))
+        rows, packing = pack(rng.standard_normal((1, 4, 8)))
+        got = enc(rows, packing)
+        manual = enc.final(enc.layers[0](rows, packing, key_mask_bias(packing.mask, rows.dtype)[:, None]))
         np.testing.assert_allclose(got.data, manual.data, atol=0)
 
     def test_positions_injected_only_when_enabled(self, rng):
@@ -251,16 +261,16 @@ class TestSanEncoder:
         enc_on = self._encoder(layers=1, use_positional=True)
         enc_on.layers = enc_off.layers
         enc_on.final = enc_off.final
-        assert np.abs(enc_on(T.constant(x)).data - enc_off(T.constant(x)).data).max() > 1e-3
+        assert np.abs(on_grid(enc_on, x) - on_grid(enc_off, x)).max() > 1e-3
 
     def test_permutation_equivariance_sweep(self):
         rng = np.random.default_rng(55)
         enc = self._encoder()
         x = rng.standard_normal((1, 7, 8))
-        base = enc(T.constant(x)).data[0]
+        base = on_grid(enc, x)[0]
         for _ in range(20):
             perm = rng.permutation(7)
-            permuted = enc(T.constant(x[:, perm])).data[0]
+            permuted = on_grid(enc, x[:, perm])[0]
             np.testing.assert_allclose(permuted, base[perm], atol=1e-5)
 
     def test_padding_with_mask_matches_unpadded(self):
@@ -270,32 +280,45 @@ class TestSanEncoder:
             x = rng.standard_normal((2, 5, 8))
             x[0, 3:] = 0.0
             mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]], dtype=float)
-            out = enc(T.constant(x), mask=mask)
-            solo = enc(T.constant(x[0:1, :3].copy()))
-            np.testing.assert_allclose(out.data[0, :3], solo.data[0], atol=1e-9)
+            out = on_grid(enc, x, mask)
+            solo = on_grid(enc, x[0:1, :3].copy())
+            np.testing.assert_allclose(out[0, :3], solo[0], atol=1e-9)
+            assert np.all(out[0, 3:] == 0.0), "padding holds no output rows"
 
     def test_same_dropout_stream_reproduces(self, rng):
         x = rng.standard_normal((2, 4, 8))
         outs = []
         for _ in range(2):
             enc = self._encoder(dropout_rate=0.3)
-            out = enc(
-                T.constant(x.copy()),
-                training=True,
-                rng=SeedStreams(9).stream("dropout"),
-            )
-            outs.append(out.data)
+            out = on_grid(enc, x.copy(), None, training=True, rng=SeedStreams(9).stream("dropout"))
+            outs.append(out)
         assert np.array_equal(outs[0], outs[1])
 
     def test_gradients_pass_finite_difference_check(self):
         with T.dtype_scope("float64"):
             enc = self._encoder(layers=2)
             rng = np.random.default_rng(57)
-            x = rng.standard_normal((1, 3, 8))
-            coeff = T.constant(rng.standard_normal((1, 3, 8)))
+            rows, packing = pack(rng.standard_normal((1, 3, 8)))
+            coeff = T.constant(rng.standard_normal((3, 8)))
 
             def build():
-                return sum_all(mul(enc(T.constant(x.copy())), coeff))
+                return sum_all(mul(enc(rows, packing), coeff))
 
             report = finite_difference_check(build, enc.parameters())
             assert max(report.values()) < 1e-3
+
+    def test_positions_build_no_padded_constant(self, monkeypatch):
+        made = []
+
+        def spy_constant(data):
+            made.append(np.shape(data))
+            return T.constant(data)
+
+        monkeypatch.setattr(attention, "constant", spy_constant)
+        enc = self._encoder(layers=1, use_positional=True)
+        mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]], dtype=float)
+        rows, packing = pack(np.random.default_rng(58).standard_normal((2, 5, 8)).astype(np.float32), mask)
+        enc(rows, packing)
+        # one position row per real token, added to the packed rows
+        assert made == [(8, 8)]
+

@@ -133,18 +133,37 @@ class TestTrain:
         assert (again / "model.ckpt").read_bytes() == workspace["ckpt"].read_bytes()
 
     def test_config_file_overrides_and_strictness(self, workspace, tmp_path):
+        # Each key is set by two adjacent sources with different values, so a
+        # swap of any two merge steps changes one resolved value.
+        file_cfg = {
+            "encoder": {"recurrent_layers": 1, "d": 32, "dropout": 0.3},  # preset: 2 layers
+            "train_cap": 5,                 # no later source sets it
+            "lr": 0.05, "batch_size": 8,    # --tiny sets 1e-3 and 64
+            "epochs": 3, "seed": 9,         # --tiny sets 10 epochs; the flags 1 and 7
+        }
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"epochs": 1, "encoder": {"dropout": 0.0}}))
+        cfg_path.write_text(json.dumps(file_cfg))
         out = tmp_path / "cfgrun"
         code = cli.main(
             ["train", str(workspace["data"]), "--preset", "lstm", "--tiny",
-             "--config", str(cfg_path), "--out", str(out)]
+             "--config", str(cfg_path), "--epochs", "1", "--seed", "7", "--out", str(out)]
         )
         assert code == 0
-        resolved = json.loads((out / "resolved-config.json").read_text())
-        assert resolved["train"]["encoder"]["dropout"] == 0.0
-        # tiny shrink applies after the file, so epochs come from _TINY_TRAIN
-        assert resolved["train"]["epochs"] == 10 or resolved["train"]["epochs"] == 1
+        train = json.loads((out / "resolved-config.json").read_text())["train"]
+        enc = train["encoder"]
+        assert enc["kind"] == "lstm"                              # the preset
+        assert enc["recurrent_layers"] == 1 and train["train_cap"] == 5  # file over preset
+        assert (enc["d"], enc["dropout"]) == (64, 0.0)            # --tiny over file
+        assert (train["lr"], train["batch_size"]) == (1e-3, 64)
+        assert (train["epochs"], train["seed"]) == (1, 7)         # flags over --tiny and file
+        # strictness: an unknown key fails before any output is written
+        cfg_path.write_text(json.dumps({**file_cfg, "learninig_rate": 1e-3}))
+        bad = tmp_path / "badrun"
+        code = cli.main(
+            ["train", str(workspace["data"]), "--preset", "lstm", "--tiny",
+             "--config", str(cfg_path), "--out", str(bad)]
+        )
+        assert code == 1 and not bad.exists()
 
     def test_unknown_config_key_is_usage_error(self, workspace, tmp_path):
         cfg_path = tmp_path / "bad.json"

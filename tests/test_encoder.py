@@ -12,7 +12,8 @@ from seqstack.pipeline import PairClassifier, PreparedExample, TrainConfig, _bat
 from seqstack.rng import SeedStreams
 
 from tape_helpers import (
-    mean_all, mul, on_lstm_cell_step, parameter_count, sum_all, tape_scan,
+    mean_all, mul, on_lstm_cell_step, pack, padded_encode, padded_logits, parameter_count,
+    sum_all, tape_scan, unpack,
 )
 
 
@@ -32,10 +33,18 @@ def build(kind="hybrid", seed=0, **kw):
     return Encoder(config(kind, **kw), SeedStreams(seed))
 
 
+def encode(enc, ids, mask=None, **kwargs):
+    """`enc(ids)` as a padded (batch, N, d) array, 0 at padding."""
+    packing = T.Packing(np.ones(ids.shape) if mask is None else mask)
+    return unpack(enc(ids, packing, **kwargs), packing)
+
+
 def stacks(enc, ids, mask=None):
-    """The recurrent and attention stack outputs of a hybrid, recomputed."""
-    h_rnn = enc.rnn(enc._embed_seq(ids.T))
-    return h_rnn, enc.san(h_rnn, mask=mask)
+    """The recurrent and attention stack outputs of a hybrid, recomputed, as
+    padded (batch, N, d) arrays."""
+    packing = T.Packing(np.ones(ids.shape) if mask is None else mask)
+    h_rnn = enc.rnn(enc._embed_seq(ids.reshape(-1)[packing.index]), packing)
+    return unpack(h_rnn, packing), unpack(enc.san(h_rnn, packing), packing)
 
 
 def token_ids(rng, batch=2, n=4, vocab=5):
@@ -107,21 +116,21 @@ class TestFactoryWiring:
     def test_san_kind_is_positions_over_scaled_embeddings(self, rng):
         enc = build("san")
         ids = token_ids(rng)
-        got = enc(ids)
-        emb = T.scale(T.gather_rows(enc.embedding, ids), np.sqrt(8.0))
-        manual = enc.san(emb)
-        np.testing.assert_allclose(got.data, manual.data, atol=0)
+        got = encode(enc, ids)
+        emb, packing = pack(T.scale(T.gather_rows(enc.embedding, ids), np.sqrt(8.0)).data)
+        manual = unpack(enc.san(emb, packing), packing)
+        np.testing.assert_allclose(got, manual, atol=0)
         assert enc.rnn is None and enc.san.use_positional
 
     def test_recurrent_kind_returns_the_cell_states(self, rng):
         ids = token_ids(rng)
         enc = build("onlstm", recurrent_layers=1)
-        out = enc(ids)
+        out = encode(enc, ids)
         assert enc.san is None
         h = c = T.constant(np.zeros((ids.shape[0], 8), np.float32))
         for t in range(ids.shape[1]):
             h, c = on_lstm_cell_step(enc.rnn.layers[0], enc._embed_seq(ids[:, t]), (h, c))
-            np.testing.assert_allclose(out.data[:, t], h.data, atol=0)
+            np.testing.assert_allclose(out[:, t], h.data, atol=0)
 
     def test_embedding_rows_scaled_by_sqrt_d(self, rng):
         enc = build("lstm")
@@ -134,33 +143,33 @@ class TestFactoryWiring:
     def test_hybrid_composes_the_two_stacks_exactly(self, rng):
         enc = build("hybrid", use_short_cut=True)
         ids = token_ids(rng)
-        out = enc(ids)
+        out = encode(enc, ids)
         h_rnn, h_san = stacks(enc, ids)
         assert not enc.san.use_positional
-        np.testing.assert_allclose(out.data, h_rnn.data + h_san.data, atol=0)
+        np.testing.assert_allclose(out, h_rnn + h_san, atol=0)
 
     def test_dropout_stream_matches_per_step_draws(self, rng):
         enc = build("lstm", dropout=0.3)
         ids = token_ids(rng, n=5)
-        got = enc(ids, training=True, rng=np.random.default_rng(8))
+        got = encode(enc, ids, training=True, rng=np.random.default_rng(8))
         # the same stream drawn one (batch, d) step at a time, through the tape cell
         stream = np.random.default_rng(8)
         steps = [T.dropout(enc._embed_seq(ids[:, t]), 0.3, True, stream) for t in range(5)]
         emb = T.constant(np.stack([s.data for s in steps]))
         ref = tape_scan(enc.rnn, emb, training=True, rng=stream)
-        assert np.array_equal(got.data, ref.data)
+        assert np.array_equal(got, ref.data)
 
     def test_hybrid_without_short_cut_returns_attention_output(self, rng):
         enc = build("hybrid", use_short_cut=False)
         ids = token_ids(rng)
         _, h_san = stacks(enc, ids)
-        np.testing.assert_allclose(enc(ids).data, h_san.data, atol=0)
+        np.testing.assert_allclose(encode(enc, ids), h_san, atol=0)
 
     def test_short_cut_difference_identity(self, rng):
         enc = build("hybrid", use_short_cut=True)
         ids = token_ids(rng)
         h_rnn, h_san = stacks(enc, ids)
-        np.testing.assert_allclose(enc(ids).data - h_san.data, h_rnn.data, atol=1e-6)
+        np.testing.assert_allclose(encode(enc, ids) - h_san, h_rnn, atol=1e-6)
 
     def test_zeroed_attention_sublayers_collapse_to_recurrent_output(self, rng):
         enc = build("hybrid")
@@ -168,7 +177,7 @@ class TestFactoryWiring:
             if "ln" not in name and "final" not in name:
                 p.data[...] = 0.0
         h_rnn, h_san = stacks(enc, token_ids(rng))
-        np.testing.assert_allclose(h_san.data, enc.san.final(h_rnn).data, atol=0)
+        np.testing.assert_allclose(h_san, enc.san.final(T.constant(h_rnn)).data, atol=0)
 
     def test_information_flows_forward_only(self, rng):
         ids = token_ids(rng)
@@ -177,12 +186,12 @@ class TestFactoryWiring:
         for p in enc.san.parameters().values():
             p.data[...] += 0.05
         after_rnn, after_san = stacks(enc, ids)
-        np.testing.assert_allclose(after_rnn.data, base_rnn.data, atol=0)
-        assert np.abs(after_san.data - base_san.data).max() > 1e-5
+        np.testing.assert_allclose(after_rnn, base_rnn, atol=0)
+        assert np.abs(after_san - base_san).max() > 1e-5
         enc2 = build("hybrid", seed=3)
         for p in enc2.rnn.parameters().values():
             p.data[...] += 0.05
-        assert np.abs(stacks(enc2, ids)[1].data - base_san.data).max() > 1e-5
+        assert np.abs(stacks(enc2, ids)[1] - base_san).max() > 1e-5
 
     def test_same_seed_reproduces_bitwise(self, rng):
         ids = token_ids(rng)
@@ -222,10 +231,10 @@ class TestPaddingContract:
                 for lp, lh in [(3, 6), (7, 2), (5, 7)]
             ]
             ids, mask, _ = _batch_arrays(examples, range(len(examples)))
-            seq = model.encoder(ids, mask=mask).data
+            seq = encode(model.encoder, ids, mask)
             for row, length in enumerate(mask.sum(axis=1).astype(int)):
-                solo = model.encoder(ids[row : row + 1, :length], mask=np.ones((1, length)))
-                np.testing.assert_allclose(seq[row, :length], solo.data[0], atol=1e-9)
+                solo = encode(model.encoder, ids[row : row + 1, :length])
+                np.testing.assert_allclose(seq[row, :length], solo[0], atol=1e-9)
             logits = model.forward_joint(ids, mask).data
             for i in range(len(examples)):
                 one_ids, one_mask, _ = _batch_arrays(examples, [i])
@@ -236,10 +245,66 @@ class TestPaddingContract:
     def test_non_prefix_masks_rejected(self, kind):
         enc = build(kind)
         ids = np.ones((1, 3), dtype=np.int64)
-        for bad in ([[1, 0, 1]], [[0, 1, 1]], [[1, 1]], [[1, 1, 1], [1, 1, 1]]):
-            with pytest.raises(DataError, match="mask"):
-                enc(ids, mask=np.array(bad, dtype=float))
-        enc(ids, mask=np.array([[1, 1, 0]], dtype=float))
+        for bad in ([[1, 0, 1]], [[0, 1, 1]], [[1, 1, 0.5]]):
+            with pytest.raises(DataError, match="right padding"):
+                enc(ids, T.Packing(np.array(bad, dtype=float)))
+        for other_shape in ([[1, 1]], [[1, 1, 1], [1, 1, 1]]):
+            with pytest.raises(DataError, match="do not match"):
+                enc(ids, T.Packing(np.array(other_shape, dtype=float)))
+        enc(ids, T.Packing(np.array([[1, 1, 0]], dtype=float)))
+
+
+# A unique longest sequence: the scan's last steps run one sequence alone.
+ORACLE_LENGTHS = (7, 3, 5, 1, 4, 6)
+
+
+class TestPackedMatchesPaddedOracle:
+    """The packed encoder against its padded formulation, bit for bit.
+
+    `tape_helpers.padded_encode` runs every op on the whole (B, N) grid,
+    padding included, with the per-step tape cell for the recurrent stack.
+    At d=64 numpy would sum a one-row product differently from the batch's
+    (gemv, not gemm), so the single-sequence tail steps are checked too.
+    """
+
+    def _model(self, case, dropout=0.0):
+        extra = dict(recurrent_layers=2) if case.startswith("hybrid") else {}
+        enc_cfg = config(**PADDING_CASES[case], d=64, heads=4, d_ff=128, chunk=8,
+                         dropout=dropout, **extra)
+        return PairClassifier(TrainConfig(encoder=enc_cfg, classifier_hidden=32), SeedStreams(5))
+
+    @pytest.mark.parametrize("training", [False, True])
+    @pytest.mark.parametrize("case", sorted(PADDING_CASES))
+    def test_real_rows_and_gates_are_bit_identical(self, case, training):
+        enc = self._model(case, dropout=0.2).encoder
+        mask = (np.arange(max(ORACLE_LENGTHS)) < np.array(ORACLE_LENGTHS)[:, None]).astype(float)
+        ids = np.random.default_rng(3).integers(1, len(VOCAB), size=mask.shape) * (mask > 0)
+        packing = T.Packing(mask)
+        trace, ref_trace = {}, {}
+        out = enc(ids, packing, training=training, rng=np.random.default_rng(8), trace=trace)
+        ref = padded_encode(enc, ids, mask, training=training, rng=np.random.default_rng(8),
+                            trace=ref_trace)
+        assert out.dtype == ref.dtype == np.float32
+        assert np.array_equal(out.data, ref.data.reshape(-1, 64)[packing.index])
+        assert sorted(trace) == sorted(ref_trace) == ([] if case in ("lstm", "san") else [0, 1])
+        n = mask.shape[1]
+        for li, gates in ref_trace.items():
+            assert len(trace[li]) == len(gates) == n
+            for t, ((f, i), (ref_f, ref_i)) in enumerate(zip(trace[li], gates)):
+                running = packing.index[packing.offsets[t] : packing.offsets[t + 1]] // n
+                assert np.array_equal(f, ref_f[running]) and np.array_equal(i, ref_i[running])
+
+    @pytest.mark.parametrize("case", sorted(PADDING_CASES))
+    def test_logits_are_bit_identical(self, case):
+        model = self._model(case)
+        rng = np.random.default_rng(4)
+        examples = [
+            PreparedExample(rng.integers(1, len(VOCAB), size=lp), rng.integers(1, len(VOCAB), size=lh), 0, 0)
+            for lp, lh in [(3, 9), (7, 2), (5, 5), (1, 4)]
+        ]
+        ids, mask, _ = _batch_arrays(examples, range(len(examples)))
+        with T.no_grad():
+            assert np.array_equal(model.forward_joint(ids, mask).data, padded_logits(model, ids, mask).data)
 
 
 class TestParameterCounts:
@@ -277,12 +342,13 @@ class TestGradientFlow:
             enc = build("hybrid", use_short_cut=True, seed=21)
             rng = np.random.default_rng(1)
             ids = rng.integers(0, 5, size=(1, 3))
-            coeff = T.constant(rng.standard_normal((1, 3, 8)))
+            coeff = T.constant(rng.standard_normal((3, 8)))
+            packing = T.Packing(np.ones(ids.shape))
 
             def loss():
-                h_rnn, _ = stacks(enc, ids)
-                last = T.select_steps(h_rnn, np.array([ids.shape[1] - 1]))
-                return T.add(sum_all(mul(enc(ids), coeff)), mean_all(last))
+                h_rnn = enc.rnn(enc._embed_seq(ids.reshape(-1)[packing.index]), packing)
+                last = T.pack_rows(h_rnn, packing.last)
+                return T.add(sum_all(mul(enc(ids, packing), coeff)), mean_all(last))
 
             report = finite_difference_check(
                 loss, enc.parameters(), max_entries=6, rng=np.random.default_rng(2)

@@ -29,7 +29,9 @@ from tape_helpers import (
     mul,
     on_lstm_cell_step,
     sum_all,
+    pack,
     tape_scan,
+    unpack,
 )
 
 
@@ -117,9 +119,11 @@ def make_inputs(rng, batch, dims):
     return [T.constant(rng.standard_normal((batch, d))) for d in dims]
 
 
-def time_major(steps):
-    """Stack per-step (batch, d) tensors into the encoder's (N, batch, d) input."""
-    return T.constant(np.stack([s.data for s in steps]))
+def encode_steps(enc, steps, **kwargs):
+    """Run `enc` over per-step (batch, d) inputs, every step real; the output
+    as a (batch, N, d_hidden) array."""
+    rows, packing = pack(np.stack([s.data for s in steps], axis=1))
+    return unpack(enc(rows, packing, **kwargs), packing)
 
 
 class TestCumax:
@@ -310,43 +314,42 @@ class TestRecurrentEncoder:
         rng = np.random.default_rng(31)
         enc = self._encoder(kind="lstm", d=5)
         x = T.constant(rng.standard_normal((2, 5)))
-        seq = enc(time_major([x]))
+        seq = encode_steps(enc, [x])
         assert seq.shape == (2, 1, 5)
         zeros = T.constant(np.zeros((2, 5), np.float32))
         ref_h, _ = lstm_cell_step(enc.layers[0], x, (zeros, zeros))
-        np.testing.assert_allclose(seq.data[:, 0], ref_h.data, atol=0)
+        np.testing.assert_allclose(seq[:, 0], ref_h.data, atol=0)
 
     def test_zero_parameters_give_zero_fixed_point(self):
         enc = self._encoder(kind="lstm", layers=2, d=4)
         for p in enc.parameters().values():
             p.data[...] = 0.0
         rng = np.random.default_rng(32)
-        steps = time_major(make_inputs(rng, 2, [4] * 3))
-        seq = enc(steps)
+        seq = encode_steps(enc, make_inputs(rng, 2, [4] * 3))
         assert seq.shape == (2, 3, 4)
-        np.testing.assert_allclose(seq.data, 0.0, atol=0)
+        np.testing.assert_allclose(seq, 0.0, atol=0)
 
     def test_empty_sequence_rejected(self):
-        enc = self._encoder()
-        with pytest.raises(DataError):
-            enc(T.constant(np.zeros((0, 1, 6))))
+        # a batch cannot reach the scan without a packing, and none holds an empty row
+        with pytest.raises(DataError, match="length-0"):
+            T.Packing(np.array([[1.0, 1.0], [0.0, 0.0]]))
 
     def test_residual_adds_layer_input_back(self):
         enc = self._encoder(kind="lstm", layers=2, d=4)
         for p in enc.layers[1].parameters().values():
             p.data[...] = 0.0
         rng = np.random.default_rng(34)
-        steps = time_major(make_inputs(rng, 1, [4] * 4))
-        seq = enc(steps)
+        steps = make_inputs(rng, 1, [4] * 4)
+        seq = encode_steps(enc, steps)
         solo = self._encoder(kind="lstm", layers=1, d=4)
         solo.layers[0] = enc.layers[0]
-        np.testing.assert_allclose(seq.data, solo(steps).data, atol=1e-6)
+        np.testing.assert_allclose(seq, encode_steps(solo, steps), atol=1e-6)
 
     def test_training_dropout_requires_rng(self):
         enc = self._encoder(dropout_rate=0.5, layers=2)
-        steps = time_major(make_inputs(np.random.default_rng(0), 1, [6, 6]))
+        steps = make_inputs(np.random.default_rng(0), 1, [6, 6])
         with pytest.raises(ContractError):
-            enc(steps, training=True)
+            encode_steps(enc, steps, training=True)
 
     def test_same_seed_reproduces_bitwise(self):
         rng = np.random.default_rng(35)
@@ -354,20 +357,20 @@ class TestRecurrentEncoder:
         outs = []
         for _ in range(2):
             enc = self._encoder(kind="onlstm", layers=2, seed=77)
-            outs.append(enc(T.constant(np.stack(arr))).data)
+            outs.append(encode_steps(enc, [T.constant(a) for a in arr]))
         assert np.array_equal(outs[0], outs[1])
 
     def test_cell_state_stays_bounded(self):
         enc = self._encoder(kind="onlstm", layers=1, d=6, chunk=2)
         rng = np.random.default_rng(36)
-        steps = time_major(make_inputs(rng, 1, [6] * 50))
-        assert np.all(np.abs(enc(steps).data) <= 1.0 + 1e-6)
+        steps = make_inputs(rng, 1, [6] * 50)
+        assert np.all(np.abs(encode_steps(enc, steps)) <= 1.0 + 1e-6)
 
     def test_gate_trace_collection_and_csv(self):
         enc = self._encoder(kind="onlstm", layers=2, d=6, chunk=3)
-        steps = time_major(make_inputs(np.random.default_rng(37), 1, [6] * 4))
+        steps = make_inputs(np.random.default_rng(37), 1, [6] * 4)
         trace: dict[int, list] = {}
-        enc(steps, trace=trace)
+        encode_steps(enc, steps, trace=trace)
         assert sorted(trace) == [0, 1]
         assert len(trace[0]) == 4
         f_chunk, i_chunk = trace[0][0]
@@ -377,19 +380,20 @@ class TestRecurrentEncoder:
     def test_lstm_kind_collects_no_trace(self):
         enc = self._encoder(kind="lstm", layers=1, d=4)
         trace: dict[int, list] = {}
-        enc(time_major(make_inputs(np.random.default_rng(38), 1, [4, 4])), trace=trace)
+        encode_steps(enc, make_inputs(np.random.default_rng(38), 1, [4, 4]), trace=trace)
         assert trace == {}
 
     def test_gradients_pass_finite_difference_check(self):
         with T.dtype_scope("float64"):
             enc = self._encoder(kind="onlstm", layers=2, d=4, chunk=2, seed=5)
             rng = np.random.default_rng(39)
-            arr = [rng.standard_normal((1, 4)) for _ in range(3)]
-            coeff = T.constant(rng.standard_normal((1, 4)))
+            # a ragged batch: the second sequence ends a step early
+            rows, packing = pack(rng.standard_normal((2, 3, 4)), np.array([[1, 1, 1], [1, 1, 0.0]]))
+            coeff = T.constant(rng.standard_normal((2, 4)))
 
             def build():
-                seq = enc(T.constant(np.stack(arr)))
-                last = T.select_steps(seq, np.array([len(arr) - 1]))
+                seq = enc(rows, packing)
+                last = T.pack_rows(seq, packing.last)
                 return T.add(sum_all(mul(last, coeff)), mean_all(seq))
 
             report = finite_difference_check(build, enc.parameters())
@@ -405,11 +409,13 @@ def _max_rel_gap(got: dict, ref: dict) -> float:
 
 
 class TestFusedScanMatchesTapeOracle:
-    """The fused kernel against the per-step tape cell, on a right-padded batch.
+    """The fused kernel on packed rows against the per-step tape cell on the
+    right-padded batch, compared on the real rows.
 
     Both scans train at dropout 0.2 from the same seeded stream, so their
     forward passes draw the same masks only if one (N, batch, d) draw per
-    layer consumes the stream as N per-step draws do.
+    layer, indexed at the real rows, consumes the stream as N per-step draws
+    do.
     """
 
     CASES = [
@@ -430,18 +436,32 @@ class TestFusedScanMatchesTapeOracle:
             real = np.arange(n)[:, None] < np.array(self.LENGTHS)[None, :]
             x = rng.standard_normal((n, batch, d))
             x[~real] = rng.standard_normal(d)  # one pad embedding at every padded step
-            coeff = T.constant((rng.standard_normal((batch, n, d)) * real.T[..., None]).astype(dtype))
-            for scan in (enc, lambda *a, **kw: tape_scan(enc, *a, **kw)):
+            coeff = (rng.standard_normal((batch, n, d)) * real.T[..., None]).astype(dtype)
+            packing = T.Packing(real.T)
+            rows, time_rows = packing.index, packing.time_grid[1]
+            on_rows = [  # packed input and loss weights; padded ones for the tape cell
+                (x.reshape(-1, d)[time_rows], coeff.reshape(-1, d)[rows],
+                 lambda xt, **kw: enc(xt, packing, **kw)),
+                (x, coeff, lambda xt, **kw: tape_scan(enc, xt, **kw)),
+            ]
+            for x_in, c_in, scan in on_rows:
                 for p in enc.parameters().values():
                     p.zero_grad()
-                xt = T.parameter(x.astype(dtype))
+                xt = T.parameter(x_in.astype(dtype))
                 trace: dict[int, list] = {}
                 with T.tape_scope():
                     seq = scan(xt, training=True, rng=np.random.default_rng(9), trace=trace)
-                    T.backward(sum_all(mul(seq, coeff)))
+                    T.backward(sum_all(mul(seq, T.constant(c_in))))
                 grads = {name: p.grad for name, p in enc.parameters().items()}
                 grads["input"] = xt.grad
                 results.append((seq.data, trace, grads))
+            # the tape cell's real rows, its gates of running sequences, in packed order
+            seq, trace, grads = results[1]
+            steps = zip(packing.offsets[:-1], packing.offsets[1:])
+            running = [rows[lo:hi] // n for lo, hi in steps]
+            trace = {li: [(f[r], i[r]) for (f, i), r in zip(gates, running)] for li, gates in trace.items()}
+            grads["input"] = grads["input"].reshape(-1, d)[time_rows]
+            results[1] = (seq.reshape(-1, d)[rows], trace, grads)
         return results
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])

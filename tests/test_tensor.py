@@ -242,23 +242,27 @@ class TestGradients:
             lambda t: T.reshape(T.permute(T.reshape(t[0], (2, 3, -1)), (1, 0, 2)), (3, 8)),
             [(6, 4)],
         )
-        check_op_grad(
-            lambda t: T.select_steps(t[0], np.array([2, 0, 1])), [(3, 4, 5)]
-        )
+        check_op_grad(lambda t: T.pack_rows(t[0], np.array([7, 0, 11, 3])), [(3, 4, 5)])
+        check_op_grad(lambda t: T.unpack_rows(t[0], ((3, 4), np.array([7, 0, 11, 3]))), [(4, 5)])
 
-    def test_select_steps_forward_matches_manual_indexing(self, rng):
+    def test_pack_rows_forward_matches_manual_indexing(self, rng):
         x = rng.standard_normal((4, 6, 3))
-        idx = np.array([5, 0, 2, 3])
-        out = T.select_steps(T.constant(x), idx)
+        idx = np.array([23, 0, 8, 15])
+        out = T.pack_rows(T.constant(x), idx)
         for i in range(4):
-            np.testing.assert_array_equal(out.data[i], x[i, idx[i]])
+            np.testing.assert_array_equal(out.data[i], x[idx[i] // 6, idx[i] % 6])
+        back = T.unpack_rows(out, ((4, 6), idx))
+        assert back.shape == (4, 6, 3)
+        kept = np.zeros((4, 6, 1), dtype=bool)
+        kept.reshape(-1)[idx] = True
+        np.testing.assert_array_equal(back.data, np.where(kept, x, 0.0))
 
-    def test_select_steps_rejects_bad_indices(self):
-        x = T.constant(np.zeros((2, 3, 4)))
+    def test_unpack_rows_rejects_bad_indices(self):
+        x = T.constant(np.zeros((2, 4)))
         with pytest.raises(ShapeError):
-            T.select_steps(x, np.array([0, 3]))
+            T.unpack_rows(x, ((2, 3), np.array([0, 3, 5])))
         with pytest.raises(ShapeError):
-            T.select_steps(x, np.array([0]))
+            T.unpack_rows(T.constant(np.zeros((2, 1, 4))), ((2, 3), np.array([0, 3])))
 
     def test_reductions(self):
         check_op_grad(lambda t: sum_all(t[0]), [(3, 4)])
@@ -306,6 +310,49 @@ class TestGradients:
             return T.matmul(h, t[3])
 
         check_op_grad(build, [(4, 5), (5, 6), (6,), (6, 2)])
+
+
+class TestPacking:
+    MASK = np.array([[1, 1, 0, 0], [1, 1, 1, 1], [1, 0, 0, 0], [1, 1, 1, 0]], dtype=float)
+
+    def test_rows_run_time_major_longest_first(self):
+        p = T.Packing(self.MASK)
+        assert p.shape == (4, 4)
+        np.testing.assert_array_equal(p.batch_sizes, [4, 3, 2, 1])
+        np.testing.assert_array_equal(p.offsets, [0, 4, 7, 9, 10])
+        np.testing.assert_array_equal(p.steps, [0, 0, 0, 0, 1, 1, 1, 2, 2, 3])
+        # sequences by length: 1 (4), 3 (3), 0 (2), 2 (1); each step's are a prefix
+        index, (time_lead, time_index) = p.index, p.time_grid
+        assert p.grid[0] == time_lead == (4, 4) and p.grid[1] is index
+        np.testing.assert_array_equal(index // 4, [1, 3, 0, 2, 1, 3, 0, 1, 3, 1])
+        np.testing.assert_array_equal(index % 4, p.steps)
+        np.testing.assert_array_equal(time_index, p.steps * 4 + index // 4)
+        # the last token of sequences 0..3, in batch order
+        np.testing.assert_array_equal(p.last, [6, 9, 3, 8])
+        assert np.array_equal(np.sort(index), np.flatnonzero(self.MASK))
+
+    def test_ties_keep_batch_order_and_trailing_padding_runs_no_step(self):
+        p = T.Packing(np.array([[1, 1, 0], [1, 1, 0]], dtype=float))
+        np.testing.assert_array_equal(p.batch_sizes, [2, 2, 0])
+        np.testing.assert_array_equal(p.index, [0, 3, 1, 4])
+
+    def test_bad_masks_raise_data_error(self):
+        for bad in ([[1, 0, 1]], [[0, 1, 1]], [[1, 2, 0]], [[1, 1], [0, 0]], [1, 1], np.ones((2, 0))):
+            with pytest.raises(DataError):
+                T.Packing(np.asarray(bad, dtype=float))
+
+    def test_packed_dropout_keeps_each_tokens_padded_mask(self):
+        p = T.Packing(self.MASK)
+        x = T.constant(np.random.default_rng(2).standard_normal((10, 6)))
+        for lead, index in (p.grid, p.time_grid):
+            padded_x = np.zeros(lead + (6,))
+            padded_x.reshape(-1, 6)[index] = x.data
+            stream, ref_stream = np.random.default_rng(4), np.random.default_rng(4)
+            got = T.dropout(x, 0.3, True, stream, (lead, index))
+            ref = T.dropout(T.constant(padded_x), 0.3, True, ref_stream)
+            assert np.array_equal(got.data, ref.data.reshape(-1, 6)[index])
+            assert (got.data == 0).any() and (got.data != 0).any()
+            assert stream.random() == ref_stream.random(), "the stream advances as a padded draw"
 
 
 class TestTapeMechanics:
