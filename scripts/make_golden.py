@@ -28,12 +28,13 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-import numpy as np  # noqa: E402
-
+# seqstack before numpy: importing seqstack pins OpenBLAS to one thread.
 from seqstack.cli import main  # noqa: E402
 from seqstack.logic import load_dataset  # noqa: E402
 from seqstack.pipeline import _batch_arrays, load_model, prepare_examples  # noqa: E402
 from seqstack.tensor import no_grad  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 GOLDEN = REPO / "tests" / "golden"
 
@@ -42,7 +43,6 @@ TRAIN_OVERRIDES = {
     "epochs": 3,
     "batch_size": 16,
     "lr": 1e-3,
-    "dropout": 0.1,
     "classifier_hidden": 32,
     "seed": 9,
 }

@@ -42,7 +42,6 @@ BINS = ",".join(f"{b}:60" for b in range(1, 9))
 DATA_SEED = "3"
 SMALL_DESK = {
     "encoder": {"d": 32, "d_ff": 64, "chunk": 4, "heads": 2, "dropout": 0.2},
-    "dropout": 0.2,
     "batch_size": 32,
     "classifier_hidden": 32,
 }

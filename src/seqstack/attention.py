@@ -4,8 +4,8 @@ Layers use the residual form with layer norm applied before each sublayer
 and a two-linear feed-forward sublayer. Every position-wise op runs on the
 packed rows of a batch (see `tensor.Packing`); only the attention core
 scatters queries, keys and values to the padded (B, N) grid, where key
-padding is handled by adding a large negative constant to masked score
-columns before the softmax.
+padding is handled by adding the packing's key bias, a large negative
+constant at padding columns, to the scores before the softmax.
 """
 
 from __future__ import annotations
@@ -32,9 +32,6 @@ from .tensor import (
     unpack_rows,
 )
 
-MASK_FILL = -1e9
-
-
 def sinusoidal_positions(n: int, d: int) -> np.ndarray:
     """Fixed position signals: even columns sine, odd columns cosine.
 
@@ -54,19 +51,15 @@ def sinusoidal_positions(n: int, d: int) -> np.ndarray:
     return out
 
 
-def key_mask_bias(mask: np.ndarray, dtype) -> np.ndarray:
-    """Additive (B, 1, N) score offset from a (B, N) key mask: MASK_FILL at padding."""
-    return ((1.0 - np.asarray(mask)) * MASK_FILL)[:, None, :].astype(dtype)
-
-
 def scaled_dot_attention(
     q: Tensor, k: Tensor, v: Tensor, mask_bias: np.ndarray | None = None
 ) -> Tensor:
     """softmax(q k^T / sqrt(d_k)) v over (..., n_q, d_k) queries.
 
-    q, k and v share their leading (batch) axes; `matmul` rejects any other
+    k and v share their leading (batch) axes, and q shares them or is one
+    (n_q, d_k) set of queries for every batch; `matmul` rejects any other
     shapes. `mask_bias` is an additive score offset that broadcasts to the
-    (..., n_q, N) scores, such as the (B, 1, N) output of `key_mask_bias`.
+    (..., n_q, N) scores, such as the (B, 1, N) `Packing.key_bias`.
     """
     k_t = permute(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))
     scores = scale(matmul(q, k_t), 1.0 / np.sqrt(q.shape[-1]))
@@ -112,16 +105,16 @@ class MultiHeadAttention:
     def _split_heads(self, x: Tensor, packing: Packing) -> Tensor:
         """Packed (T, d) rows -> padded (B, H, N, d_head), zero at padding."""
         batch, n = packing.shape
-        x = unpack_rows(x, packing.grid)
+        x = unpack_rows(x, packing)
         return permute(reshape(x, (batch, n, self.heads, self.d_head)), (0, 2, 1, 3))
 
-    def __call__(self, x: Tensor, packing: Packing, mask_bias: np.ndarray | None = None) -> Tensor:
-        """Self-attention over packed (T, d) rows; `mask_bias` is a (B, 1, 1, N)
-        key offset, broadcast over the heads and the query rows."""
+    def __call__(self, x: Tensor, packing: Packing) -> Tensor:
+        """Self-attention over packed (T, d) rows; the packing's key bias is
+        broadcast over the heads and the query rows."""
         q = self._split_heads(linear(x, self.w_q, self.b_q), packing)
         k = self._split_heads(linear(x, self.w_k), packing)
         v = self._split_heads(linear(x, self.w_v, self.b_v), packing)
-        mixed = scaled_dot_attention(q, k, v, mask_bias)
+        mixed = scaled_dot_attention(q, k, v, packing.key_bias(x.dtype)[:, None])
         mixed = reshape(permute(mixed, (0, 2, 1, 3)), packing.shape + (self.d,))
         return linear(pack_rows(mixed, packing.index), self.w_o, self.b_o)
 
@@ -182,25 +175,18 @@ class SanLayer:
         out.update(self.ln2.parameters(f"{prefix}ln2."))
         return out
 
-    def __call__(
-        self,
-        x: Tensor,
-        packing: Packing,
-        mask_bias: np.ndarray | None = None,
-        training: bool = False,
-        rng: np.random.Generator | None = None,
-    ) -> Tensor:
-        rate, grid = self.dropout_rate, packing.grid
-        x = add(x, dropout(self.mha(self.ln1(x), packing, mask_bias), rate, training, rng, grid))
-        return add(x, dropout(self.ffn(self.ln2(x)), rate, training, rng, grid))
+    def __call__(self, x: Tensor, packing: Packing, rng: np.random.Generator | None = None) -> Tensor:
+        """One layer over packed (T, d) rows; dropout draws from `rng` when given."""
+        x = add(x, dropout(self.mha(self.ln1(x), packing), self.dropout_rate, rng))
+        return add(x, dropout(self.ffn(self.ln2(x)), self.dropout_rate, rng))
 
 
 class SanEncoder:
     """L stacked self-attention layers over packed (T, d) rows.
 
     Adds sinusoidal positions when configured, applies input dropout while
-    training, and finishes with a layer norm (the pre-norm residual stream is
-    otherwise never normalized).
+    training (given an rng), and finishes with a layer norm (the pre-norm
+    residual stream is otherwise never normalized).
     """
 
     def __init__(
@@ -228,20 +214,13 @@ class SanEncoder:
         out.update(self.final.parameters(f"{prefix}final."))
         return out
 
-    def __call__(
-        self,
-        x: Tensor,
-        packing: Packing,
-        training: bool = False,
-        rng: np.random.Generator | None = None,
-    ) -> Tensor:
+    def __call__(self, x: Tensor, packing: Packing, rng: np.random.Generator | None = None) -> Tensor:
         if x.shape != (len(packing.steps), self.d):
             raise ShapeError(f"expected ({len(packing.steps)}, {self.d}) packed rows, got {x.shape}")
         if self.use_positional:
             pos = sinusoidal_positions(packing.shape[1], self.d).astype(x.dtype)
             x = add(x, constant(pos[packing.steps]))
-        x = dropout(x, self.dropout_rate, training, rng, packing.grid)
-        mask_bias = key_mask_bias(packing.mask, x.dtype)[:, None]  # (B, 1, 1, N)
+        x = dropout(x, self.dropout_rate, rng)
         for layer in self.layers:
-            x = layer(x, packing, mask_bias, training, rng)
+            x = layer(x, packing, rng)
         return self.final(x)

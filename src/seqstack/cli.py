@@ -20,7 +20,6 @@ from .encoder import EncoderConfig
 from .errors import ConfigError, DataError, NumericsError
 from .gradcheck import finite_difference_check
 from .logic import (
-    MAX_OPS,
     generate_dataset,
     load_dataset,
     make_pair,
@@ -29,6 +28,7 @@ from .logic import (
     serialize,
 )
 from .pipeline import (
+    LENGTH_BINS,
     PairClassifier,
     TrainConfig,
     _batch_arrays,
@@ -53,7 +53,7 @@ DEFAULT_SEED = 42
 # 60k of them training at the 0.8/0.1/0.1 split); "tiny" is the CI-scale run
 # (7.5k pairs, 6k training), kept to the two shortest bins so ten epochs can
 # clear the majority baseline in CI time.
-DEFAULT_BIN_COUNTS = {b: 6250 for b in range(1, MAX_OPS + 1)}
+DEFAULT_BIN_COUNTS = {b: 6250 for b in LENGTH_BINS}
 TINY_BIN_COUNTS = {1: 3750, 2: 3750}
 
 _BASE_ENCODER = dict(

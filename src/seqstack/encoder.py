@@ -129,14 +129,14 @@ class Encoder:
         self,
         ids: np.ndarray,
         packing: Packing | None = None,
-        training: bool = False,
         rng: np.random.Generator | None = None,
         trace: dict[int, list] | None = None,
     ) -> Tensor:
         """Encode (batch, N) token ids to packed (T, d) rows, one per real token.
 
         `packing` marks the real tokens (see `tensor.Packing`); without one,
-        every token is real. The rows follow the packing's order.
+        every token is real. The rows follow the packing's order. Dropout
+        draws from `rng` when one is given (training).
         """
         ids = np.asarray(ids)
         packing = Packing(np.ones(ids.shape)) if packing is None else packing
@@ -145,10 +145,10 @@ class Encoder:
         cfg = self.config
         emb = self._embed_seq(ids.reshape(-1)[packing.index])
         if cfg.kind == "san":
-            return self.san(emb, packing, training=training, rng=rng)
-        emb = dropout(emb, cfg.dropout, training, rng, packing.time_grid)
-        h_rnn = self.rnn(emb, packing, training=training, rng=rng, trace=trace)
+            return self.san(emb, packing, rng=rng)
+        emb = dropout(emb, cfg.dropout, rng)
+        h_rnn = self.rnn(emb, packing, rng=rng, trace=trace)
         if cfg.kind in ("lstm", "onlstm"):
             return h_rnn
-        h_san = self.san(h_rnn, packing, training=training, rng=rng)
+        h_san = self.san(h_rnn, packing, rng=rng)
         return add(h_rnn, h_san) if cfg.use_short_cut else h_san

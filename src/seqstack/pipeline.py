@@ -20,11 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import key_mask_bias, scaled_dot_attention
+from .attention import scaled_dot_attention
 from .checkpoint import load_checkpoint, restore_parameters, save_checkpoint
 from .encoder import Encoder, EncoderConfig
 from .errors import ConfigError, DataError, NumericsError
-from .logic import VOCAB, serialize
+from .logic import MAX_OPS, VOCAB, serialize
 from .optim import Adam, clip_global_norm
 from .rng import SeedStreams
 from .tensor import (
@@ -42,7 +42,6 @@ from .tensor import (
     relu,
     reshape,
     tape_scope,
-    tile_batch,
     unpack_rows,
 )
 
@@ -57,6 +56,8 @@ POOLING_FOR_KIND = {
     "hybrid": "trainable_queries",
 }
 N_QUERIES = 2
+# One length bin per operator count the data can hold.
+LENGTH_BINS = tuple(range(1, MAX_OPS + 1))
 
 
 def encode_tokens(text: str) -> np.ndarray:
@@ -89,11 +90,9 @@ def pool_trainable_queries(queries: Tensor, seq: Tensor, packing: Packing) -> Te
     the query vectors. Output is (batch, n_queries * d).
     """
     nq, d = queries.shape
-    b = packing.shape[0]
-    q = tile_batch(queries, b)
-    seq = unpack_rows(seq, packing.grid)
-    pooled = scaled_dot_attention(q, seq, seq, key_mask_bias(packing.mask, seq.dtype))
-    return reshape(pooled, (b, nq * d))
+    seq = unpack_rows(seq, packing)
+    pooled = scaled_dot_attention(queries, seq, seq, packing.key_bias(seq.dtype))
+    return reshape(pooled, (packing.shape[0], nq * d))
 
 
 # ---------------------------------------------------------------------------
@@ -143,11 +142,11 @@ class ClassifierHead:
             f"{prefix}w3": self.w3, f"{prefix}b3": self.b3,
         }
 
-    def __call__(self, pair: Tensor, training: bool = False, rng=None) -> Tensor:
+    def __call__(self, pair: Tensor, rng=None) -> Tensor:
         h = relu(linear(pair, self.w1, self.b1))
-        h = dropout(h, self.dropout_rate, training, rng)
+        h = dropout(h, self.dropout_rate, rng)
         h = relu(linear(h, self.w2, self.b2))
-        h = dropout(h, self.dropout_rate, training, rng)
+        h = dropout(h, self.dropout_rate, rng)
         return linear(h, self.w3, self.b3)
 
 
@@ -163,7 +162,7 @@ class TrainConfig:
     lr: float = 1e-4
     seed: int = 42
     train_cap: int = 6
-    eval_bins: tuple = tuple(range(1, 13))
+    eval_bins: tuple = LENGTH_BINS
     classifier_hidden: int = 512
 
     def validate(self) -> None:
@@ -320,21 +319,23 @@ class PairClassifier:
         out.update(self.head.parameters("head."))
         return out
 
-    def forward_joint(self, ids: np.ndarray, mask: np.ndarray,
-                      training: bool = False, rng=None) -> Tensor:
-        """Logits from a stacked batch: rows [0, b) premises, [b, 2b) hypotheses."""
+    def forward_joint(self, ids: np.ndarray, mask: np.ndarray, rng=None) -> Tensor:
+        """Logits from a stacked batch: rows [0, b) premises, [b, 2b) hypotheses.
+
+        Training passes its dropout stream as `rng`; without one, no dropout.
+        """
         if ids.shape[0] % 2 != 0:
             raise DataError(f"joint batch must stack premise and hypothesis rows, got {ids.shape}")
         b = ids.shape[0] // 2
         packing = Packing(mask)
-        seq = self.encoder(ids, packing, training=training, rng=rng)
+        seq = self.encoder(ids, packing, rng=rng)
         if self.pooling == "last_hidden":
             pooled = pool_last_hidden(seq, packing)
         else:
             pooled = pool_trainable_queries(self.queries, seq, packing)
         # Row i of the pair batch is [u_i, v_i] = pooled rows i and b + i.
         pair = reshape(permute(reshape(pooled, (2, b, -1)), (1, 0, 2)), (b, 2 * self.d_sent))
-        return self.head(pair, training=training, rng=rng)
+        return self.head(pair, rng=rng)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +478,7 @@ def evaluate_by_length(model: PairClassifier, pairs, bins=None,
     """
     # Not via `evaluate`: perfbench's tracer wraps it to time train()'s dev pass.
     preds, labels = _predict(model, pairs)
-    bins = tuple(range(1, 13)) if bins is None else tuple(int(b) for b in bins)
+    bins = LENGTH_BINS if bins is None else tuple(int(b) for b in bins)
     ops = np.asarray([p.op_count for p in pairs], dtype=np.int64)
     correct = preds == labels
     split = {f"le{boundary}": ops <= boundary, f"ge{boundary + 1}": ops > boundary}
@@ -523,7 +524,7 @@ def train(model: PairClassifier, train_pairs, dev_pairs,
             batch_idx = order[start : start + config.batch_size]
             ids, mask, labels = _batch_arrays(train_ex, batch_idx)
             with tape_scope():
-                logits = model.forward_joint(ids, mask, training=True, rng=dropout_rng)
+                logits = model.forward_joint(ids, mask, rng=dropout_rng)
                 loss = cross_entropy(logits, labels)
                 value = loss.item()
                 if not np.isfinite(value):

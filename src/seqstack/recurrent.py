@@ -238,9 +238,9 @@ class RecurrentEncoder:
     the top layer's (T, d_hidden) out. Each sequence runs over its own
     steps only, so its rows equal those of an unpadded run.
 
-    Dropout is applied to the input of layers above the first, drawn over
-    the time-major padded grid; returned outputs are raw. Layers above the
-    first add their (undropped) input back onto their output.
+    Dropout, given an rng, is applied to the input of layers above the
+    first; returned outputs are raw. Layers above the first add their
+    (undropped) input back onto their output.
     """
 
     def __init__(
@@ -278,13 +278,12 @@ class RecurrentEncoder:
         self,
         x: Tensor,
         packing: Packing,
-        training: bool = False,
         rng: np.random.Generator | None = None,
         trace: dict[int, list] | None = None,
     ) -> Tensor:
         clean = x
         for li, layer in enumerate(self.layers):
-            fed = dropout(clean, self.dropout_rate, training, rng, packing.time_grid) if li else clean
+            fed = dropout(clean, self.dropout_rate, rng) if li else clean
             layer_trace = trace.setdefault(li, []) if trace is not None and self.kind == "onlstm" else None
             clean = scan_layer(layer, fed, packing, skip=clean if li else None, trace=layer_trace)
         return clean

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import ConfigError, ContractError, DataError, ShapeError
 
 LAYER_NORM_EPS = 1e-6
+MASK_FILL = -1e9  # attention-score offset of a padding key
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
 _default_dtype = np.float32
@@ -216,15 +217,22 @@ def backward(loss: Tensor) -> None:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Product over the last two axes, batched over equal leading axes."""
-    if a.ndim < 2 or a.shape[:-2] != b.shape[:-2] or a.shape[-1:] != b.shape[-2:-1]:
+    """Product over the last two axes, batched over equal leading axes.
+
+    A rank-2 `a` may also meet a `b` with leading axes: it is broadcast over
+    them, and its gradient is summed over them.
+    """
+    lead = b.shape[:-2]
+    if (a.ndim < 2 or b.ndim < 2 or a.shape[:-2] not in (lead, ())
+            or a.shape[-1:] != b.shape[-2:-1]):
         raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
     out = a.data @ b.data
 
     def back(g):
         contribs = []
         if a.requires_grad:
-            contribs.append((a, g @ b.data.swapaxes(-1, -2)))
+            ga = g @ b.data.swapaxes(-1, -2)
+            contribs.append((a, ga if a.ndim == b.ndim else ga.reshape((-1,) + a.shape).sum(axis=0)))
         if b.requires_grad:
             contribs.append((b, a.data.swapaxes(-1, -2) @ g))
         return contribs
@@ -297,10 +305,9 @@ class Packing:
     recurrent scan drops finished sequences by shrinking its batch.
 
     `steps` holds each packed row's step and `index` its place in the padded
-    (B, N) grid flattened to rows. `grid` pairs that grid's shape with
-    `index`, and `time_grid` does the same for the time-major (N, B) grid:
-    the (lead, index) pairs `unpack_rows` and `dropout` take. `last` is the
-    packed row of each sequence's last token, in batch order.
+    (B, N) grid flattened to rows. `last` is the packed row of each
+    sequence's last token, in batch order. The mask itself is not kept:
+    `key_bias` rebuilds the padding from `index`.
     """
 
     def __init__(self, mask):
@@ -317,15 +324,18 @@ class Packing:
         rank = np.empty(batch, dtype=np.int64)
         rank[order] = np.arange(batch)
         self.shape = (batch, n)
-        self.mask = mask
         self.batch_sizes = np.count_nonzero(lengths > np.arange(n)[:, None], axis=1)
         self.offsets = np.concatenate(([0], np.cumsum(self.batch_sizes)))
         self.steps = np.repeat(np.arange(n), self.batch_sizes)
         rows = order[np.arange(self.offsets[-1]) - self.offsets[self.steps]]
         self.index = rows * n + self.steps
-        self.grid = (self.shape, self.index)
-        self.time_grid = ((n, batch), self.steps * batch + rows)
         self.last = self.offsets[lengths - 1] + rank
+
+    def key_bias(self, dtype) -> np.ndarray:
+        """Additive (B, 1, N) attention-score offset: 0 at real keys, MASK_FILL at padding."""
+        bias = np.full(self.shape, MASK_FILL, dtype=dtype)
+        bias.reshape(-1)[self.index] = 0.0
+        return bias[:, None, :]
 
 
 def pack_rows(x: Tensor, index: np.ndarray) -> Tensor:
@@ -346,23 +356,22 @@ def pack_rows(x: Tensor, index: np.ndarray) -> Tensor:
     return _record("pack_rows", (x,), rows[index], back)
 
 
-def unpack_rows(x: Tensor, grid: tuple) -> Tensor:
-    """Scatter (T, d) rows into a zero (*lead, d) array, given `grid` = (lead, index).
+def unpack_rows(x: Tensor, packing: Packing) -> Tensor:
+    """Scatter packed (T, d) rows into a zero (B, N, d) array, the padded grid.
 
-    Row i lands at place index[i] of the array flattened to rows: the
-    inverse of `pack_rows`. Every other row is 0.
+    The inverse of `pack_rows` with the packing's index; padding rows are 0.
     """
-    lead, index = grid
+    index = packing.index
     if x.ndim != 2 or x.shape[0] != len(index):
         raise ShapeError(f"unpack_rows: need one index per row, got {len(index)} for {x.shape}")
     d = x.shape[1]
-    out = np.zeros((int(np.prod(lead)), d), dtype=x.dtype)
+    out = np.zeros((packing.shape[0] * packing.shape[1], d), dtype=x.dtype)
     out[index] = x.data
 
     def back(g):
         return [(x, g.reshape(-1, d)[index])] if x.requires_grad else []
 
-    return _record("unpack_rows", (x,), out.reshape(tuple(lead) + (d,)), back)
+    return _record("unpack_rows", (x,), out.reshape(packing.shape + (d,)), back)
 
 
 # ---------------------------------------------------------------------------
@@ -431,16 +440,6 @@ def softmax_rows(x: Tensor, bias: np.ndarray | None = None) -> Tensor:
     return _record("softmax_rows", (x,), out, back)
 
 
-def tile_batch(x: Tensor, batch: int) -> Tensor:
-    """Prepend a batch axis by copying x `batch` times."""
-    out = np.broadcast_to(x.data, (batch,) + x.shape).copy()
-
-    def back(g):
-        return [(x, g.sum(axis=0))] if x.requires_grad else []
-
-    return _record("tile_batch", (x,), out, back)
-
-
 def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
     """Row lookup (embedding): out[..., :] = table[ids[...], :]."""
     ids = np.asarray(ids)
@@ -503,30 +502,19 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _record("layer_norm", (x, gain, bias), out, back)
 
 
-def dropout(x: Tensor, rate: float, training: bool,
-            rng: np.random.Generator | None, grid: tuple | None = None) -> Tensor:
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     """Inverted dropout: zero with probability `rate`, scale survivors by 1/(1-rate).
 
-    Identity (the same tensor, no tape entry) in eval mode and at rate 0.
-    Otherwise `rng` must be a named substream so the mask sequence is
-    reproducible; training at a positive rate without one is a ContractError.
-    When x holds packed rows, `grid` is their Packing's (lead, index) pair:
-    the mask is drawn over the whole padded (*lead, d) array and indexed, so
-    each row keeps its padded position's mask and the stream advances as a
-    padded draw would.
+    The rng is the training switch: without one (evaluation), and at rate 0,
+    this is the identity (the same tensor, no tape entry). Otherwise the
+    keep mask is one draw of x's own shape from `rng`, a named substream, so
+    the mask sequence is reproducible. On packed rows only real tokens draw.
     """
     if not (0.0 <= rate < 1.0):
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if rng is None or rate == 0.0:
         return x
-    if rng is None:
-        raise ContractError("training with dropout needs an rng stream")
-    if grid is None:
-        keep = rng.random(x.shape) >= rate
-    else:
-        lead, index = grid
-        keep = (rng.random(tuple(lead) + x.shape[-1:]) >= rate).reshape(-1, x.shape[-1])[index]
-    mask = keep.astype(x.data.dtype) / (1.0 - rate)
+    mask = (rng.random(x.shape) >= rate).astype(x.data.dtype) / (1.0 - rate)
 
     def back(g):
         return [(x, g * mask)] if x.requires_grad else []

@@ -17,6 +17,8 @@ Last, the padded formulation of the encoder, the oracle its packed rows are
 held to: `padded_encode` runs an `Encoder` on the (B, N, d) grid, padding
 included, with `tape_scan` for the recurrent stack and `padded_san` for the
 attention stack, and `padded_logits` finishes a `PairClassifier` from it.
+Their dropout, `grid_dropout`, draws each site's mask as the packed rows
+do, one (T, d) draw in packed order, and scatters it onto the grid.
 `pack` and `unpack` move between padded arrays and packed rows.
 """
 
@@ -24,12 +26,12 @@ from typing import Sequence
 
 import numpy as np
 
-from seqstack.attention import key_mask_bias, scaled_dot_attention, sinusoidal_positions
+from seqstack.attention import scaled_dot_attention, sinusoidal_positions
 from seqstack.errors import ShapeError
 from seqstack.recurrent import LstmParams, OnLstmParams
 from seqstack.tensor import (
-    Packing, Tensor, _record, add, constant, dropout, linear, matmul, permute, reshape,
-    softmax_rows, tile_batch, unpack_rows,
+    Packing, Tensor, _record, add, constant, linear, matmul, permute, reshape, softmax_rows,
+    unpack_rows,
 )
 
 
@@ -269,17 +271,19 @@ def forced_onlstm_step(params, x_t, state, masters):
     return _cell_update(f, i, o, g, c_prev, *masters)
 
 
-def tape_scan(enc, x: Tensor, training=False, rng=None, trace=None) -> Tensor:
-    """`enc(x, ...)` computed with the per-step tape cells.
+def tape_scan(enc, x: Tensor, packing: Packing | None = None, rng=None, trace=None) -> Tensor:
+    """A `RecurrentEncoder`'s scan computed with the per-step tape cells.
 
-    Takes the same time-major (N, batch, d_in) input and returns the same
-    (batch, N, d_hidden) tensor. It draws each layer's dropout mask step by
-    step, as N (batch, d) draws.
+    Takes a time-major (N, batch, d_in) input, padding included, and returns
+    the (batch, N, d_hidden) tensor. With an rng, each layer above the first
+    draws its dropout mask as `enc(rows, packing, rng)` does (see
+    `grid_dropout_mask`), which needs the batch's packing.
     """
     clean = [_step(x, t) for t in range(x.shape[0])]
     batch, dh = x.shape[1], enc.d_hidden
     for li, layer in enumerate(enc.layers):
-        fed = [dropout(s, enc.dropout_rate, training, rng) for s in clean] if li else clean
+        mask = grid_dropout_mask(packing, dh, enc.dropout_rate, rng, x.dtype) if li else None
+        fed = clean if mask is None else [mul(s, constant(mask[:, t])) for t, s in enumerate(clean)]
         h = c = constant(np.zeros((batch, dh), dtype=x.dtype))
         layer_trace = trace.setdefault(li, []) if trace is not None and enc.kind == "onlstm" else None
         outs = []
@@ -317,10 +321,29 @@ def pack(x: np.ndarray, mask=None) -> tuple[Tensor, Packing]:
 
 def unpack(rows: Tensor, packing: Packing) -> np.ndarray:
     """Packed (T, d) rows as a padded (B, N, d) array, 0 at padding."""
-    return unpack_rows(rows, packing.grid).data
+    return unpack_rows(rows, packing).data
 
 
-def padded_mha(mha, x: Tensor, mask_bias=None) -> Tensor:
+def grid_dropout_mask(packing: Packing, d: int, rate: float, rng, dtype) -> np.ndarray | None:
+    """The scaled keep mask `dropout` draws for packed (T, d) rows, on the padded grid.
+
+    One `rng.random((T, d))` draw, as `tensor.dropout` makes, scattered onto
+    a (B, N, d) array that is 0 at padding; None when dropout is off.
+    """
+    if rng is None or rate == 0.0:
+        return None
+    keep = np.zeros((packing.shape[0] * packing.shape[1], d), dtype=bool)
+    keep[packing.index] = rng.random((len(packing.index), d)) >= rate
+    return keep.reshape(packing.shape + (d,)).astype(dtype) / (1.0 - rate)
+
+
+def grid_dropout(x: Tensor, rate: float, rng, packing: Packing) -> Tensor:
+    """`dropout` of a padded (B, N, d) tensor with the packed rows' mask."""
+    mask = grid_dropout_mask(packing, x.shape[-1], rate, rng, x.dtype)
+    return x if mask is None else mul(x, constant(mask))
+
+
+def padded_mha(mha, x: Tensor, packing: Packing) -> Tensor:
     """`MultiHeadAttention` over a padded (B, N, d) tensor."""
     batch, n, _ = x.shape
 
@@ -328,39 +351,38 @@ def padded_mha(mha, x: Tensor, mask_bias=None) -> Tensor:
         return permute(reshape(y, (batch, n, mha.heads, mha.d_head)), (0, 2, 1, 3))
 
     mixed = scaled_dot_attention(split(linear(x, mha.w_q, mha.b_q)), split(linear(x, mha.w_k)),
-                                 split(linear(x, mha.w_v, mha.b_v)), mask_bias)
+                                 split(linear(x, mha.w_v, mha.b_v)), packing.key_bias(x.dtype)[:, None])
     return linear(reshape(permute(mixed, (0, 2, 1, 3)), (batch, n, mha.d)), mha.w_o, mha.b_o)
 
 
-def padded_san(san, x: Tensor, mask=None, training=False, rng=None) -> Tensor:
+def padded_san(san, x: Tensor, packing: Packing, rng=None) -> Tensor:
     """`SanEncoder` over a padded (B, N, d) tensor: every op runs on the padding too."""
     batch, n, d = x.shape
     if san.use_positional:
         pos = sinusoidal_positions(n, d).astype(x.dtype)
         x = add(x, constant(np.broadcast_to(pos, x.shape).copy()))
-    x = dropout(x, san.dropout_rate, training, rng)
-    mask_bias = None if mask is None else key_mask_bias(mask, x.dtype)[:, None]
+    x = grid_dropout(x, san.dropout_rate, rng, packing)
     for layer in san.layers:
         rate = layer.dropout_rate
-        x = add(x, dropout(padded_mha(layer.mha, layer.ln1(x), mask_bias), rate, training, rng))
-        x = add(x, dropout(layer.ffn(layer.ln2(x)), rate, training, rng))
+        x = add(x, grid_dropout(padded_mha(layer.mha, layer.ln1(x), packing), rate, rng, packing))
+        x = add(x, grid_dropout(layer.ffn(layer.ln2(x)), rate, rng, packing))
     return san.final(x)
 
 
-def padded_encode(enc, ids: np.ndarray, mask=None, training=False, rng=None, trace=None) -> Tensor:
+def padded_encode(enc, ids: np.ndarray, mask=None, rng=None, trace=None) -> Tensor:
     """`Encoder` output as a padded (B, N, d) tensor, computed on the whole grid.
 
-    Dropout draws the same shapes in the same order as the packed encoder:
-    time-major for the embedding and the recurrent stack, batch-major above.
+    With an rng, every dropout site draws its mask as the packed encoder does.
     """
     cfg = enc.config
+    packing = Packing(np.ones(ids.shape) if mask is None else mask)
     if cfg.kind == "san":
-        return padded_san(enc.san, enc._embed_seq(ids), mask, training, rng)
-    emb = dropout(enc._embed_seq(ids.T), cfg.dropout, training, rng)
-    h_rnn = tape_scan(enc.rnn, emb, training=training, rng=rng, trace=trace)
+        return padded_san(enc.san, enc._embed_seq(ids), packing, rng)
+    emb = grid_dropout(enc._embed_seq(ids), cfg.dropout, rng, packing)
+    h_rnn = tape_scan(enc.rnn, permute(emb, (1, 0, 2)), packing, rng=rng, trace=trace)
     if cfg.kind in ("lstm", "onlstm"):
         return h_rnn
-    h_san = padded_san(enc.san, h_rnn, mask, training, rng)
+    h_san = padded_san(enc.san, h_rnn, packing, rng)
     return add(h_rnn, h_san) if cfg.use_short_cut else h_san
 
 
@@ -372,8 +394,7 @@ def padded_logits(model, ids: np.ndarray, mask: np.ndarray) -> Tensor:
         last = np.asarray(mask).sum(axis=1).astype(np.int64) - 1
         pooled = constant(seq.data[np.arange(batch), last])
     else:
-        q = tile_batch(model.queries, batch)
-        pooled = scaled_dot_attention(q, seq, seq, key_mask_bias(mask, seq.dtype))
+        pooled = scaled_dot_attention(model.queries, seq, seq, Packing(mask).key_bias(seq.dtype))
         pooled = reshape(pooled, (batch, -1))
     pair = reshape(permute(reshape(pooled, (2, batch // 2, -1)), (1, 0, 2)), (batch // 2, -1))
     return model.head(pair)

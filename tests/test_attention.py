@@ -11,7 +11,6 @@ from seqstack.attention import (
     MultiHeadAttention,
     SanEncoder,
     SanLayer,
-    key_mask_bias,
     scaled_dot_attention,
     sinusoidal_positions,
 )
@@ -135,7 +134,7 @@ class TestScaledDotAttention:
         q = rng.standard_normal((1, 2, 4))
         k = rng.standard_normal((1, 3, 4))
         v = rng.standard_normal((1, 3, 3))
-        mask_bias = key_mask_bias(np.array([[1.0, 1.0, 0.0]]), q.dtype)
+        mask_bias = T.Packing(np.array([[1.0, 1.0, 0.0]])).key_bias(q.dtype)
         got = scaled_dot_attention(
             T.constant(q), T.constant(k), T.constant(v), mask_bias=mask_bias
         )
@@ -206,7 +205,7 @@ class TestMultiHeadAttention:
         mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]], dtype=float)
         rows, packing = pack(rng.standard_normal((2, 5, 8)).astype(np.float32), mask)
         with T.tape_scope() as tape:
-            mha(rows, packing, key_mask_bias(mask, np.float32)[:, None])
+            mha(rows, packing)
         ops = [e.op for e in tape.entries]
         assert ops.count("linear") == 4 and "add" not in ops
         # the projections run on the 8 real rows; only q, k and v are scattered
@@ -252,7 +251,7 @@ class TestSanEncoder:
         enc = self._encoder(layers=1)
         rows, packing = pack(rng.standard_normal((1, 4, 8)))
         got = enc(rows, packing)
-        manual = enc.final(enc.layers[0](rows, packing, key_mask_bias(packing.mask, rows.dtype)[:, None]))
+        manual = enc.final(enc.layers[0](rows, packing))
         np.testing.assert_allclose(got.data, manual.data, atol=0)
 
     def test_positions_injected_only_when_enabled(self, rng):
@@ -290,7 +289,7 @@ class TestSanEncoder:
         outs = []
         for _ in range(2):
             enc = self._encoder(dropout_rate=0.3)
-            out = on_grid(enc, x.copy(), None, training=True, rng=SeedStreams(9).stream("dropout"))
+            out = on_grid(enc, x.copy(), None, rng=SeedStreams(9).stream("dropout"))
             outs.append(out)
         assert np.array_equal(outs[0], outs[1])
 

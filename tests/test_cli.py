@@ -8,6 +8,9 @@ apart from the deliberate two-epoch training runs.
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -543,3 +546,25 @@ class TestUsage:
         assert cli.main(["train"]) == 1
         assert cli.main(["train", "data", "--preset", "nope", "--out", "x"]) == 1
         assert cli.main(["--help"]) == 0
+
+
+class TestThreadPin:
+    """Importing seqstack pins OpenBLAS to one thread, which works only
+    before numpy loads; after numpy, an unset pin is a RuntimeWarning."""
+
+    def _import(self, code):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])  # src/
+        return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+                              env=env, capture_output=True, text=True, timeout=60)
+
+    def test_seqstack_first_pins_without_warning(self):
+        done = self._import("import os, seqstack, numpy; print(os.environ['OPENBLAS_NUM_THREADS'])")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "1"
+
+    def test_numpy_first_warns_and_names_the_fix(self):
+        done = self._import("import numpy, seqstack")
+        assert done.returncode != 0
+        assert "RuntimeWarning" in done.stderr
+        assert "export OPENBLAS_NUM_THREADS=1 before Python starts" in done.stderr

@@ -148,15 +148,15 @@ class TestFactoryWiring:
         assert not enc.san.use_positional
         np.testing.assert_allclose(out, h_rnn + h_san, atol=0)
 
-    def test_dropout_stream_matches_per_step_draws(self, rng):
+    def test_dropout_stream_matches_time_major_draws(self, rng):
         enc = build("lstm", dropout=0.3)
         ids = token_ids(rng, n=5)
-        got = encode(enc, ids, training=True, rng=np.random.default_rng(8))
-        # the same stream drawn one (batch, d) step at a time, through the tape cell
+        got = encode(enc, ids, rng=np.random.default_rng(8))
+        # equal lengths: the packed rows are the time-major (N, batch) grid, so
+        # one time-major draw per site, through the tape cell, is the same stream
         stream = np.random.default_rng(8)
-        steps = [T.dropout(enc._embed_seq(ids[:, t]), 0.3, True, stream) for t in range(5)]
-        emb = T.constant(np.stack([s.data for s in steps]))
-        ref = tape_scan(enc.rnn, emb, training=True, rng=stream)
+        emb = T.dropout(enc._embed_seq(ids.T), 0.3, stream)
+        ref = tape_scan(enc.rnn, emb, T.Packing(np.ones(ids.shape)), rng=stream)
         assert np.array_equal(got, ref.data)
 
     def test_hybrid_without_short_cut_returns_attention_output(self, rng):
@@ -281,8 +281,8 @@ class TestPackedMatchesPaddedOracle:
         ids = np.random.default_rng(3).integers(1, len(VOCAB), size=mask.shape) * (mask > 0)
         packing = T.Packing(mask)
         trace, ref_trace = {}, {}
-        out = enc(ids, packing, training=training, rng=np.random.default_rng(8), trace=trace)
-        ref = padded_encode(enc, ids, mask, training=training, rng=np.random.default_rng(8),
+        out = enc(ids, packing, rng=np.random.default_rng(8) if training else None, trace=trace)
+        ref = padded_encode(enc, ids, mask, rng=np.random.default_rng(8) if training else None,
                             trace=ref_trace)
         assert out.dtype == ref.dtype == np.float32
         assert np.array_equal(out.data, ref.data.reshape(-1, 64)[packing.index])

@@ -13,7 +13,7 @@ import pytest
 
 import seqstack.pipeline as P
 import seqstack.tensor as T
-from seqstack import ConfigError, ContractError, DataError, NumericsError
+from seqstack import ConfigError, DataError, NumericsError
 from seqstack.encoder import EncoderConfig
 from seqstack.gradcheck import finite_difference_check
 from seqstack.logic import make_pair, sample_expression, serialize
@@ -67,7 +67,7 @@ class _OracleStub:
     def __init__(self, examples):
         self.labels = {_pair_key(e.premise_ids, e.hyp_ids): e.label for e in examples}
 
-    def forward_joint(self, ids, mask, training=False, rng=None):
+    def forward_joint(self, ids, mask, rng=None):
         rows = _batch_rows(ids, mask)
         logits = np.zeros((len(rows), P.N_RELATIONS))
         for i, row in enumerate(rows):
@@ -81,7 +81,7 @@ class _BatchRecorder:
     def __init__(self):
         self.batches = []
 
-    def forward_joint(self, ids, mask, training=False, rng=None):
+    def forward_joint(self, ids, mask, rng=None):
         rows = _batch_rows(ids, mask)
         widths = [max(len(p), len(h)) for p, h in rows]
         assert ids.shape[1] == max(widths)
@@ -93,7 +93,7 @@ class _RandomStub:
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
 
-    def forward_joint(self, ids, mask, training=False, rng=None):
+    def forward_joint(self, ids, mask, rng=None):
         return T.constant(self.rng.standard_normal((ids.shape[0] // 2, P.N_RELATIONS)))
 
 
@@ -274,9 +274,7 @@ class TestBuildPrecision:
                 return run
 
             with T.tape_scope() as tape:
-                logits = model.forward_joint(
-                    ids, mask, training=True, rng=np.random.default_rng(0)
-                )
+                logits = model.forward_joint(ids, mask, rng=np.random.default_rng(0))
                 loss = T.cross_entropy(logits, labels)
                 for entry in tape.entries:
                     if entry.output.dtype != dt:
@@ -332,20 +330,27 @@ class TestTraining:
         assert outputs and all(t.grad is None for t in outputs)
         assert all(g is not None for g in grads.values())
 
-    @pytest.mark.parametrize("kind", ["lstm", "onlstm", "san", "hybrid"])
-    def test_training_dropout_without_rng_is_contract_error(self, kind):
-        model = P.PairClassifier(tiny_config(kind, encoder_overrides=dict(dropout=0.2)))
-        ex = P.prepare_examples(pairs_with_ops(22, 1, max_ops=2))
-        ids, mask, _ = P._batch_arrays(ex, range(2))
-        with pytest.raises(ContractError, match="rng"):
-            model.forward_joint(ids, mask, training=True)
+    # Dropout sites per step: the embedding (recurrent-first kinds) or the
+    # attention input, each recurrent layer above the first, the attention
+    # input and two per attention layer, and two in the head.
+    @pytest.mark.parametrize("kind, sites", [("lstm", 4), ("onlstm", 4), ("san", 7), ("hybrid", 6)])
+    def test_train_applies_dropout_at_every_site(self, kind, sites, monkeypatch):
+        # the rng is the only training switch: a step that lost it would run
+        # as evaluation, with no dropout entry on its tape
+        pairs = pairs_with_ops(22, 2, max_ops=3)
+        model = P.PairClassifier(tiny_config(
+            kind, epochs=1, batch_size=len(pairs), encoder_overrides=dict(dropout=0.2),
+        ))
+        seen = []
+        real_backward = P.backward
 
-    def test_head_training_dropout_without_rng_is_contract_error(self, rng):
-        # the head alone: no encoder gate can raise first
-        head = P.ClassifierHead(12, 16, 0.2, rng)
-        pair = T.constant(rng.standard_normal((3, 12)).astype(np.float32))
-        with pytest.raises(ContractError, match="rng"):
-            head(pair, training=True, rng=None)
+        def counted(loss):
+            seen.append([e.op for e in T.active_tape().entries].count("dropout"))
+            real_backward(loss)
+
+        monkeypatch.setattr(P, "backward", counted)
+        P.train(model, pairs, pairs[:4])
+        assert seen == [sites], "one batch, one step, every dropout site drawn"
 
     def test_zero_learning_rate_leaves_parameters_untouched(self):
         pairs = pairs_with_ops(6, 3, max_ops=4)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from seqstack import tensor as T
-from seqstack.errors import ConfigError, ContractError, DataError, ShapeError
+from seqstack.errors import ConfigError, DataError, ShapeError
 from seqstack.gradcheck import finite_difference_check
 import seqstack.recurrent as recurrent
 from seqstack.recurrent import LstmParams, OnLstmParams, RecurrentEncoder
@@ -345,12 +345,6 @@ class TestRecurrentEncoder:
         solo.layers[0] = enc.layers[0]
         np.testing.assert_allclose(seq, encode_steps(solo, steps), atol=1e-6)
 
-    def test_training_dropout_requires_rng(self):
-        enc = self._encoder(dropout_rate=0.5, layers=2)
-        steps = make_inputs(np.random.default_rng(0), 1, [6, 6])
-        with pytest.raises(ContractError):
-            encode_steps(enc, steps, training=True)
-
     def test_same_seed_reproduces_bitwise(self):
         rng = np.random.default_rng(35)
         arr = [rng.standard_normal((2, 6)) for _ in range(4)]
@@ -438,11 +432,12 @@ class TestFusedScanMatchesTapeOracle:
             x[~real] = rng.standard_normal(d)  # one pad embedding at every padded step
             coeff = (rng.standard_normal((batch, n, d)) * real.T[..., None]).astype(dtype)
             packing = T.Packing(real.T)
-            rows, time_rows = packing.index, packing.time_grid[1]
+            rows = packing.index
+            time_rows = packing.steps * batch + rows // n  # the same tokens on the (N, B) grid
             on_rows = [  # packed input and loss weights; padded ones for the tape cell
                 (x.reshape(-1, d)[time_rows], coeff.reshape(-1, d)[rows],
                  lambda xt, **kw: enc(xt, packing, **kw)),
-                (x, coeff, lambda xt, **kw: tape_scan(enc, xt, **kw)),
+                (x, coeff, lambda xt, **kw: tape_scan(enc, xt, packing, **kw)),
             ]
             for x_in, c_in, scan in on_rows:
                 for p in enc.parameters().values():
@@ -450,7 +445,7 @@ class TestFusedScanMatchesTapeOracle:
                 xt = T.parameter(x_in.astype(dtype))
                 trace: dict[int, list] = {}
                 with T.tape_scope():
-                    seq = scan(xt, training=True, rng=np.random.default_rng(9), trace=trace)
+                    seq = scan(xt, rng=np.random.default_rng(9), trace=trace)
                     T.backward(sum_all(mul(seq, T.constant(c_in))))
                 grads = {name: p.grad for name, p in enc.parameters().items()}
                 grads["input"] = xt.grad

@@ -103,6 +103,25 @@ class TestForwardValues:
         for i in np.ndindex(*lead):
             np.testing.assert_allclose(got.data[i], matmul_loops(a[i], b[i]), atol=1e-5)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead, n, k, m", [((32,), 2, 256, 40), ((3,), 2, 8, 1), ((2, 3), 3, 4, 5)])
+    def test_shared_left_operand_matches_a_tiled_copy_bit_for_bit(self, rng, dtype, lead, n, k, m):
+        # a rank-2 left operand broadcast over b's leading axes, as the
+        # pooling queries are: forward and both gradients as if tiled
+        a = rng.standard_normal((n, k)).astype(dtype)
+        b = rng.standard_normal(lead + (k, m)).astype(dtype)
+        g = rng.standard_normal(lead + (n, m)).astype(dtype)
+        results = []
+        for left in (a, np.broadcast_to(a, lead + a.shape).copy()):
+            ta, tb = T.parameter(left), T.parameter(b)
+            with T.tape_scope():
+                out = T.matmul(ta, tb)
+                T.backward(sum_all(mul(out, T.constant(g))))
+            ga = ta.grad if left is a else ta.grad.reshape((-1,) + a.shape).sum(axis=0)
+            results.append((out.data, ga, tb.grad))
+        for got, ref in zip(*results):
+            assert got.dtype == dtype and np.array_equal(got, ref)
+
     @pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4)])
     def test_linear_matches_matmul_plus_bias(self, rng, shape):
         x = rng.standard_normal(shape)
@@ -173,13 +192,14 @@ class TestForwardValues:
 
     def test_dropout_eval_mode_is_identity(self, rng):
         x = T.constant(rng.standard_normal((3, 4)))
-        out = T.dropout(x, 0.5, training=False, rng=rng)
+        out = T.dropout(x, 0.5, rng=None)
         assert out is x
+        assert T.dropout(x, 0.0, rng) is x
 
     def test_dropout_preserves_expectation(self):
         rng = np.random.default_rng(7)
         x = T.constant(np.ones((200, 50)))
-        out = T.dropout(x, 0.3, training=True, rng=rng)
+        out = T.dropout(x, 0.3, rng)
         kept = out.data[out.data > 0]
         np.testing.assert_allclose(kept, 1.0 / 0.7, atol=1e-6)
         assert abs(out.data.mean() - 1.0) < 0.02
@@ -192,6 +212,9 @@ class TestGradients:
     def test_batched_matmul(self):
         check_op_grad(lambda t: T.matmul(t[0], t[1]), [(2, 3, 4), (2, 4, 2)])
         check_op_grad(lambda t: T.matmul(t[0], t[1]), [(2, 3, 2, 4), (2, 3, 4, 5)])
+        # a rank-2 left operand shared by every leading index
+        check_op_grad(lambda t: T.matmul(t[0], t[1]), [(3, 4), (2, 4, 5)])
+        check_op_grad(lambda t: T.matmul(t[0], t[1]), [(3, 4), (2, 3, 4, 5)])
 
     def test_linear(self):
         check_op_grad(lambda t: T.linear(t[0], t[1], t[2]), [(3, 4), (4, 5), (5,)])
@@ -236,33 +259,32 @@ class TestGradients:
         check_op_grad(lambda t: H.slice_last(t[0], 1, 4), [(2, 6)])
         check_op_grad(lambda t: H.repeat_last(t[0], 3), [(2, 4)])
         check_op_grad(lambda t: H.stack_steps(t), [(2, 3), (2, 3), (2, 3)])
-        check_op_grad(lambda t: T.tile_batch(t[0], 5), [(2, 3)])
         # the pair split: rows i and 3 + i side by side
         check_op_grad(
             lambda t: T.reshape(T.permute(T.reshape(t[0], (2, 3, -1)), (1, 0, 2)), (3, 8)),
             [(6, 4)],
         )
         check_op_grad(lambda t: T.pack_rows(t[0], np.array([7, 0, 11, 3])), [(3, 4, 5)])
-        check_op_grad(lambda t: T.unpack_rows(t[0], ((3, 4), np.array([7, 0, 11, 3]))), [(4, 5)])
+        ragged = T.Packing(np.arange(4) < np.array([[3], [1], [4]]))  # 8 real tokens
+        check_op_grad(lambda t: T.unpack_rows(t[0], ragged), [(8, 5)])
 
     def test_pack_rows_forward_matches_manual_indexing(self, rng):
         x = rng.standard_normal((4, 6, 3))
-        idx = np.array([23, 0, 8, 15])
+        mask = np.arange(6) < np.array([[2], [6], [1], [4]])
+        idx = T.Packing(mask).index
         out = T.pack_rows(T.constant(x), idx)
-        for i in range(4):
+        for i in range(len(idx)):
             np.testing.assert_array_equal(out.data[i], x[idx[i] // 6, idx[i] % 6])
-        back = T.unpack_rows(out, ((4, 6), idx))
+        back = T.unpack_rows(out, T.Packing(mask))
         assert back.shape == (4, 6, 3)
-        kept = np.zeros((4, 6, 1), dtype=bool)
-        kept.reshape(-1)[idx] = True
-        np.testing.assert_array_equal(back.data, np.where(kept, x, 0.0))
+        np.testing.assert_array_equal(back.data, np.where(mask[..., None], x, 0.0))
 
     def test_unpack_rows_rejects_bad_indices(self):
-        x = T.constant(np.zeros((2, 4)))
+        packing = T.Packing(np.ones((1, 3)))  # three rows
         with pytest.raises(ShapeError):
-            T.unpack_rows(x, ((2, 3), np.array([0, 3, 5])))
+            T.unpack_rows(T.constant(np.zeros((2, 4))), packing)
         with pytest.raises(ShapeError):
-            T.unpack_rows(T.constant(np.zeros((2, 1, 4))), ((2, 3), np.array([0, 3])))
+            T.unpack_rows(T.constant(np.zeros((3, 1, 4))), packing)
 
     def test_reductions(self):
         check_op_grad(lambda t: sum_all(t[0]), [(3, 4)])
@@ -292,7 +314,7 @@ class TestGradients:
 
     def test_dropout_fixed_mask(self):
         def build(t):
-            return T.dropout(t[0], 0.4, training=True, rng=np.random.default_rng(11))
+            return T.dropout(t[0], 0.4, np.random.default_rng(11))
 
         check_op_grad(build, [(5, 6)])
 
@@ -322,11 +344,9 @@ class TestPacking:
         np.testing.assert_array_equal(p.offsets, [0, 4, 7, 9, 10])
         np.testing.assert_array_equal(p.steps, [0, 0, 0, 0, 1, 1, 1, 2, 2, 3])
         # sequences by length: 1 (4), 3 (3), 0 (2), 2 (1); each step's are a prefix
-        index, (time_lead, time_index) = p.index, p.time_grid
-        assert p.grid[0] == time_lead == (4, 4) and p.grid[1] is index
+        index = p.index
         np.testing.assert_array_equal(index // 4, [1, 3, 0, 2, 1, 3, 0, 1, 3, 1])
         np.testing.assert_array_equal(index % 4, p.steps)
-        np.testing.assert_array_equal(time_index, p.steps * 4 + index // 4)
         # the last token of sequences 0..3, in batch order
         np.testing.assert_array_equal(p.last, [6, 9, 3, 8])
         assert np.array_equal(np.sort(index), np.flatnonzero(self.MASK))
@@ -341,18 +361,21 @@ class TestPacking:
             with pytest.raises(DataError):
                 T.Packing(np.asarray(bad, dtype=float))
 
-    def test_packed_dropout_keeps_each_tokens_padded_mask(self):
+    def test_key_bias_masks_exactly_the_padding(self):
+        for dtype in (np.float32, np.float64):
+            bias = T.Packing(self.MASK).key_bias(dtype)
+            assert bias.shape == (4, 1, 4) and bias.dtype == dtype
+            np.testing.assert_array_equal(bias[:, 0], np.where(self.MASK > 0, 0.0, T.MASK_FILL))
+
+    def test_packed_dropout_draws_one_number_per_real_entry(self):
         p = T.Packing(self.MASK)
-        x = T.constant(np.random.default_rng(2).standard_normal((10, 6)))
-        for lead, index in (p.grid, p.time_grid):
-            padded_x = np.zeros(lead + (6,))
-            padded_x.reshape(-1, 6)[index] = x.data
-            stream, ref_stream = np.random.default_rng(4), np.random.default_rng(4)
-            got = T.dropout(x, 0.3, True, stream, (lead, index))
-            ref = T.dropout(T.constant(padded_x), 0.3, True, ref_stream)
-            assert np.array_equal(got.data, ref.data.reshape(-1, 6)[index])
-            assert (got.data == 0).any() and (got.data != 0).any()
-            assert stream.random() == ref_stream.random(), "the stream advances as a padded draw"
+        x = T.constant(np.random.default_rng(2).standard_normal((len(p.steps), 6)))
+        stream, ref_stream = np.random.default_rng(4), np.random.default_rng(4)
+        got = T.dropout(x, 0.3, stream)
+        keep = ref_stream.random((10, 6)) >= 0.3  # T * d numbers, none for the 6 padding tokens
+        assert np.array_equal(got.data, x.data * (keep / (1.0 - 0.3)))
+        assert (got.data == 0).any() and (got.data != 0).any()
+        assert stream.random() == ref_stream.random(), "the stream advanced by exactly T * d"
 
 
 class TestTapeMechanics:
@@ -460,9 +483,9 @@ class TestValidationAndDtype:
         x = T.constant(np.ones(3))
         rng = np.random.default_rng(0)
         with pytest.raises(ConfigError):
-            T.dropout(x, 1.0, training=True, rng=rng)
+            T.dropout(x, 1.0, rng)
         with pytest.raises(ConfigError):
-            T.dropout(x, -0.1, training=True, rng=rng)
+            T.dropout(x, -0.1, rng)
 
     def test_default_dtype_and_scope(self):
         assert T.Tensor([1.0, 2.0]).dtype == np.float32
