@@ -1,4 +1,4 @@
-"""Multi-head self-attention encoder layers with sinusoidal positions.
+"""Multi-head self-attention encoder layers and the sinusoidal position signal.
 
 Layers use the residual form with layer norm applied before each sublayer
 and a two-linear feed-forward sublayer. Every position-wise op runs on the
@@ -17,7 +17,6 @@ from .tensor import (
     Packing,
     Tensor,
     add,
-    constant,
     default_dtype,
     dropout,
     layer_norm,
@@ -84,8 +83,6 @@ class MultiHeadAttention:
     """
 
     def __init__(self, d: int, heads: int, rng: np.random.Generator):
-        if heads < 1 or d % heads != 0:
-            raise ConfigError(f"heads ({heads}) must divide model dim ({d})")
         self.d = d
         self.heads = heads
         self.d_head = d // heads
@@ -123,8 +120,6 @@ class FeedForward:
     """Position-wise (d -> d_ff -> d) map with a rectifier between."""
 
     def __init__(self, d: int, d_ff: int, rng: np.random.Generator):
-        if d_ff < d:
-            raise ConfigError(f"d_ff ({d_ff}) must be at least model dim ({d})")
         self.w1, self.b1 = _affine_params(d, d_ff, rng)
         self.w2, self.b2 = _affine_params(d_ff, d, rng)
 
@@ -184,9 +179,9 @@ class SanLayer:
 class SanEncoder:
     """L stacked self-attention layers over packed (T, d) rows.
 
-    Adds sinusoidal positions when configured, applies input dropout while
-    training (given an rng), and finishes with a layer norm (the pre-norm
-    residual stream is otherwise never normalized).
+    Applies input dropout while training (given an rng), and finishes with
+    a layer norm (the pre-norm residual stream is otherwise never
+    normalized).
     """
 
     def __init__(
@@ -197,12 +192,8 @@ class SanEncoder:
         d_ff: int,
         rng: np.random.Generator,
         dropout_rate: float = 0.0,
-        use_positional: bool = True,
     ):
-        if layers < 1:
-            raise ConfigError(f"need at least one layer, got {layers}")
         self.d = d
-        self.use_positional = use_positional
         self.dropout_rate = dropout_rate
         self.layers = [SanLayer(d, heads, d_ff, rng, dropout_rate) for _ in range(layers)]
         self.final = LayerNormParams(d)
@@ -217,9 +208,6 @@ class SanEncoder:
     def __call__(self, x: Tensor, packing: Packing, rng: np.random.Generator | None = None) -> Tensor:
         if x.shape != (len(packing.steps), self.d):
             raise ShapeError(f"expected ({len(packing.steps)}, {self.d}) packed rows, got {x.shape}")
-        if self.use_positional:
-            pos = sinusoidal_positions(packing.shape[1], self.d).astype(x.dtype)
-            x = add(x, constant(pos[packing.steps]))
         x = dropout(x, self.dropout_rate, rng)
         for layer in self.layers:
             x = layer(x, packing, rng)

@@ -394,10 +394,10 @@ def _run_gradcheck(args) -> int:
 def cmd_trace_gates(args) -> int:
     out_dir = _prepare_out_dir(args.out)
     model, stored = load_model(args.checkpoint)
-    kind = model.config.encoder.kind
-    if kind not in ("onlstm", "hybrid"):
+    rnn = model.encoder.rnn
+    if rnn is None or rnn.layers[0].chunk is None:
         raise ConfigError(
-            f"trace-gates needs an encoder with an ON-LSTM stage; checkpoint holds kind={kind}"
+            f"trace-gates needs an encoder with an ON-LSTM stage; {args.checkpoint} has none"
         )
     rows = []
     for seq_index, text in enumerate(args.expression):

@@ -4,7 +4,8 @@ Four encoder kinds share one class: a pure self-attention stack, two pure
 recurrent stacks (plain and ordered-gate cells), and the cascade that runs the
 recurrent stack first and self-attention on top of its states. The cascade can
 finish with a parameter-free elementwise sum of the two stack outputs; that
-combination is the whole point of the short-cut flag.
+combination is the whole point of the short-cut flag. Past validation, the
+kind only picks the cell; the rest follows from which stacks exist.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import SanEncoder
+from .attention import SanEncoder, sinusoidal_positions
 from .errors import ConfigError, DataError
 from .logic import VOCAB
 from .rng import SeedStreams
@@ -22,6 +23,7 @@ from .tensor import (
     Packing,
     Tensor,
     add,
+    constant,
     default_dtype,
     dropout,
     gather_rows,
@@ -94,12 +96,11 @@ class Encoder:
         self.san: SanEncoder | None = None
         if config.recurrent_layers >= 1:
             self.rnn = RecurrentEncoder(
-                "lstm" if config.kind == "lstm" else "onlstm",
                 config.recurrent_layers,
                 config.d,
                 config.d,
                 streams.stream("init", "rnn"),
-                chunk=config.chunk,
+                chunk=None if config.kind == "lstm" else config.chunk,
                 dropout_rate=config.dropout,
             )
         if config.attention_layers >= 1:
@@ -110,7 +111,6 @@ class Encoder:
                 config.d_ff,
                 streams.stream("init", "san"),
                 dropout_rate=config.dropout,
-                use_positional=config.kind == "san",
             )
 
     def parameters(self, prefix: str = "") -> dict[str, Tensor]:
@@ -136,19 +136,21 @@ class Encoder:
 
         `packing` marks the real tokens (see `tensor.Packing`); without one,
         every token is real. The rows follow the packing's order. Dropout
-        draws from `rng` when one is given (training).
+        draws from `rng` when one is given (training). Without a recurrent
+        stack, sinusoidal positions are added to the embeddings.
         """
         ids = np.asarray(ids)
         packing = Packing(np.ones(ids.shape)) if packing is None else packing
         if ids.shape != packing.shape:
             raise DataError(f"token ids {ids.shape} do not match the packing's {packing.shape} batch")
         cfg = self.config
-        emb = self._embed_seq(ids.reshape(-1)[packing.index])
-        if cfg.kind == "san":
-            return self.san(emb, packing, rng=rng)
-        emb = dropout(emb, cfg.dropout, rng)
-        h_rnn = self.rnn(emb, packing, rng=rng, trace=trace)
-        if cfg.kind in ("lstm", "onlstm"):
-            return h_rnn
-        h_san = self.san(h_rnn, packing, rng=rng)
-        return add(h_rnn, h_san) if cfg.use_short_cut else h_san
+        h = self._embed_seq(ids.reshape(-1)[packing.index])
+        if self.rnn is None:
+            pos = sinusoidal_positions(packing.shape[1], cfg.d).astype(h.dtype)
+            h = add(h, constant(pos[packing.steps]))
+        else:
+            h = self.rnn(dropout(h, cfg.dropout, rng), packing, rng=rng, trace=trace)
+        if self.san is None:
+            return h
+        h_san = self.san(h, packing, rng=rng)
+        return add(h, h_san) if cfg.use_short_cut else h_san

@@ -15,23 +15,15 @@ class Adam:
     a checkpoint-restored model can resume with a fresh optimizer.
     """
 
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        lr: float = 1e-4,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params: dict[str, Tensor], lr: float = 1e-4):
         if not (np.isfinite(lr) and lr >= 0):
             raise ConfigError(f"learning rate must be finite and >= 0, got {lr}")
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ConfigError(f"betas must lie in [0, 1), got {beta1}, {beta2}")
         self.params = dict(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self._m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
         self._v = {name: np.zeros_like(p.data) for name, p in self.params.items()}

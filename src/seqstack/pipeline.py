@@ -2,7 +2,7 @@
 
 A premise/hypothesis pair is encoded by one shared encoder, each side is
 pooled to a fixed vector, and a three-layer head maps the concatenation to
-seven relation logits. Pooling is tied to the encoder kind: recurrent-final
+seven relation logits. Pooling follows the encoder's last stack: recurrent-final
 encoders use their last real output row, attention-final encoders use two
 trainable query vectors (a single row of an attention stack is not a summary
 state, so they never pool the last row).
@@ -49,12 +49,6 @@ PAD_ID = 0
 TOKEN_IDS = {tok: i for i, tok in enumerate(VOCAB)}
 N_RELATIONS = 7
 
-POOLING_FOR_KIND = {
-    "lstm": "last_hidden",
-    "onlstm": "last_hidden",
-    "san": "trainable_queries",
-    "hybrid": "trainable_queries",
-}
 N_QUERIES = 2
 # One length bin per operator count the data can hold.
 LENGTH_BINS = tuple(range(1, MAX_OPS + 1))
@@ -243,7 +237,7 @@ _RETIRED_KEYS = {
         "inter_layer_residual": ("bool", lambda enc: True),
         "post_norm": ("bool", lambda enc: False),
         "reversed_input_gate": ("bool", lambda enc: False),
-        "use_positional": ("bool", lambda enc: enc.kind == "san"),
+        "use_positional": ("bool", lambda enc: enc.recurrent_layers == 0),
         "vocab_size": ("int", lambda enc: len(VOCAB)),
     },
     "train": {
@@ -293,10 +287,9 @@ class PairClassifier:
         config.validate()
         self.config = config
         streams = streams if streams is not None else SeedStreams(config.seed)
-        self.pooling = POOLING_FOR_KIND[config.encoder.kind]
         self.encoder = Encoder(config.encoder, streams)
         d = config.encoder.d
-        if self.pooling == "trainable_queries":
+        if self.encoder.san is not None:
             rng = streams.stream("init", "pooling")
             bound = 1.0 / np.sqrt(d)
             self.queries = parameter(
@@ -329,7 +322,7 @@ class PairClassifier:
         b = ids.shape[0] // 2
         packing = Packing(mask)
         seq = self.encoder(ids, packing, rng=rng)
-        if self.pooling == "last_hidden":
+        if self.queries is None:
             pooled = pool_last_hidden(seq, packing)
         else:
             pooled = pool_trainable_queries(self.queries, seq, packing)
@@ -469,20 +462,18 @@ def evaluate(model: PairClassifier, pairs) -> EvalResult:
     return EvalResult(float((preds == labels).mean()), preds, labels)
 
 
-def evaluate_by_length(model: PairClassifier, pairs, bins=None,
-                       boundary: int = 6) -> LengthReport:
+def evaluate_by_length(model: PairClassifier, pairs, bins, boundary: int) -> LengthReport:
     """Per-bin accuracy with majority baselines; empty bins are omitted.
 
-    Aggregate rows split the pairs at `boundary` operators: at most boundary
-    (seen lengths under the default training cap) versus strictly more.
+    Aggregate rows split the pairs at `boundary` operators (the training
+    cap): at most boundary (seen lengths) versus strictly more.
     """
     # Not via `evaluate`: perfbench's tracer wraps it to time train()'s dev pass.
     preds, labels = _predict(model, pairs)
-    bins = LENGTH_BINS if bins is None else tuple(int(b) for b in bins)
     ops = np.asarray([p.op_count for p in pairs], dtype=np.int64)
     correct = preds == labels
     split = {f"le{boundary}": ops <= boundary, f"ge{boundary + 1}": ops > boundary}
-    return LengthReport(bins=_subset_stats(correct, labels, {b: ops == b for b in bins}),
+    return LengthReport(bins=_subset_stats(correct, labels, {int(b): ops == b for b in bins}),
                         aggregates=_subset_stats(correct, labels, split))
 
 

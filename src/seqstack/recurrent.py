@@ -20,22 +20,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 from .tensor import Packing, Tensor, _grad_recording, _record, default_dtype, dropout
 
 
 class LstmParams:
     """Fused input/hidden projections for the four gates, order (f, i, o, candidate).
 
+    Given a `chunk`, the cell is ordered: two master-gate heads add
+    chunk-level logits, one master value steering `chunk` neurons.
     Weights are uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)); the forget-gate
     bias starts at +1 so early training does not erase state.
     """
 
-    def __init__(self, d_in: int, d_hidden: int, rng: np.random.Generator):
-        if d_in < 1 or d_hidden < 1:
-            raise ConfigError(f"cell dims must be positive, got ({d_in}, {d_hidden})")
+    def __init__(self, d_in: int, d_hidden: int, rng: np.random.Generator, chunk: int | None = None):
         self.d_in = d_in
         self.d_hidden = d_hidden
+        self.chunk = chunk
         dt = default_dtype()
         sx = 1.0 / np.sqrt(d_in)
         sh = 1.0 / np.sqrt(d_hidden)
@@ -49,50 +50,21 @@ class LstmParams:
         bias = np.zeros(4 * d_hidden, dtype=dt)
         bias[:d_hidden] = 1.0
         self.bias = Tensor(bias, requires_grad=True)
-
-    def parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        return {
-            f"{prefix}w_x": self.w_x,
-            f"{prefix}w_h": self.w_h,
-            f"{prefix}bias": self.bias,
-        }
-
-
-class OnLstmParams:
-    """LstmParams plus two master-gate heads producing chunk-level logits.
-
-    `chunk` is the number of neurons steered by one master value; it must
-    divide d_hidden.
-    """
-
-    def __init__(self, d_in: int, d_hidden: int, chunk: int, rng: np.random.Generator):
-        if chunk < 1 or d_hidden % chunk != 0:
-            raise ConfigError(
-                f"chunk ({chunk}) must be a positive divisor of d_hidden ({d_hidden})"
+        if chunk is not None:
+            m2 = 2 * (d_hidden // chunk)
+            self.w_x_master = Tensor(
+                rng.uniform(-sx, sx, (d_in, m2)).astype(dt), requires_grad=True
             )
-        self.base = LstmParams(d_in, d_hidden, rng)
-        self.d_in = d_in
-        self.d_hidden = d_hidden
-        self.chunk = chunk
-        self.master_dim = d_hidden // chunk
-        dt = default_dtype()
-        sx = 1.0 / np.sqrt(d_in)
-        sh = 1.0 / np.sqrt(d_hidden)
-        m2 = 2 * self.master_dim
-        self.w_x_master = Tensor(
-            rng.uniform(-sx, sx, (d_in, m2)).astype(dt), requires_grad=True
-        )
-        self.w_h_master = Tensor(
-            rng.uniform(-sh, sh, (d_hidden, m2)).astype(dt), requires_grad=True
-        )
-        self.bias_master = Tensor(np.zeros(m2, dtype=dt), requires_grad=True)
+            self.w_h_master = Tensor(
+                rng.uniform(-sh, sh, (d_hidden, m2)).astype(dt), requires_grad=True
+            )
+            self.bias_master = Tensor(np.zeros(m2, dtype=dt), requires_grad=True)
 
     def parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        out = self.base.parameters(prefix)
-        out[f"{prefix}w_x_master"] = self.w_x_master
-        out[f"{prefix}w_h_master"] = self.w_h_master
-        out[f"{prefix}bias_master"] = self.bias_master
-        return out
+        names = ["w_x", "w_h", "bias"]
+        if self.chunk is not None:
+            names += ["w_x_master", "w_h_master", "bias_master"]
+        return {f"{prefix}{name}": getattr(self, name) for name in names}
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -128,7 +100,7 @@ def _gemm(a: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def scan_layer(
-    params: LstmParams | OnLstmParams,
+    params: LstmParams,
     x: Tensor,
     packing: Packing,
     skip: Tensor | None = None,
@@ -142,16 +114,14 @@ def scan_layer(
     each step's chunk-level (erase, write) gates, one row per running
     sequence in packed order. The scan is one tape entry.
     """
-    on = isinstance(params, OnLstmParams)
-    base = params.base if on else params
-    if x.shape != (len(packing.steps), base.d_in):
-        raise ShapeError(f"scan input must be ({len(packing.steps)}, {base.d_in}) packed rows, got {x.shape}")
-    dh = base.d_hidden
-    # (input weight, hidden weight, bias) per block: the four gates, then the master heads
-    leaves = [base.w_x, base.w_h, base.bias]
-    if on:
-        leaves += [params.w_x_master, params.w_h_master, params.bias_master]
-        m, chunk = params.master_dim, params.chunk
+    chunk = params.chunk
+    on = chunk is not None
+    if x.shape != (len(packing.steps), params.d_in):
+        raise ShapeError(f"scan input must be ({len(packing.steps)}, {params.d_in}) packed rows, got {x.shape}")
+    dh = params.d_hidden
+    # parameters() lists (input weight, hidden weight, bias) per block: the four gates, then the master heads
+    leaves = list(params.parameters().values())
+    m = dh // chunk if on else 0
     w_x, w_h, bias = (np.concatenate([p.data for p in leaves[k::3]], axis=-1) for k in range(3))
     inputs = (x, *leaves) + ((skip,) if skip is not None else ())
     saving = _grad_recording(inputs)
@@ -240,33 +210,24 @@ class RecurrentEncoder:
 
     Dropout, given an rng, is applied to the input of layers above the
     first; returned outputs are raw. Layers above the first add their
-    (undropped) input back onto their output.
+    (undropped) input back onto their output. Given a `chunk`, every cell
+    is ordered, and `trace` collects each layer's master gates by index.
     """
 
     def __init__(
         self,
-        kind: str,
         layers: int,
         d_in: int,
         d_hidden: int,
         rng: np.random.Generator,
-        chunk: int = 1,
+        chunk: int | None = None,
         dropout_rate: float = 0.0,
     ):
-        if kind not in ("lstm", "onlstm"):
-            raise ConfigError(f"unknown recurrent kind {kind!r}")
-        if layers < 1:
-            raise ConfigError(f"need at least one layer, got {layers}")
-        self.kind = kind
         self.d_hidden = d_hidden
         self.dropout_rate = dropout_rate
-        self.layers: list = []
-        for li in range(layers):
-            din = d_in if li == 0 else d_hidden
-            if kind == "onlstm":
-                self.layers.append(OnLstmParams(din, d_hidden, chunk, rng))
-            else:
-                self.layers.append(LstmParams(din, d_hidden, rng))
+        self.layers = [
+            LstmParams(d_in if li == 0 else d_hidden, d_hidden, rng, chunk) for li in range(layers)
+        ]
 
     def parameters(self, prefix: str = "") -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -284,6 +245,6 @@ class RecurrentEncoder:
         clean = x
         for li, layer in enumerate(self.layers):
             fed = dropout(clean, self.dropout_rate, rng) if li else clean
-            layer_trace = trace.setdefault(li, []) if trace is not None and self.kind == "onlstm" else None
+            layer_trace = trace.setdefault(li, []) if trace is not None and layer.chunk is not None else None
             clean = scan_layer(layer, fed, packing, skip=clean if li else None, trace=layer_trace)
         return clean

@@ -15,8 +15,9 @@ the forced-gate identities can be checked against the plain cell.
 
 Last, the padded formulation of the encoder, the oracle its packed rows are
 held to: `padded_encode` runs an `Encoder` on the (B, N, d) grid, padding
-included, with `tape_scan` for the recurrent stack and `padded_san` for the
-attention stack, and `padded_logits` finishes a `PairClassifier` from it.
+included, adding positions when it has no recurrent stack, with `tape_scan`
+for the recurrent stack and `padded_san` for the attention stack, and
+`padded_logits` finishes a `PairClassifier` from it.
 Their dropout, `grid_dropout`, draws each site's mask as the packed rows
 do, one (T, d) draw in packed order, and scatters it onto the grid.
 `pack` and `unpack` move between padded arrays and packed rows.
@@ -28,7 +29,7 @@ import numpy as np
 
 from seqstack.attention import scaled_dot_attention, sinusoidal_positions
 from seqstack.errors import ShapeError
-from seqstack.recurrent import LstmParams, OnLstmParams
+from seqstack.recurrent import LstmParams
 from seqstack.tensor import (
     Packing, Tensor, _record, add, constant, linear, matmul, permute, reshape, softmax_rows,
     unpack_rows,
@@ -223,7 +224,7 @@ def lstm_cell_step(
 
 
 def master_gates(
-    params: OnLstmParams,
+    params: LstmParams,
     x_t: Tensor,
     h_prev: Tensor,
     trace: list | None = None,
@@ -236,7 +237,7 @@ def master_gates(
     `trace` is given the chunk-level values are appended to it as numpy
     copies.
     """
-    m = params.master_dim
+    m = params.d_hidden // params.chunk
     z = add_bias(
         add(matmul(x_t, params.w_x_master), matmul(h_prev, params.w_h_master)),
         params.bias_master,
@@ -252,14 +253,14 @@ def master_gates(
 
 
 def on_lstm_cell_step(
-    params: OnLstmParams,
+    params: LstmParams,
     x_t: Tensor,
     state: tuple[Tensor, Tensor],
     trace: list | None = None,
 ) -> tuple[Tensor, Tensor]:
     """One ordered-cell step: (h, c) -> (h', c')."""
     h_prev, c_prev = state
-    f, i, o, g = _standard_gates(params.base, x_t, h_prev)
+    f, i, o, g = _standard_gates(params, x_t, h_prev)
     f_tilde, i_tilde = master_gates(params, x_t, h_prev, trace=trace)
     return _cell_update(f, i, o, g, c_prev, f_tilde, i_tilde)
 
@@ -267,7 +268,7 @@ def on_lstm_cell_step(
 def forced_onlstm_step(params, x_t, state, masters):
     """One ordered-cell step with fixed (erase, write) master gates."""
     h_prev, c_prev = state
-    f, i, o, g = _standard_gates(params.base, x_t, h_prev)
+    f, i, o, g = _standard_gates(params, x_t, h_prev)
     return _cell_update(f, i, o, g, c_prev, *masters)
 
 
@@ -285,10 +286,10 @@ def tape_scan(enc, x: Tensor, packing: Packing | None = None, rng=None, trace=No
         mask = grid_dropout_mask(packing, dh, enc.dropout_rate, rng, x.dtype) if li else None
         fed = clean if mask is None else [mul(s, constant(mask[:, t])) for t, s in enumerate(clean)]
         h = c = constant(np.zeros((batch, dh), dtype=x.dtype))
-        layer_trace = trace.setdefault(li, []) if trace is not None and enc.kind == "onlstm" else None
+        layer_trace = trace.setdefault(li, []) if trace is not None and layer.chunk is not None else None
         outs = []
         for x_t in fed:
-            if enc.kind == "onlstm":
+            if layer.chunk is not None:
                 h, c = on_lstm_cell_step(layer, x_t, (h, c), trace=layer_trace)
             else:
                 h, c = lstm_cell_step(layer, x_t, (h, c))
@@ -357,10 +358,6 @@ def padded_mha(mha, x: Tensor, packing: Packing) -> Tensor:
 
 def padded_san(san, x: Tensor, packing: Packing, rng=None) -> Tensor:
     """`SanEncoder` over a padded (B, N, d) tensor: every op runs on the padding too."""
-    batch, n, d = x.shape
-    if san.use_positional:
-        pos = sinusoidal_positions(n, d).astype(x.dtype)
-        x = add(x, constant(np.broadcast_to(pos, x.shape).copy()))
     x = grid_dropout(x, san.dropout_rate, rng, packing)
     for layer in san.layers:
         rate = layer.dropout_rate
@@ -376,21 +373,24 @@ def padded_encode(enc, ids: np.ndarray, mask=None, rng=None, trace=None) -> Tens
     """
     cfg = enc.config
     packing = Packing(np.ones(ids.shape) if mask is None else mask)
-    if cfg.kind == "san":
-        return padded_san(enc.san, enc._embed_seq(ids), packing, rng)
-    emb = grid_dropout(enc._embed_seq(ids), cfg.dropout, rng, packing)
-    h_rnn = tape_scan(enc.rnn, permute(emb, (1, 0, 2)), packing, rng=rng, trace=trace)
-    if cfg.kind in ("lstm", "onlstm"):
-        return h_rnn
-    h_san = padded_san(enc.san, h_rnn, packing, rng)
-    return add(h_rnn, h_san) if cfg.use_short_cut else h_san
+    h = enc._embed_seq(ids)
+    if enc.rnn is None:
+        pos = sinusoidal_positions(ids.shape[1], cfg.d).astype(h.dtype)
+        h = add(h, constant(np.broadcast_to(pos, h.shape).copy()))
+    else:
+        h = grid_dropout(h, cfg.dropout, rng, packing)
+        h = tape_scan(enc.rnn, permute(h, (1, 0, 2)), packing, rng=rng, trace=trace)
+    if enc.san is None:
+        return h
+    h_san = padded_san(enc.san, h, packing, rng)
+    return add(h, h_san) if cfg.use_short_cut else h_san
 
 
 def padded_logits(model, ids: np.ndarray, mask: np.ndarray) -> Tensor:
     """`PairClassifier.forward_joint` at eval, pooling the padded encoder output."""
     seq = padded_encode(model.encoder, ids, mask)
     batch = ids.shape[0]
-    if model.pooling == "last_hidden":
+    if model.queries is None:
         last = np.asarray(mask).sum(axis=1).astype(np.int64) - 1
         pooled = constant(seq.data[np.arange(batch), last])
     else:

@@ -30,7 +30,7 @@ from seqstack.logic import (
     sample_expression,
     truth_vector,
 )
-from seqstack.recurrent import OnLstmParams
+from seqstack.recurrent import LstmParams
 from tape_helpers import cumax, forced_onlstm_step, lstm_cell_step, on_lstm_cell_step
 from test_logic import converse
 from test_recurrent import scalar_onlstm_step
@@ -53,10 +53,10 @@ class TestCriterion1MechanismCorrectness:
         worst_cell = 0.0
         worst_identity = 0.0
         with T.dtype_scope("float64"):
-            params = OnLstmParams(d_in=6, d_hidden=8, chunk=4, rng=rng)
+            params = LstmParams(d_in=6, d_hidden=8, rng=rng, chunk=4)
             for step in range(steps):
                 if step % 200 == 0:
-                    params = OnLstmParams(d_in=6, d_hidden=8, chunk=4, rng=rng)
+                    params = LstmParams(d_in=6, d_hidden=8, rng=rng, chunk=4)
                 x = rng.standard_normal(6)
                 h = rng.standard_normal(8) * 0.5
                 c = rng.standard_normal(8)
@@ -86,7 +86,7 @@ class TestCriterion1MechanismCorrectness:
             h = T.constant(rng.standard_normal((4, 8)))
             c = T.constant(rng.standard_normal((4, 8)))
             forced_h, forced_c = forced_onlstm_step(params, x, (h, c), (ones, ones))
-            plain_h, plain_c = lstm_cell_step(params.base, x, (h, c))
+            plain_h, plain_c = lstm_cell_step(params, x, (h, c))
             saturated_exact = np.array_equal(forced_h.data, plain_h.data) and np.array_equal(
                 forced_c.data, plain_c.data
             )

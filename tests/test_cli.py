@@ -517,11 +517,12 @@ class TestTraceGates:
         assert self.run_trace(workspace, b) == 0
         assert (a / "gates.csv").read_bytes() == (b / "gates.csv").read_bytes()
 
-    def test_requires_an_ordered_gate_stage(self, workspace, tmp_path, capsys):
-        # retrain nothing: build a pure-LSTM checkpoint quickly at tiny size
-        out = tmp_path / "lstmrun"
+    @pytest.mark.parametrize("preset", ["lstm", "san"])
+    def test_requires_an_ordered_gate_stage(self, workspace, tmp_path, capsys, preset):
+        # an encoder without ordered cells: a tiny one-epoch checkpoint
+        out = tmp_path / f"{preset}run"
         code = cli.main(
-            ["train", str(workspace["data"]), "--preset", "lstm", "--tiny",
+            ["train", str(workspace["data"]), "--preset", preset, "--tiny",
              "--epochs", "1", "--out", str(out)]
         )
         assert code == 0

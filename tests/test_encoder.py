@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from seqstack import encoder
 from seqstack import tensor as T
+from seqstack.attention import sinusoidal_positions
 from seqstack.encoder import Encoder, EncoderConfig
 from seqstack.errors import ConfigError, DataError
 from seqstack.gradcheck import finite_difference_check
@@ -117,10 +119,11 @@ class TestFactoryWiring:
         enc = build("san")
         ids = token_ids(rng)
         got = encode(enc, ids)
-        emb, packing = pack(T.scale(T.gather_rows(enc.embedding, ids), np.sqrt(8.0)).data)
-        manual = unpack(enc.san(emb, packing), packing)
+        emb = T.scale(T.gather_rows(enc.embedding, ids), np.sqrt(8.0)).data
+        rows, packing = pack(emb + sinusoidal_positions(ids.shape[1], 8))
+        manual = unpack(enc.san(rows, packing), packing)
         np.testing.assert_allclose(got, manual, atol=0)
-        assert enc.rnn is None and enc.san.use_positional
+        assert enc.rnn is None
 
     def test_recurrent_kind_returns_the_cell_states(self, rng):
         ids = token_ids(rng)
@@ -145,7 +148,6 @@ class TestFactoryWiring:
         ids = token_ids(rng)
         out = encode(enc, ids)
         h_rnn, h_san = stacks(enc, ids)
-        assert not enc.san.use_positional
         np.testing.assert_allclose(out, h_rnn + h_san, atol=0)
 
     def test_dropout_stream_matches_time_major_draws(self, rng):
@@ -198,6 +200,20 @@ class TestFactoryWiring:
         a = build("hybrid", seed=9)(ids)
         b = build("hybrid", seed=9)(ids)
         assert np.array_equal(a.data, b.data)
+
+    @pytest.mark.parametrize("kind", ["san", "lstm", "onlstm", "hybrid"])
+    def test_positions_added_exactly_without_a_recurrent_stack(self, kind, monkeypatch):
+        made = []
+
+        def spy_constant(data):
+            made.append(np.shape(data))
+            return T.constant(data)
+
+        monkeypatch.setattr(encoder, "constant", spy_constant)
+        mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]], dtype=float)
+        build(kind)(np.ones(mask.shape, dtype=np.int64), T.Packing(mask))
+        # one position row per real token, added to the packed rows
+        assert made == ([(8, 8)] if kind == "san" else [])
 
     def test_zero_length_rejected(self):
         enc = build("san")

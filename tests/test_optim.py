@@ -30,7 +30,7 @@ class TestAdam:
         grads = rng.standard_normal(10)
         T.set_default_dtype("float64")
         p = T.parameter(np.array([0.7]))
-        opt = Adam({"p": p}, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
+        opt = Adam({"p": p}, lr=0.01)
         for g in grads:
             p.grad = np.array([g])
             opt.step()
@@ -77,8 +77,6 @@ class TestAdam:
             Adam({"p": p}, lr=-0.1)
         with pytest.raises(ConfigError):
             Adam({"p": p}, lr=float("nan"))
-        with pytest.raises(ConfigError):
-            Adam({"p": p}, beta1=1.0)
 
     def test_zero_learning_rate_is_a_valid_no_op(self):
         p = T.parameter(np.array([1.0, -2.0]))

@@ -155,8 +155,11 @@ class TestPooling:
         assert np.abs(model.queries.grad).max() > 0
 
     def test_default_pooling_follows_kind(self):
-        assert P.PairClassifier(tiny_config("onlstm")).pooling == "last_hidden"
-        assert P.PairClassifier(tiny_config("hybrid")).pooling == "trainable_queries"
+        # trainable queries exactly when an attention stack ends the encoder
+        for kind in ("lstm", "onlstm", "san", "hybrid"):
+            model = P.PairClassifier(tiny_config(kind))
+            assert (model.queries is not None) == (model.encoder.san is not None) == (kind in ("san", "hybrid"))
+            assert ("pooling.queries" in model.parameters()) == (model.queries is not None)
 
 
 class TestClassifierHead:
@@ -428,7 +431,7 @@ class TestEvaluation:
         pairs = pairs_with_ops(14, 4, max_ops=8)
         ex = P.prepare_examples(pairs)
         stub = _OracleStub(ex)
-        report = P.evaluate_by_length(stub, ex)
+        report = P.evaluate_by_length(stub, ex, P.LENGTH_BINS, 6)
         assert report.bins, "expected populated bins"
         for stats in report.bins.values():
             assert stats.accuracy == 1.0
@@ -443,7 +446,7 @@ class TestEvaluation:
     def test_majority_column_matches_independent_histogram(self):
         pairs = pairs_with_ops(16, 6, max_ops=8)
         ex = P.prepare_examples(pairs)
-        report = P.evaluate_by_length(_RandomStub(5), ex)
+        report = P.evaluate_by_length(_RandomStub(5), ex, P.LENGTH_BINS, 6)
         for b, stats in report.bins.items():
             labels = [e.label for e in ex if e.op_count == b]
             top = Counter(labels).most_common(1)[0][1]
@@ -453,7 +456,7 @@ class TestEvaluation:
     def test_empty_bins_and_aggregates_are_absent(self):
         pairs = [p for p in pairs_with_ops(17, 3, max_ops=3)]
         ex = P.prepare_examples(pairs)
-        report = P.evaluate_by_length(_OracleStub(ex), ex)
+        report = P.evaluate_by_length(_OracleStub(ex), ex, P.LENGTH_BINS, 6)
         assert set(report.bins) <= {1, 2, 3}
         assert "ge7" not in report.aggregates
         assert "le6" in report.aggregates
@@ -461,7 +464,7 @@ class TestEvaluation:
     def test_aggregates_split_at_boundary(self):
         pairs = pairs_with_ops(18, 5, max_ops=8)
         ex = P.prepare_examples(pairs)
-        report = P.evaluate_by_length(_OracleStub(ex), ex)
+        report = P.evaluate_by_length(_OracleStub(ex), ex, P.LENGTH_BINS, 6)
         n_low = sum(1 for e in ex if e.op_count <= 6)
         n_high = sum(1 for e in ex if e.op_count >= 7)
         assert report.aggregates["le6"].n == n_low
@@ -509,13 +512,13 @@ class TestEvaluation:
         # perfbench's tracer wraps `evaluate` to time train()'s dev pass alone.
         ex = P.prepare_examples(pairs_with_ops(23, 2, max_ops=3))
         monkeypatch.setattr(P, "evaluate", None)
-        assert P.evaluate_by_length(_OracleStub(ex), ex).aggregates["le6"].accuracy == 1.0
+        assert P.evaluate_by_length(_OracleStub(ex), ex, P.LENGTH_BINS, 6).aggregates["le6"].accuracy == 1.0
 
     def test_empty_evaluation_is_an_error(self):
         with pytest.raises(DataError, match="no examples"):
             P.evaluate(_RandomStub(0), [])
         with pytest.raises(DataError, match="no examples"):
-            P.evaluate_by_length(_RandomStub(0), [])
+            P.evaluate_by_length(_RandomStub(0), [], P.LENGTH_BINS, 6)
 
 
 class TestConfigAndCsv:
@@ -542,7 +545,7 @@ class TestConfigAndCsv:
         pairs = pairs_with_ops(19, 3, max_ops=8)
         model = P.PairClassifier(tiny_config("lstm", epochs=2))
         metrics = P.train(model, pairs, pairs[:10])
-        metrics.test = P.evaluate_by_length(model, pairs)
+        metrics.test = P.evaluate_by_length(model, pairs, P.LENGTH_BINS, 6)
         out = tmp_path / "metrics.csv"
         with open(out, "w") as fh:
             P.write_metrics_csv(metrics, fh)
@@ -557,7 +560,7 @@ class TestConfigAndCsv:
     def test_length_csv_layout(self):
         pairs = pairs_with_ops(20, 3, max_ops=8)
         ex = P.prepare_examples(pairs)
-        report = P.evaluate_by_length(_OracleStub(ex), ex)
+        report = P.evaluate_by_length(_OracleStub(ex), ex, P.LENGTH_BINS, 6)
         import io
 
         buf = io.StringIO()

@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from seqstack import tensor as T
-from seqstack.errors import ConfigError, DataError, ShapeError
+from seqstack.errors import DataError, ShapeError
 from seqstack.gradcheck import finite_difference_check
 import seqstack.recurrent as recurrent
-from seqstack.recurrent import LstmParams, OnLstmParams, RecurrentEncoder
+from seqstack.recurrent import LstmParams, RecurrentEncoder
 from seqstack.rng import SeedStreams
 
 from tape_helpers import (
@@ -85,7 +85,7 @@ def scalar_softmax_cumsum(logits):
 
 
 def scalar_master_gates(params, x, h):
-    m = params.master_dim
+    m = params.d_hidden // params.chunk
     z = scalar_affine(
         x,
         h,
@@ -101,7 +101,7 @@ def scalar_master_gates(params, x, h):
 
 def scalar_onlstm_step(params, x, h, c, masters=None):
     """Ordered update returning all intermediate gate values for inspection."""
-    f, i, o, g = scalar_standard_gates(params.base, x, h)
+    f, i, o, g = scalar_standard_gates(params, x, h)
     ft, it = scalar_master_gates(params, x, h) if masters is None else masters
     dh = len(c)
     w = [ft[j] * it[j] for j in range(dh)]
@@ -196,7 +196,7 @@ class TestLstmCell:
 class TestMasterGates:
     def test_single_chunk_gates_are_constant_vectors(self):
         rng = np.random.default_rng(3)
-        params = OnLstmParams(3, 6, chunk=6, rng=rng)
+        params = LstmParams(3, 6, rng, chunk=6)
         x, h = make_inputs(rng, 2, [3, 6])
         ft, it = master_gates(params, x, h)
         np.testing.assert_allclose(ft.data, 1.0, atol=1e-6)
@@ -204,7 +204,7 @@ class TestMasterGates:
 
     def test_forced_one_hot_logits_give_step_profiles(self):
         rng = np.random.default_rng(4)
-        params = OnLstmParams(4, 8, chunk=2, rng=rng)
+        params = LstmParams(4, 8, rng, chunk=2)
         params.w_x_master.data[...] = 0.0
         params.w_h_master.data[...] = 0.0
         params.bias_master.data[...] = -50.0
@@ -217,7 +217,7 @@ class TestMasterGates:
 
     def test_monotone_at_chunk_granularity_sweep(self):
         rng = np.random.default_rng(11)
-        params = OnLstmParams(3, 8, chunk=2, rng=rng)
+        params = LstmParams(3, 8, rng, chunk=2)
         for _ in range(1000):
             x, h = make_inputs(rng, 1, [3, 8])
             ft, it = master_gates(params, x, h)
@@ -229,33 +229,29 @@ class TestMasterGates:
     def test_matches_scalar_reference(self):
         with T.dtype_scope("float64"):
             rng = np.random.default_rng(12)
-            params = OnLstmParams(3, 6, chunk=3, rng=rng)
+            params = LstmParams(3, 6, rng, chunk=3)
             x, h = make_inputs(rng, 1, [3, 6])
             ft, it = master_gates(params, x, h)
             ref_f, ref_i = scalar_master_gates(params, x.data[0].tolist(), h.data[0].tolist())
             np.testing.assert_allclose(ft.data[0], ref_f, atol=1e-6)
             np.testing.assert_allclose(it.data[0], ref_i, atol=1e-6)
 
-    def test_chunk_must_divide_hidden(self):
-        with pytest.raises(ConfigError):
-            OnLstmParams(3, 8, chunk=3, rng=np.random.default_rng(0))
-
 
 class TestOnLstmCell:
     def test_forced_all_ones_masters_reproduce_plain_cell_bitwise(self):
         rng = np.random.default_rng(21)
-        params = OnLstmParams(5, 8, chunk=2, rng=rng)
+        params = LstmParams(5, 8, rng, chunk=2)
         x, h, c = make_inputs(rng, 3, [5, 8, 8])
         ones = T.constant(np.ones((3, 8), np.float32))
         got_h, got_c = forced_onlstm_step(params, x, (h, c), (ones, ones))
-        ref_h, ref_c = lstm_cell_step(params.base, x, (h, c))
+        ref_h, ref_c = lstm_cell_step(params, x, (h, c))
         assert np.array_equal(got_h.data, ref_h.data)
         assert np.array_equal(got_c.data, ref_c.data)
 
     def test_zero_overlap_passes_masters_through_exactly(self):
         with T.dtype_scope("float64"):
             rng = np.random.default_rng(22)
-            params = OnLstmParams(4, 6, chunk=2, rng=rng)
+            params = LstmParams(4, 6, rng, chunk=2)
             x, h, c = make_inputs(rng, 1, [4, 6, 6])
             ft = np.array([[1.0, 1.0, 1.0, 0.0, 0.0, 0.0]])
             it = np.array([[0.0, 0.0, 0.0, 1.0, 1.0, 1.0]])
@@ -275,7 +271,7 @@ class TestOnLstmCell:
         with T.dtype_scope("float64"):
             rng = np.random.default_rng(23)
             for _ in range(20):
-                params = OnLstmParams(4 , 8, chunk=2, rng=rng)
+                params = LstmParams(4, 8, rng, chunk=2)
                 x, h, c = make_inputs(rng, 1, [4, 8, 8])
                 got_h, got_c = on_lstm_cell_step(params, x, (h, c))
                 ref = scalar_onlstm_step(
@@ -288,7 +284,7 @@ class TestOnLstmCell:
         rng = np.random.default_rng(24)
         with T.dtype_scope("float64"):
             for _ in range(200):
-                params = OnLstmParams(3, 6, chunk=2, rng=rng)
+                params = LstmParams(3, 6, rng, chunk=2)
                 x, h, c = make_inputs(rng, 1, [3, 6, 6])
                 got_h, got_c = on_lstm_cell_step(params, x, (h, c))
                 ref = scalar_onlstm_step(
@@ -307,7 +303,7 @@ class TestRecurrentEncoder:
     def _encoder(self, kind="onlstm", layers=1, d=6, chunk=2, seed=0, **kw):
         streams = SeedStreams(seed)
         return RecurrentEncoder(
-            kind, layers, d, d, streams.stream("init", "rnn"), chunk=chunk, **kw
+            layers, d, d, streams.stream("init", "rnn"), chunk=chunk if kind == "onlstm" else None, **kw
         )
 
     def test_single_layer_single_step_reduces_to_cell(self):
@@ -423,8 +419,8 @@ class TestFusedScanMatchesTapeOracle:
         results = []
         with T.dtype_scope(dtype):
             enc = RecurrentEncoder(
-                kind, layers, d, d, SeedStreams(3).stream("init", "rnn"),
-                chunk=chunk, dropout_rate=0.2,
+                layers, d, d, SeedStreams(3).stream("init", "rnn"),
+                chunk=chunk if kind == "onlstm" else None, dropout_rate=0.2,
             )
             rng = np.random.default_rng(41)
             real = np.arange(n)[:, None] < np.array(self.LENGTHS)[None, :]
