@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .tensor import (
+    Module,
     Packing,
     Tensor,
     add,
@@ -23,11 +24,13 @@ from .tensor import (
     linear,
     matmul,
     pack_rows,
+    parameter,
     permute,
     relu,
     reshape,
     scale,
     softmax_rows,
+    uniform_parameter,
     unpack_rows,
 )
 
@@ -66,14 +69,11 @@ def scaled_dot_attention(
 
 
 def _affine_params(d_in: int, d_out: int, rng: np.random.Generator):
-    dt = default_dtype()
-    s = 1.0 / np.sqrt(d_in)
-    w = Tensor(rng.uniform(-s, s, (d_in, d_out)).astype(dt), requires_grad=True)
-    b = Tensor(np.zeros(d_out, dtype=dt), requires_grad=True)
-    return w, b
+    w = uniform_parameter(rng, 1.0 / np.sqrt(d_in), d_in, d_out)
+    return w, parameter(np.zeros(d_out, dtype=default_dtype()))
 
 
-class MultiHeadAttention:
+class MultiHeadAttention(Module):
     """Heads attend independently on projected slices, then re-project jointly.
 
     Head j reads columns [j*d_k, (j+1)*d_k) of the query/key/value projections,
@@ -90,14 +90,6 @@ class MultiHeadAttention:
         self.w_k, _ = _affine_params(d, d, rng)
         self.w_v, self.b_v = _affine_params(d, d, rng)
         self.w_o, self.b_o = _affine_params(d, d, rng)
-
-    def parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        return {
-            f"{prefix}w_q": self.w_q, f"{prefix}b_q": self.b_q,
-            f"{prefix}w_k": self.w_k,
-            f"{prefix}w_v": self.w_v, f"{prefix}b_v": self.b_v,
-            f"{prefix}w_o": self.w_o, f"{prefix}b_o": self.b_o,
-        }
 
     def _split_heads(self, x: Tensor, packing: Packing) -> Tensor:
         """Packed (T, d) rows -> padded (B, H, N, d_head), zero at padding."""
@@ -116,37 +108,28 @@ class MultiHeadAttention:
         return linear(pack_rows(mixed, packing.index), self.w_o, self.b_o)
 
 
-class FeedForward:
+class FeedForward(Module):
     """Position-wise (d -> d_ff -> d) map with a rectifier between."""
 
     def __init__(self, d: int, d_ff: int, rng: np.random.Generator):
         self.w1, self.b1 = _affine_params(d, d_ff, rng)
         self.w2, self.b2 = _affine_params(d_ff, d, rng)
 
-    def parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        return {
-            f"{prefix}w1": self.w1, f"{prefix}b1": self.b1,
-            f"{prefix}w2": self.w2, f"{prefix}b2": self.b2,
-        }
-
     def __call__(self, x: Tensor) -> Tensor:
         return linear(relu(linear(x, self.w1, self.b1)), self.w2, self.b2)
 
 
-class LayerNormParams:
+class LayerNormParams(Module):
     def __init__(self, d: int):
         dt = default_dtype()
-        self.gain = Tensor(np.ones(d, dtype=dt), requires_grad=True)
-        self.bias = Tensor(np.zeros(d, dtype=dt), requires_grad=True)
-
-    def parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        return {f"{prefix}gain": self.gain, f"{prefix}bias": self.bias}
+        self.gain = parameter(np.ones(d, dtype=dt))
+        self.bias = parameter(np.zeros(d, dtype=dt))
 
     def __call__(self, x: Tensor) -> Tensor:
         return layer_norm(x, self.gain, self.bias)
 
 
-class SanLayer:
+class SanLayer(Module):
     """One attention sublayer plus one feed-forward sublayer with residuals."""
 
     def __init__(
@@ -163,20 +146,13 @@ class SanLayer:
         self.ln2 = LayerNormParams(d)
         self.dropout_rate = dropout_rate
 
-    def parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        out = self.mha.parameters(f"{prefix}mha.")
-        out.update(self.ffn.parameters(f"{prefix}ffn."))
-        out.update(self.ln1.parameters(f"{prefix}ln1."))
-        out.update(self.ln2.parameters(f"{prefix}ln2."))
-        return out
-
     def __call__(self, x: Tensor, packing: Packing, rng: np.random.Generator | None = None) -> Tensor:
         """One layer over packed (T, d) rows; dropout draws from `rng` when given."""
         x = add(x, dropout(self.mha(self.ln1(x), packing), self.dropout_rate, rng))
         return add(x, dropout(self.ffn(self.ln2(x)), self.dropout_rate, rng))
 
 
-class SanEncoder:
+class SanEncoder(Module):
     """L stacked self-attention layers over packed (T, d) rows.
 
     Applies input dropout while training (given an rng), and finishes with
@@ -197,13 +173,6 @@ class SanEncoder:
         self.dropout_rate = dropout_rate
         self.layers = [SanLayer(d, heads, d_ff, rng, dropout_rate) for _ in range(layers)]
         self.final = LayerNormParams(d)
-
-    def parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for li, layer in enumerate(self.layers):
-            out.update(layer.parameters(f"{prefix}layer{li}."))
-        out.update(self.final.parameters(f"{prefix}final."))
-        return out
 
     def __call__(self, x: Tensor, packing: Packing, rng: np.random.Generator | None = None) -> Tensor:
         if x.shape != (len(packing.steps), self.d):

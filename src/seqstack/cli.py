@@ -315,7 +315,7 @@ def _gradcheck_config(kind: str, k: int, l: int) -> TrainConfig:
         kind=kind, d=8, heads=2, d_ff=16, chunk=2, recurrent_layers=k,
         attention_layers=l, use_short_cut=kind == "hybrid",
     )
-    return TrainConfig(encoder=enc, classifier_hidden=8, eval_bins=tuple(range(1, 9)))
+    return TrainConfig(encoder=enc, classifier_hidden=8)
 
 
 def cmd_gradcheck(args) -> int:

@@ -20,14 +20,15 @@ from .logic import VOCAB
 from .rng import SeedStreams
 from .recurrent import RecurrentEncoder
 from .tensor import (
+    Module,
     Packing,
     Tensor,
     add,
     constant,
-    default_dtype,
     dropout,
     gather_rows,
     scale,
+    uniform_parameter,
 )
 
 ENCODER_KINDS = ("san", "lstm", "onlstm", "hybrid")
@@ -79,18 +80,14 @@ class EncoderConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
-class Encoder:
+class Encoder(Module):
     """Token ids in, contextual states out, per the configured stack layout."""
 
     def __init__(self, config: EncoderConfig, streams: SeedStreams):
         config.validate()
         self.config = config
-        dt = default_dtype()
-        emb_rng = streams.stream("init", "embedding")
-        s = 1.0 / np.sqrt(config.d)
-        self.embedding = Tensor(
-            emb_rng.uniform(-s, s, (len(VOCAB), config.d)).astype(dt),
-            requires_grad=True,
+        self.embedding = uniform_parameter(
+            streams.stream("init", "embedding"), 1.0 / np.sqrt(config.d), len(VOCAB), config.d
         )
         self.rnn: RecurrentEncoder | None = None
         self.san: SanEncoder | None = None
@@ -112,14 +109,6 @@ class Encoder:
                 streams.stream("init", "san"),
                 dropout_rate=config.dropout,
             )
-
-    def parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        out = {f"{prefix}embedding": self.embedding}
-        if self.rnn is not None:
-            out.update(self.rnn.parameters(f"{prefix}rnn."))
-        if self.san is not None:
-            out.update(self.san.parameters(f"{prefix}san."))
-        return out
 
     def _embed_seq(self, ids: np.ndarray) -> Tensor:
         """Scaled embeddings, shaped like `ids` plus a trailing d."""

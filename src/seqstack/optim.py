@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, NumericsError
+from .errors import NumericsError
 from .tensor import Tensor
 
 
@@ -12,7 +12,8 @@ class Adam:
     """First/second-moment adaptive updates with bias correction.
 
     `params` is a name -> Tensor mapping; moment buffers are kept per name so
-    a checkpoint-restored model can resume with a fresh optimizer.
+    a checkpoint-restored model can resume with a fresh optimizer. `lr` is
+    finite and >= 0 (`TrainConfig.validate` checks it).
     """
 
     beta1 = 0.9
@@ -20,8 +21,6 @@ class Adam:
     eps = 1e-8
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-4):
-        if not (np.isfinite(lr) and lr >= 0):
-            raise ConfigError(f"learning rate must be finite and >= 0, got {lr}")
         self.params = dict(params)
         self.lr = lr
         self.step_count = 0
@@ -51,13 +50,11 @@ class Adam:
 
 
 def clip_global_norm(params: dict[str, Tensor], max_norm: float) -> float:
-    """Rescale all gradients together so their joint L2 norm is at most max_norm.
+    """Rescale all gradients together so their joint L2 norm is at most max_norm > 0.
 
     Returns the pre-clip norm. A non-finite norm aborts instead of silently
     propagating, since every later update would be poisoned.
     """
-    if max_norm <= 0:
-        raise ConfigError(f"max_norm must be positive, got {max_norm}")
     total = 0.0
     for p in params.values():
         if p.grad is not None:

@@ -28,6 +28,7 @@ from .logic import MAX_OPS, VOCAB, serialize
 from .optim import Adam, clip_global_norm
 from .rng import SeedStreams
 from .tensor import (
+    Module,
     Packing,
     Tensor,
     backward,
@@ -42,6 +43,7 @@ from .tensor import (
     relu,
     reshape,
     tape_scope,
+    uniform_parameter,
     unpack_rows,
 )
 
@@ -94,14 +96,11 @@ def pool_trainable_queries(queries: Tensor, seq: Tensor, packing: Packing) -> Te
 
 
 def _affine_init(rng: np.random.Generator, d_in: int, d_out: int, gain: float = 1.0):
-    dt = default_dtype()
-    bound = gain * np.sqrt(3.0) / np.sqrt(d_in)
-    w = parameter(rng.uniform(-bound, bound, size=(d_in, d_out)).astype(dt))
-    b = parameter(np.zeros(d_out, dtype=dt))
-    return w, b
+    w = uniform_parameter(rng, gain * np.sqrt(3.0) / np.sqrt(d_in), d_in, d_out)
+    return w, parameter(np.zeros(d_out, dtype=default_dtype()))
 
 
-class ClassifierHead:
+class ClassifierHead(Module):
     """Three affine layers over the concatenated pair representation [u, v].
 
     The hidden layers are relu with variance-preserving (gain sqrt(2))
@@ -128,13 +127,6 @@ class ClassifierHead:
             w.data -= w.data.mean(axis=0, keepdims=True)
         for b in (self.b1, self.b2):
             b.data[:] = 0.01
-
-    def parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        return {
-            f"{prefix}w1": self.w1, f"{prefix}b1": self.b1,
-            f"{prefix}w2": self.w2, f"{prefix}b2": self.b2,
-            f"{prefix}w3": self.w3, f"{prefix}b3": self.b3,
-        }
 
     def __call__(self, pair: Tensor, rng=None) -> Tensor:
         h = relu(linear(pair, self.w1, self.b1))
@@ -291,10 +283,7 @@ class PairClassifier:
         d = config.encoder.d
         if self.encoder.san is not None:
             rng = streams.stream("init", "pooling")
-            bound = 1.0 / np.sqrt(d)
-            self.queries = parameter(
-                rng.uniform(-bound, bound, size=(N_QUERIES, d)).astype(default_dtype())
-            )
+            self.queries = uniform_parameter(rng, 1.0 / np.sqrt(d), N_QUERIES, d)
             d_sent = N_QUERIES * d
         else:
             self.queries = None
@@ -453,13 +442,12 @@ def _subset_stats(correct: np.ndarray, labels: np.ndarray, members: dict) -> dic
 class EvalResult:
     accuracy: float
     predictions: np.ndarray
-    labels: np.ndarray
 
 
 def evaluate(model: PairClassifier, pairs) -> EvalResult:
     """Accuracy over labeled pairs, in order, without touching gradients."""
     preds, labels = _predict(model, pairs)
-    return EvalResult(float((preds == labels).mean()), preds, labels)
+    return EvalResult(float((preds == labels).mean()), preds)
 
 
 def evaluate_by_length(model: PairClassifier, pairs, bins, boundary: int) -> LengthReport:

@@ -21,10 +21,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import Packing, Tensor, _grad_recording, _record, default_dtype, dropout
+from .tensor import (Module, Packing, Tensor, _grad_recording, _record, default_dtype, dropout,
+                     parameter, uniform_parameter)
 
 
-class LstmParams:
+class LstmParams(Module):
     """Fused input/hidden projections for the four gates, order (f, i, o, candidate).
 
     Given a `chunk`, the cell is ordered: two master-gate heads add
@@ -40,31 +41,16 @@ class LstmParams:
         dt = default_dtype()
         sx = 1.0 / np.sqrt(d_in)
         sh = 1.0 / np.sqrt(d_hidden)
-        self.w_x = Tensor(
-            rng.uniform(-sx, sx, (d_in, 4 * d_hidden)).astype(dt), requires_grad=True
-        )
-        self.w_h = Tensor(
-            rng.uniform(-sh, sh, (d_hidden, 4 * d_hidden)).astype(dt),
-            requires_grad=True,
-        )
+        self.w_x = uniform_parameter(rng, sx, d_in, 4 * d_hidden)
+        self.w_h = uniform_parameter(rng, sh, d_hidden, 4 * d_hidden)
         bias = np.zeros(4 * d_hidden, dtype=dt)
         bias[:d_hidden] = 1.0
-        self.bias = Tensor(bias, requires_grad=True)
+        self.bias = parameter(bias)
         if chunk is not None:
             m2 = 2 * (d_hidden // chunk)
-            self.w_x_master = Tensor(
-                rng.uniform(-sx, sx, (d_in, m2)).astype(dt), requires_grad=True
-            )
-            self.w_h_master = Tensor(
-                rng.uniform(-sh, sh, (d_hidden, m2)).astype(dt), requires_grad=True
-            )
-            self.bias_master = Tensor(np.zeros(m2, dtype=dt), requires_grad=True)
-
-    def parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        names = ["w_x", "w_h", "bias"]
-        if self.chunk is not None:
-            names += ["w_x_master", "w_h_master", "bias_master"]
-        return {f"{prefix}{name}": getattr(self, name) for name in names}
+            self.w_x_master = uniform_parameter(rng, sx, d_in, m2)
+            self.w_h_master = uniform_parameter(rng, sh, d_hidden, m2)
+            self.bias_master = parameter(np.zeros(m2, dtype=dt))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -119,7 +105,8 @@ def scan_layer(
     if x.shape != (len(packing.steps), params.d_in):
         raise ShapeError(f"scan input must be ({len(packing.steps)}, {params.d_in}) packed rows, got {x.shape}")
     dh = params.d_hidden
-    # parameters() lists (input weight, hidden weight, bias) per block: the four gates, then the master heads
+    # LstmParams assigns (input weight, hidden weight, bias) per block, the four
+    # gates and then the master heads, so parameters() lists them in that order
     leaves = list(params.parameters().values())
     m = dh // chunk if on else 0
     w_x, w_h, bias = (np.concatenate([p.data for p in leaves[k::3]], axis=-1) for k in range(3))
@@ -201,7 +188,7 @@ def scan_layer(
     return _record("scan_layer", inputs, out, back)
 
 
-class RecurrentEncoder:
+class RecurrentEncoder(Module):
     """K stacked unidirectional cells scanning left to right.
 
     Input and output are packed rows (see `tensor.Packing`): (T, d_in) in,
@@ -228,12 +215,6 @@ class RecurrentEncoder:
         self.layers = [
             LstmParams(d_in if li == 0 else d_hidden, d_hidden, rng, chunk) for li in range(layers)
         ]
-
-    def parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for li, layer in enumerate(self.layers):
-            out.update(layer.parameters(f"{prefix}layer{li}."))
-        return out
 
     def __call__(
         self,

@@ -112,8 +112,39 @@ def parameter(data) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
+def uniform_parameter(rng: np.random.Generator, bound: float, *shape: int) -> Tensor:
+    """A parameter of `shape` drawn from U(-bound, bound), in the build's dtype."""
+    return parameter(rng.uniform(-bound, bound, shape).astype(_default_dtype))
+
+
 def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
+
+
+class Module:
+    """A model part whose parameters are its attributes.
+
+    `parameters` walks `vars(self)` in assignment order: a tensor that
+    requires a gradient is a parameter named after its attribute, a Module
+    attribute adds its own parameters under `name.`, and a list of Modules
+    adds item i's under `layer{i}.`. So the names, which are checkpoint
+    keys, and the order, which is the order of the clip-norm sum, both
+    follow from how a constructor assigns its attributes.
+    """
+
+    def parameters(self, prefix: str = "") -> dict[str, Tensor]:
+        out: dict[str, Tensor] = {}
+        for name, value in vars(self).items():
+            if isinstance(value, Tensor):
+                if value.requires_grad:
+                    out[prefix + name] = value
+            elif isinstance(value, Module):
+                out.update(value.parameters(f"{prefix}{name}."))
+            elif isinstance(value, list):
+                for i, item in enumerate(value):
+                    if isinstance(item, Module):
+                        out.update(item.parameters(f"{prefix}layer{i}."))
+        return out
 
 
 class TapeEntry:
@@ -174,6 +205,10 @@ def _grad_recording(inputs: tuple) -> bool:
 
 
 def _record(op: str, inputs: tuple, out_data: np.ndarray, backward: Callable) -> Tensor:
+    """Wrap `out_data`; record the op only if an input requires a gradient.
+
+    So a single-input op's backward runs only when its input requires one.
+    """
     out = Tensor(out_data)
     if _grad_recording(inputs):
         out.requires_grad = True
@@ -275,7 +310,7 @@ def permute(x: Tensor, axes: Sequence[int]) -> Tensor:
     inverse = tuple(np.argsort(axes))
 
     def back(g):
-        return [(x, g.transpose(inverse))] if x.requires_grad else []
+        return [(x, g.transpose(inverse))]
 
     return _record("permute", (x,), x.data.transpose(axes), back)
 
@@ -284,7 +319,7 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     original = x.shape
 
     def back(g):
-        return [(x, g.reshape(original))] if x.requires_grad else []
+        return [(x, g.reshape(original))]
 
     return _record("reshape", (x,), x.data.reshape(tuple(shape)), back)
 
@@ -347,8 +382,6 @@ def pack_rows(x: Tensor, index: np.ndarray) -> Tensor:
     rows = x.data.reshape(-1, d)
 
     def back(g):
-        if not x.requires_grad:
-            return []
         full = np.zeros_like(rows)
         full[index] = g
         return [(x, full.reshape(x.shape))]
@@ -369,7 +402,7 @@ def unpack_rows(x: Tensor, packing: Packing) -> Tensor:
     out[index] = x.data
 
     def back(g):
-        return [(x, g.reshape(-1, d)[index])] if x.requires_grad else []
+        return [(x, g.reshape(-1, d)[index])]
 
     return _record("unpack_rows", (x,), out.reshape(packing.shape + (d,)), back)
 
@@ -399,7 +432,7 @@ def scale(x: Tensor, factor: float) -> Tensor:
     factor = float(factor)
 
     def back(g):
-        return [(x, g * factor)] if x.requires_grad else []
+        return [(x, g * factor)]
 
     return _record("scale", (x,), x.data * factor, back)
 
@@ -408,7 +441,7 @@ def relu(x: Tensor) -> Tensor:
     out = np.maximum(x.data, 0.0)
 
     def back(g):
-        return [(x, g * (x.data > 0))] if x.requires_grad else []
+        return [(x, g * (x.data > 0))]
 
     return _record("relu", (x,), out, back)
 
@@ -432,8 +465,6 @@ def softmax_rows(x: Tensor, bias: np.ndarray | None = None) -> Tensor:
     out = e / e.sum(axis=-1, keepdims=True)
 
     def back(g):
-        if not x.requires_grad:
-            return []
         inner = (g * out).sum(axis=-1, keepdims=True)
         return [(x, out * (g - inner))]
 
@@ -450,8 +481,6 @@ def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
     out = table.data[ids]
 
     def back(g):
-        if not table.requires_grad:
-            return []
         full = np.zeros_like(table.data)
         if ids.size:
             # A stable sort groups each id's rows in order of occurrence, and
@@ -517,7 +546,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     mask = (rng.random(x.shape) >= rate).astype(x.data.dtype) / (1.0 - rate)
 
     def back(g):
-        return [(x, g * mask)] if x.requires_grad else []
+        return [(x, g * mask)]
 
     return _record("dropout", (x,), x.data * mask, back)
 
@@ -540,8 +569,6 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     out = np.asarray((lse - picked).mean(), dtype=logits.data.dtype)
 
     def back(g):
-        if not logits.requires_grad:
-            return []
         probs = np.exp(shifted)
         probs /= probs.sum(axis=-1, keepdims=True)
         probs[np.arange(b), labels] -= 1.0

@@ -7,6 +7,7 @@ apart from the deliberate two-epoch training runs.
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -21,6 +22,7 @@ import seqstack.pipeline as P
 import seqstack.recurrent as recurrent
 import seqstack.tensor as T
 from seqstack.checkpoint import load_checkpoint, save_checkpoint
+from seqstack.errors import ConfigError
 from seqstack.logic import load_dataset, operator_count
 
 
@@ -205,6 +207,22 @@ class TestTrain:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("config error:") and key in err
+
+    @pytest.mark.parametrize("lr", [-0.1, float("nan")], ids=["negative", "nan"])
+    def test_bad_learning_rate_is_usage_error(self, workspace, tmp_path, capsys, lr):
+        # TrainConfig.validate is the one check of the rate Adam is built with
+        with pytest.raises(ConfigError, match="lr must be finite"):
+            dataclasses.replace(resolve("lstm"), lr=lr).validate()
+        cfg_path = tmp_path / "lr.json"
+        cfg_path.write_text(json.dumps({"lr": lr}))
+        out = tmp_path / "x"
+        code = cli.main(
+            ["train", str(workspace["data"]), "--preset", "lstm",
+             "--config", str(cfg_path), "--out", str(out)]
+        )
+        assert code == 1
+        assert "lr must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_retired_encoder_key_at_other_value_is_usage_error(
         self, workspace, tmp_path, capsys

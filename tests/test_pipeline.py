@@ -162,6 +162,36 @@ class TestPooling:
             assert ("pooling.queries" in model.parameters()) == (model.queries is not None)
 
 
+_CELL = ("w_x", "w_h", "bias")
+_MASTER = ("w_x_master", "w_h_master", "bias_master")
+_SAN_LAYER = ("mha.w_q", "mha.b_q", "mha.w_k", "mha.w_v", "mha.b_v", "mha.w_o", "mha.b_o",
+              "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2", "ln1.gain", "ln1.bias", "ln2.gain", "ln2.bias")
+_HEAD = ("head.w1", "head.b1", "head.w2", "head.b2", "head.w3", "head.b3")
+
+
+def _rnn_names(layers, cell):
+    return [f"encoder.rnn.layer{i}.{n}" for i in range(layers) for n in cell]
+
+
+def _san_names(layers):
+    return ([f"encoder.san.layer{i}.{n}" for i in range(layers) for n in _SAN_LAYER]
+            + ["encoder.san.final.gain", "encoder.san.final.bias", "pooling.queries"])
+
+
+class TestParameterOrder:
+    # The order of parameters() is the order of the clip-norm sum and of the
+    # optimizer's moments, and the names are the checkpoint's keys.
+    @pytest.mark.parametrize("kind, names", [
+        ("lstm", ["encoder.embedding", *_rnn_names(2, _CELL), *_HEAD]),
+        ("onlstm", ["encoder.embedding", *_rnn_names(2, _CELL + _MASTER), *_HEAD]),
+        ("san", ["encoder.embedding", *_san_names(2), *_HEAD]),
+        ("hybrid", ["encoder.embedding", *_rnn_names(1, _CELL + _MASTER), *_san_names(1), *_HEAD]),
+    ])
+    def test_names_in_declaration_order(self, kind, names):
+        assert list(P.PairClassifier(tiny_config(kind)).parameters()) == names
+        assert len(names) == {"lstm": 13, "onlstm": 19, "san": 40, "hybrid": 31}[kind]
+
+
 class TestClassifierHead:
     def test_zero_weights_give_constant_bias_logits(self, rng):
         head = P.ClassifierHead(12, 16, 0.0, rng)
