@@ -3,7 +3,11 @@
 The committed fixture is frozen. Training has changed since it was made
 (the u - v head init, the fused recurrent scan), so a re-run trains a
 different model and rewrites all four files (test.tsv comes out the same,
-the other three differ). Re-run it from the repository root only when the
+the other three differ). Its model.ckpt was later migrated in place, not
+retrained, when the layer norms became gain-only and the value projection
+lost its bias: each dropped bias was folded in float64 into the bias that
+spans it, and the retired config keys were dropped; bins.csv and logits.txt
+were kept. Re-run this script from the repository root only when the
 checkpoint format changes on purpose, and commit the four files together:
 
     python3 scripts/make_golden.py

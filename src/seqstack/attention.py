@@ -78,8 +78,11 @@ class MultiHeadAttention(Module):
 
     Head j reads columns [j*d_k, (j+1)*d_k) of the query/key/value projections,
     so the fused (d, d) matrices are exactly per-head projections side by side.
-    The key projection carries no bias: a shared key offset shifts every score
-    in a row equally and cancels in the softmax, so it could never train.
+    The key and value projections carry no bias. A shared key offset shifts
+    every score in a row equally and cancels in the softmax, so it could never
+    train. Each row's attention weights sum to 1 (padded keys weigh exactly 0),
+    so a value offset c passes through attention unchanged and reaches the
+    output as c W_o, which the output bias already spans.
     """
 
     def __init__(self, d: int, heads: int, rng: np.random.Generator):
@@ -88,7 +91,7 @@ class MultiHeadAttention(Module):
         self.d_head = d // heads
         self.w_q, self.b_q = _affine_params(d, d, rng)
         self.w_k, _ = _affine_params(d, d, rng)
-        self.w_v, self.b_v = _affine_params(d, d, rng)
+        self.w_v, _ = _affine_params(d, d, rng)
         self.w_o, self.b_o = _affine_params(d, d, rng)
 
     def _split_heads(self, x: Tensor, packing: Packing) -> Tensor:
@@ -102,7 +105,7 @@ class MultiHeadAttention(Module):
         broadcast over the heads and the query rows."""
         q = self._split_heads(linear(x, self.w_q, self.b_q), packing)
         k = self._split_heads(linear(x, self.w_k), packing)
-        v = self._split_heads(linear(x, self.w_v, self.b_v), packing)
+        v = self._split_heads(linear(x, self.w_v), packing)
         mixed = scaled_dot_attention(q, k, v, packing.key_bias(x.dtype)[:, None])
         mixed = reshape(permute(mixed, (0, 2, 1, 3)), packing.shape + (self.d,))
         return linear(pack_rows(mixed, packing.index), self.w_o, self.b_o)
@@ -119,16 +122,6 @@ class FeedForward(Module):
         return linear(relu(linear(x, self.w1, self.b1)), self.w2, self.b2)
 
 
-class LayerNormParams(Module):
-    def __init__(self, d: int):
-        dt = default_dtype()
-        self.gain = parameter(np.ones(d, dtype=dt))
-        self.bias = parameter(np.zeros(d, dtype=dt))
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.gain, self.bias)
-
-
 class SanLayer(Module):
     """One attention sublayer plus one feed-forward sublayer with residuals."""
 
@@ -142,14 +135,14 @@ class SanLayer(Module):
     ):
         self.mha = MultiHeadAttention(d, heads, rng)
         self.ffn = FeedForward(d, d_ff, rng)
-        self.ln1 = LayerNormParams(d)
-        self.ln2 = LayerNormParams(d)
+        self.ln1 = parameter(np.ones(d, dtype=default_dtype()))
+        self.ln2 = parameter(np.ones(d, dtype=default_dtype()))
         self.dropout_rate = dropout_rate
 
     def __call__(self, x: Tensor, packing: Packing, rng: np.random.Generator | None = None) -> Tensor:
         """One layer over packed (T, d) rows; dropout draws from `rng` when given."""
-        x = add(x, dropout(self.mha(self.ln1(x), packing), self.dropout_rate, rng))
-        return add(x, dropout(self.ffn(self.ln2(x)), self.dropout_rate, rng))
+        x = add(x, dropout(self.mha(layer_norm(x, self.ln1), packing), self.dropout_rate, rng))
+        return add(x, dropout(self.ffn(layer_norm(x, self.ln2)), self.dropout_rate, rng))
 
 
 class SanEncoder(Module):
@@ -157,7 +150,13 @@ class SanEncoder(Module):
 
     Applies input dropout while training (given an rng), and finishes with
     a layer norm (the pre-norm residual stream is otherwise never
-    normalized).
+    normalized). Every layer norm is gain-only, because a bias c would be
+    spanned by another bias. A pre-norm output feeds only its sublayer: c
+    reaches attention as c W_q (the query bias spans it), a per-row key
+    offset and c W_v (see `MultiHeadAttention`), and the feed-forward as
+    c W1 (its first bias). After the final norm, trainable-query pooling
+    shifts every key's score by the same q.c, so it returns pooled + c, a
+    constant that the classifier head's first bias spans.
     """
 
     def __init__(
@@ -172,7 +171,7 @@ class SanEncoder(Module):
         self.d = d
         self.dropout_rate = dropout_rate
         self.layers = [SanLayer(d, heads, d_ff, rng, dropout_rate) for _ in range(layers)]
-        self.final = LayerNormParams(d)
+        self.final = parameter(np.ones(d, dtype=default_dtype()))
 
     def __call__(self, x: Tensor, packing: Packing, rng: np.random.Generator | None = None) -> Tensor:
         if x.shape != (len(packing.steps), self.d):
@@ -180,4 +179,4 @@ class SanEncoder(Module):
         x = dropout(x, self.dropout_rate, rng)
         for layer in self.layers:
             x = layer(x, packing, rng)
-        return self.final(x)
+        return layer_norm(x, self.final)

@@ -185,13 +185,11 @@ class TrainConfig:
         enc_raw = data.pop("encoder", None)
         if enc_raw is None:
             raise ConfigError("train config is missing the 'encoder' section")
-        retired = _pop_retired(data, "train")
         _check_fields(cls, data, "train")
         if "eval_bins" in data:
             data["eval_bins"] = tuple(data["eval_bins"])
         cfg = cls(encoder=encoder_config_from_dict(enc_raw), **data)
         cfg.validate()
-        _check_retired(retired, cfg, "train")
         return cfg
 
 
@@ -219,52 +217,15 @@ def _check_fields(cls, raw: dict, section: str) -> None:
             raise ConfigError(f"{section} config key {name!r} must be {fields[name]}, got {value!r}")
 
 
-# Removed fields: ablation switches that no experiment used, and knobs that
-# every experiment set one way. Configs and checkpoints written before their
-# removal store each one; it is accepted only with its old type and at the
-# value the code implements, given the rest of its config section.
-_RETIRED_KEYS = {
-    "encoder": {
-        "reverse_cascade": ("bool", lambda enc: False),
-        "inter_layer_residual": ("bool", lambda enc: True),
-        "post_norm": ("bool", lambda enc: False),
-        "reversed_input_gate": ("bool", lambda enc: False),
-        "use_positional": ("bool", lambda enc: enc.recurrent_layers == 0),
-        "vocab_size": ("int", lambda enc: len(VOCAB)),
-    },
-    "train": {
-        "dropout": ("float", lambda cfg: cfg.encoder.dropout),
-        "clip_norm": ("float", lambda cfg: CLIP_NORM),
-    },
-}
-
-
-def _pop_retired(raw: dict, section: str) -> dict:
-    return {key: raw.pop(key) for key in _RETIRED_KEYS[section] if key in raw}
-
-
-def _check_retired(retired: dict, cfg, section: str) -> None:
-    for key, value in retired.items():
-        annotation, implemented = _RETIRED_KEYS[section][key]
-        kept = implemented(cfg)
-        if not _type_ok(value, annotation) or value != kept:
-            raise ConfigError(
-                f"{section} config key {key!r} is retired; only {str(kept).lower()} is accepted"
-            )
-
-
 def encoder_config_from_dict(raw: dict) -> EncoderConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"encoder config must be an object, got {type(raw).__name__}")
-    raw = dict(raw)
-    retired = _pop_retired(raw, "encoder")
     _check_fields(EncoderConfig, raw, "encoder")
     try:
         cfg = EncoderConfig(**raw)
     except TypeError as exc:
         raise ConfigError(f"bad encoder config: {exc}") from exc
     cfg.validate()
-    _check_retired(retired, cfg, "encoder")
     return cfg
 
 

@@ -499,18 +499,16 @@ def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
     return _record("gather_rows", (table,), out, back)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize each last-dim slice to zero mean / unit variance, then affine."""
+def layer_norm(x: Tensor, gain: Tensor) -> Tensor:
+    """Normalize each last-dim slice to zero mean / unit variance, then scale."""
     d = x.shape[-1]
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeError(
-            f"layer_norm: gain/bias {gain.shape}/{bias.shape} do not match last dim {d}"
-        )
+    if gain.shape != (d,):
+        raise ShapeError(f"layer_norm: gain {gain.shape} does not match last dim {d}")
     xc = x.data - x.data.mean(axis=-1, keepdims=True)
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
-    out = xhat * gain.data + bias.data
+    out = xhat * gain.data
 
     def back(g):
         contribs = []
@@ -524,11 +522,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             contribs.append((x, dx))
         if gain.requires_grad:
             contribs.append((gain, (g * xhat).reshape(-1, d).sum(axis=0)))
-        if bias.requires_grad:
-            contribs.append((bias, g.reshape(-1, d).sum(axis=0)))
         return contribs
 
-    return _record("layer_norm", (x, gain, bias), out, back)
+    return _record("layer_norm", (x, gain), out, back)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:

@@ -31,8 +31,8 @@ from seqstack.attention import scaled_dot_attention, sinusoidal_positions
 from seqstack.errors import ShapeError
 from seqstack.recurrent import LstmParams
 from seqstack.tensor import (
-    Packing, Tensor, _record, add, constant, linear, matmul, permute, reshape, softmax_rows,
-    unpack_rows,
+    Packing, Tensor, _record, add, constant, layer_norm, linear, matmul, permute, reshape,
+    softmax_rows, unpack_rows,
 )
 
 
@@ -352,7 +352,7 @@ def padded_mha(mha, x: Tensor, packing: Packing) -> Tensor:
         return permute(reshape(y, (batch, n, mha.heads, mha.d_head)), (0, 2, 1, 3))
 
     mixed = scaled_dot_attention(split(linear(x, mha.w_q, mha.b_q)), split(linear(x, mha.w_k)),
-                                 split(linear(x, mha.w_v, mha.b_v)), packing.key_bias(x.dtype)[:, None])
+                                 split(linear(x, mha.w_v)), packing.key_bias(x.dtype)[:, None])
     return linear(reshape(permute(mixed, (0, 2, 1, 3)), (batch, n, mha.d)), mha.w_o, mha.b_o)
 
 
@@ -361,9 +361,9 @@ def padded_san(san, x: Tensor, packing: Packing, rng=None) -> Tensor:
     x = grid_dropout(x, san.dropout_rate, rng, packing)
     for layer in san.layers:
         rate = layer.dropout_rate
-        x = add(x, grid_dropout(padded_mha(layer.mha, layer.ln1(x), packing), rate, rng, packing))
-        x = add(x, grid_dropout(layer.ffn(layer.ln2(x)), rate, rng, packing))
-    return san.final(x)
+        x = add(x, grid_dropout(padded_mha(layer.mha, layer_norm(x, layer.ln1), packing), rate, rng, packing))
+        x = add(x, grid_dropout(layer.ffn(layer_norm(x, layer.ln2)), rate, rng, packing))
+    return layer_norm(x, san.final)
 
 
 def padded_encode(enc, ids: np.ndarray, mask=None, rng=None, trace=None) -> Tensor:

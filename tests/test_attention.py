@@ -47,7 +47,7 @@ def ref_mha(x, mha):
         cols = slice(h * dk, (h + 1) * dk)
         q = x @ mha.w_q.data[:, cols] + mha.b_q.data[cols]
         k = x @ mha.w_k.data[:, cols]
-        v = x @ mha.w_v.data[:, cols] + mha.b_v.data[cols]
+        v = x @ mha.w_v.data[:, cols]
         head_outs.append(ref_attention(q, k, v))
     mixed = np.concatenate(head_outs, axis=-1)
     return mixed @ mha.w_o.data + mha.b_o.data
@@ -160,7 +160,7 @@ class TestMultiHeadAttention:
             got = on_grid(mha, x)
             q = x[0] @ mha.w_q.data + mha.b_q.data
             k = x[0] @ mha.w_k.data
-            v = x[0] @ mha.w_v.data + mha.b_v.data
+            v = x[0] @ mha.w_v.data
             core = scaled_dot_attention(
                 T.constant(q[None]), T.constant(k[None]), T.constant(v[None])
             )
@@ -170,7 +170,6 @@ class TestMultiHeadAttention:
     def test_zero_value_path_yields_output_bias(self, rng):
         mha = MultiHeadAttention(8, 2, streams(2))
         mha.w_v.data[...] = 0.0
-        mha.b_v.data[...] = 0.0
         mha.b_o.data[...] = rng.standard_normal(8)
         out = on_grid(mha, rng.standard_normal((2, 3, 8)))
         np.testing.assert_allclose(out, np.broadcast_to(mha.b_o.data, (2, 3, 8)), atol=1e-6)
@@ -238,7 +237,7 @@ class TestSanEncoder:
         enc = self._encoder(layers=1)
         rows, packing = pack(rng.standard_normal((1, 4, 8)))
         got = enc(rows, packing)
-        manual = enc.final(enc.layers[0](rows, packing))
+        manual = T.layer_norm(enc.layers[0](rows, packing), enc.final)
         np.testing.assert_allclose(got.data, manual.data, atol=0)
 
     def test_permutation_equivariance_sweep(self):

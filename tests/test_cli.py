@@ -263,13 +263,23 @@ class TestTrain:
         assert err.startswith("config error:") and repr(key) in err
         assert not out.exists()
 
-    def test_retired_knobs_at_their_values_resolve_unchanged(self, tmp_path):
+    def test_retired_knobs_at_their_old_values_are_usage_errors(
+        self, workspace, tmp_path, capsys
+    ):
         cfg_path = tmp_path / "old.json"
         cfg_path.write_text(json.dumps({
             "dropout": 0.2, "clip_norm": 5.0,
             "encoder": {"use_positional": True, "vocab_size": 12},
         }))
-        assert resolve("san", str(cfg_path)) == resolve("san")
+        out = tmp_path / "x"
+        code = cli.main(
+            ["train", str(workspace["data"]), "--preset", "san",
+             "--config", str(cfg_path), "--out", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error:") and "'clip_norm'" in err
+        assert not out.exists()
 
     def test_odd_width_san_fails_before_the_run_starts(self, workspace, tmp_path, capsys):
         cfg_path = tmp_path / "odd.json"
@@ -422,21 +432,28 @@ class TestMalformedCheckpoint:
         path.write_bytes(blob.replace(b"\x02\x00zz", b"\x02\x00\xff\xfe"))
         self._eval(path, tmp_path, capsys)
 
-    def test_retired_encoder_key_at_other_value(self, tmp_path, capsys):
+    def test_retired_config_key(self, tmp_path, capsys):
+        # Checkpoints written before the retired keys were dropped store
+        # them; such a config no longer loads, even at the old value.
         config, arrays = load_checkpoint(GOLDEN / "model.ckpt")
-        assert config["train"]["encoder"]["reverse_cascade"] is False
-        config["train"]["encoder"]["reverse_cascade"] = True
-        path = tmp_path / "reverse.ckpt"
-        save_checkpoint(path, config, {k: T.constant(a) for k, a in arrays.items()})
-        assert "reverse_cascade" in self._eval(path, tmp_path, capsys)
-
-    def test_retired_train_key_at_other_value(self, tmp_path, capsys):
-        config, arrays = load_checkpoint(GOLDEN / "model.ckpt")
-        assert config["train"]["clip_norm"] == 5.0
-        config["train"]["clip_norm"] = 4.0
+        assert "clip_norm" not in config["train"]
+        config["train"]["clip_norm"] = 5.0
         path = tmp_path / "clip.ckpt"
         save_checkpoint(path, config, {k: T.constant(a) for k, a in arrays.items()})
         assert "clip_norm" in self._eval(path, tmp_path, capsys)
+
+    def test_parameter_the_model_does_not_have(self, tmp_path, capsys):
+        # the value bias of checkpoints written before it was folded away
+        config, arrays = load_checkpoint(GOLDEN / "model.ckpt")
+        name = "encoder.san.layer0.mha.b_v"
+        assert name not in arrays
+        arrays[name] = np.zeros(config["train"]["encoder"]["d"], np.float32)
+        path = tmp_path / "b_v.ckpt"
+        save_checkpoint(path, config, {k: T.constant(a) for k, a in arrays.items()})
+        code = cli.main(["eval", str(path), str(GOLDEN / "test.tsv"), "--out", str(tmp_path / "ev")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("data error:") and "unexpected" in err and name in err
 
     def test_wrongly_typed_config_value(self, tmp_path, capsys):
         config, arrays = load_checkpoint(GOLDEN / "model.ckpt")
@@ -460,9 +477,10 @@ class TestGradcheck:
         assert resolved["dtype"] == "float64"
 
     def test_report_counts_entries_the_check_cannot_resolve(self, tmp_path):
-        # The attention-final layer norm's bias gets a gradient too small for
-        # the central quotient at step 1e-6: at seed 42 its relative rounding
-        # bound is about 4.5e-2, far above the 1e-3 tolerance.
+        # At init the second ON-LSTM layer's recurrent weights get gradients
+        # too small for the central quotient at step 1e-6: at seed 42 three of
+        # the four probed entries of onlstm K=2's layer1.w_h have a relative
+        # rounding bound above the 1e-3 tolerance.
         out = tmp_path / "gc"
         assert cli.main(["gradcheck", "--seed", "42", "--out", str(out)]) == 0
         report = (out / "report.txt").read_text().splitlines()
@@ -472,7 +490,7 @@ class TestGradcheck:
                 kind, k, l, name = ln.split()[:4]
                 blind, probed = ln.split("unresolved ")[1].split()[0].split("/")
                 counts[(kind, k, l, name)] = (int(blind), int(probed))
-        blind, probed = counts[("hybrid", "K=2", "L=1", "encoder.san.final.bias")]
+        blind, probed = counts[("onlstm", "K=2", "L=0", "encoder.rnn.layer1.w_h")]
         assert blind >= 1 and probed == 4
         total = sum(b for b, _ in counts.values())
         assert f"unresolved: {total} of {sum(p for _, p in counts.values())} " in "\n".join(report)

@@ -179,7 +179,7 @@ class TestFactoryWiring:
             if "ln" not in name and "final" not in name:
                 p.data[...] = 0.0
         h_rnn, h_san = stacks(enc, token_ids(rng))
-        np.testing.assert_allclose(h_san, enc.san.final(T.constant(h_rnn)).data, atol=0)
+        np.testing.assert_allclose(h_san, T.layer_norm(T.constant(h_rnn), enc.san.final).data, atol=0)
 
     def test_information_flows_forward_only(self, rng):
         ids = token_ids(rng)
@@ -331,11 +331,11 @@ class TestParameterCounts:
         lstm_layer = d * 4 * d + d * 4 * d + 4 * d
         master = d * 2 * m + d * 2 * m + 2 * m
         san_layer = (
-            4 * d * d + 3 * d            # attention projections, q/v/o biases
+            4 * d * d + 2 * d            # attention projections, q/o biases
             + d * dff + dff + dff * d + d  # feed-forward
-            + 4 * d                      # two layer norms
+            + 2 * d                      # two gain-only layer norms
         )
-        final_ln = 2 * d
+        final_ln = d
         expected = {
             "san": emb + 2 * san_layer + final_ln,
             "lstm": emb + 2 * lstm_layer,

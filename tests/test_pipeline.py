@@ -164,8 +164,8 @@ class TestPooling:
 
 _CELL = ("w_x", "w_h", "bias")
 _MASTER = ("w_x_master", "w_h_master", "bias_master")
-_SAN_LAYER = ("mha.w_q", "mha.b_q", "mha.w_k", "mha.w_v", "mha.b_v", "mha.w_o", "mha.b_o",
-              "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2", "ln1.gain", "ln1.bias", "ln2.gain", "ln2.bias")
+_SAN_LAYER = ("mha.w_q", "mha.b_q", "mha.w_k", "mha.w_v", "mha.w_o", "mha.b_o",
+              "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2", "ln1", "ln2")
 _HEAD = ("head.w1", "head.b1", "head.w2", "head.b2", "head.w3", "head.b3")
 
 
@@ -175,7 +175,7 @@ def _rnn_names(layers, cell):
 
 def _san_names(layers):
     return ([f"encoder.san.layer{i}.{n}" for i in range(layers) for n in _SAN_LAYER]
-            + ["encoder.san.final.gain", "encoder.san.final.bias", "pooling.queries"])
+            + ["encoder.san.final", "pooling.queries"])
 
 
 class TestParameterOrder:
@@ -189,7 +189,7 @@ class TestParameterOrder:
     ])
     def test_names_in_declaration_order(self, kind, names):
         assert list(P.PairClassifier(tiny_config(kind)).parameters()) == names
-        assert len(names) == {"lstm": 13, "onlstm": 19, "san": 40, "hybrid": 31}[kind]
+        assert len(names) == {"lstm": 13, "onlstm": 19, "san": 33, "hybrid": 27}[kind]
 
 
 class TestClassifierHead:
@@ -254,9 +254,8 @@ class TestClassifierHead:
     ])
     def test_full_model_gradcheck_off_init_on_a_ragged_batch(self, kind, short_cut):
         # At init the u - v head cancels whatever premise and hypothesis share,
-        # so common-mode gradients (the final layer norm's bias, the pooling's
-        # value path) are about 1e-17 there: a seeded step off init gives them
-        # a size the check can resolve.
+        # so common-mode gradients (the pooling's value path) are about 1e-17
+        # there: a seeded step off init gives them a size the check can resolve.
         pairs = pairs_with_ops(24, 1, max_ops=4)[1:]  # one pair each of 1-4 operators
         with T.dtype_scope("float64"):
             model = P.PairClassifier(tiny_config(kind, encoder_overrides=dict(use_short_cut=short_cut)))
@@ -275,7 +274,7 @@ class TestClassifierHead:
             )
         assert max(worst.values()) < 1e-3, worst
         # the check can resolve every probed entry of the paths the init hides
-        hidden = ("encoder.rnn.layer1.",) if kind == "lstm" else ("encoder.san.final.", "pooling.")
+        hidden = ("encoder.rnn.layer1.",) if kind == "lstm" else ("encoder.san.final", "pooling.")
         blind = {n: g.bounds.max() for n, g in worst.items() if n.startswith(hidden)}
         assert blind and max(blind.values()) < 1e-3, blind
 
