@@ -7,6 +7,10 @@ encoders use their last real output row, attention-final encoders use two
 trainable query vectors (a single row of an attention stack is not a summary
 state, so they never pool the last row).
 
+The two sides of a pair meet only at the head, so evaluation encodes a
+batch's premises and hypotheses on two threads, with the same logits as one
+joint pass; training records one tape and keeps the joint pass.
+
 Training deliberately caps the operator count of the examples it consumes so
 that longer sequences stay unseen until evaluation; `evaluate_by_length`
 then reports accuracy per operator-count bin on both sides of that cap.
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +37,7 @@ from .tensor import (
     Packing,
     Tensor,
     backward,
+    constant,
     cross_entropy,
     default_dtype,
     dropout,
@@ -262,20 +268,38 @@ class PairClassifier:
         out.update(self.head.parameters("head."))
         return out
 
-    def forward_joint(self, ids: np.ndarray, mask: np.ndarray, rng=None) -> Tensor:
+    def _pooled(self, ids: np.ndarray, mask: np.ndarray, rng=None) -> Tensor:
+        """One pooled vector per row of a (B, N) batch: Packing, encoder, pooling."""
+        packing = Packing(mask)
+        seq = self.encoder(ids, packing, rng=rng)
+        if self.queries is None:
+            return pool_last_hidden(seq, packing)
+        return pool_trainable_queries(self.queries, seq, packing)
+
+    def forward_joint(self, ids: np.ndarray, mask: np.ndarray, rng=None, worker=None) -> Tensor:
         """Logits from a stacked batch: rows [0, b) premises, [b, 2b) hypotheses.
 
         Training passes its dropout stream as `rng`; without one, no dropout.
+
+        Given a `worker` (an executor) and at least two pairs, the worker
+        encodes and pools the hypothesis rows while the calling thread does
+        the premise rows, and the head reads the two halves joined as a
+        constant. The logits are the joint path's, bit for bit: each row's
+        products are the same, and each half keeps the batch's N columns, so
+        every softmax sums over the same padded width. A one-pair batch stays
+        joint, since a single sequence would take numpy's one-row (gemv)
+        paths. A worker is legal only while no tape records: the constant
+        cuts the encoder out of the gradient.
         """
         if ids.shape[0] % 2 != 0:
             raise DataError(f"joint batch must stack premise and hypothesis rows, got {ids.shape}")
         b = ids.shape[0] // 2
-        packing = Packing(mask)
-        seq = self.encoder(ids, packing, rng=rng)
-        if self.queries is None:
-            pooled = pool_last_hidden(seq, packing)
+        if worker is None or b < 2:
+            pooled = self._pooled(ids, mask, rng)
         else:
-            pooled = pool_trainable_queries(self.queries, seq, packing)
+            hyp = worker.submit(self._pooled, ids[b:], mask[b:])
+            prem = self._pooled(ids[:b], mask[:b])
+            pooled = constant(np.concatenate([prem.data, hyp.result().data]))
         # Row i of the pair batch is [u_i, v_i] = pooled rows i and b + i.
         pair = reshape(permute(reshape(pooled, (2, b, -1)), (1, 0, 2)), (b, 2 * self.d_sent))
         return self.head(pair, rng=rng)
@@ -325,7 +349,9 @@ def _predict(model: PairClassifier, pairs) -> tuple[np.ndarray, np.ndarray]:
     """Predictions and labels of labeled pairs in their given order, gradient-free.
 
     Examples run sorted by padded width and cut greedily at both limits; a
-    pair wider than the token limit runs alone.
+    pair wider than the token limit runs alone. Each batch's hypothesis side
+    runs on one worker thread alongside its premise side (see
+    `PairClassifier.forward_joint`); the thread ends with the call.
     """
     if not pairs:
         raise DataError("no examples to evaluate")
@@ -334,14 +360,14 @@ def _predict(model: PairClassifier, pairs) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(widths, kind="stable")
     preds = np.empty(len(examples), dtype=np.int64)
     start = 0
-    with no_grad():
+    with no_grad(), ThreadPoolExecutor(max_workers=1) as worker:
         while start < len(order):
             # Widths ascend, so the pair counts whose tokens fit form a prefix.
             w = widths[order[start : start + EVAL_MAX_PAIRS]]
             stop = start + max(1, int(np.sum(np.arange(1, len(w) + 1) * w <= EVAL_MAX_TOKENS)))
             idx = order[start:stop]
             ids, mask, _ = _batch_arrays(examples, idx)
-            preds[idx] = np.argmax(model.forward_joint(ids, mask).data, axis=1)
+            preds[idx] = np.argmax(model.forward_joint(ids, mask, worker=worker).data, axis=1)
             start = stop
     return preds, np.asarray([e.label for e in examples], dtype=np.int64)
 
@@ -528,7 +554,10 @@ def load_model(path) -> tuple[PairClassifier, dict]:
     except ConfigError as exc:
         raise DataError(f"{path}: bad model config: {exc}") from exc
     model = PairClassifier(train_config)
-    restore_parameters(model.parameters(), arrays)
+    try:
+        restore_parameters(model.parameters(), arrays)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
     return model, config
 
 

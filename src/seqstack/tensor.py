@@ -459,10 +459,15 @@ def softmax_rows(x: Tensor, bias: np.ndarray | None = None) -> Tensor:
     """
     if bias is not None and np.broadcast_shapes(bias.shape, x.shape) != x.shape:
         raise ShapeError(f"softmax_rows: bias {bias.shape} does not broadcast to {x.shape}")
-    z = x.data if bias is None else x.data + bias
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    # The backward reads only `out`, so one fresh array is shifted,
+    # exponentiated and normalized in place.
+    if bias is None:
+        out = x.data - x.data.max(axis=-1, keepdims=True)
+    else:
+        out = x.data + bias
+        out -= out.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
 
     def back(g):
         inner = (g * out).sum(axis=-1, keepdims=True)

@@ -450,10 +450,17 @@ class TestMalformedCheckpoint:
         arrays[name] = np.zeros(config["train"]["encoder"]["d"], np.float32)
         path = tmp_path / "b_v.ckpt"
         save_checkpoint(path, config, {k: T.constant(a) for k, a in arrays.items()})
-        code = cli.main(["eval", str(path), str(GOLDEN / "test.tsv"), "--out", str(tmp_path / "ev")])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("data error:") and "unexpected" in err and name in err
+        err = self._eval(path, tmp_path, capsys)
+        assert "unexpected" in err and name in err
+
+    def test_parameter_of_the_wrong_shape(self, tmp_path, capsys):
+        config, arrays = load_checkpoint(GOLDEN / "model.ckpt")
+        name = "pooling.queries"
+        arrays[name] = arrays[name][:, :-1]
+        path = tmp_path / "shape.ckpt"
+        save_checkpoint(path, config, {k: T.constant(a) for k, a in arrays.items()})
+        err = self._eval(path, tmp_path, capsys)
+        assert name in err and "shape" in err
 
     def test_wrongly_typed_config_value(self, tmp_path, capsys):
         config, arrays = load_checkpoint(GOLDEN / "model.ckpt")

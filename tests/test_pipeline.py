@@ -6,7 +6,9 @@ guesser), so accuracy values can be checked against independent arithmetic
 rather than against the pipeline's own bookkeeping.
 """
 
+import argparse
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ import pytest
 import seqstack.pipeline as P
 import seqstack.tensor as T
 from seqstack import ConfigError, DataError, NumericsError
+from seqstack.cli import PRESETS, resolve_train_config
 from seqstack.encoder import EncoderConfig
 from seqstack.gradcheck import finite_difference_check
 from seqstack.logic import make_pair, sample_expression, serialize
@@ -67,7 +70,7 @@ class _OracleStub:
     def __init__(self, examples):
         self.labels = {_pair_key(e.premise_ids, e.hyp_ids): e.label for e in examples}
 
-    def forward_joint(self, ids, mask, rng=None):
+    def forward_joint(self, ids, mask, rng=None, worker=None):
         rows = _batch_rows(ids, mask)
         logits = np.zeros((len(rows), P.N_RELATIONS))
         for i, row in enumerate(rows):
@@ -81,7 +84,7 @@ class _BatchRecorder:
     def __init__(self):
         self.batches = []
 
-    def forward_joint(self, ids, mask, rng=None):
+    def forward_joint(self, ids, mask, rng=None, worker=None):
         rows = _batch_rows(ids, mask)
         widths = [max(len(p), len(h)) for p, h in rows]
         assert ids.shape[1] == max(widths)
@@ -93,7 +96,7 @@ class _RandomStub:
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
 
-    def forward_joint(self, ids, mask, rng=None):
+    def forward_joint(self, ids, mask, rng=None, worker=None):
         return T.constant(self.rng.standard_normal((ids.shape[0] // 2, P.N_RELATIONS)))
 
 
@@ -548,6 +551,64 @@ class TestEvaluation:
             P.evaluate(_RandomStub(0), [])
         with pytest.raises(DataError, match="no examples"):
             P.evaluate_by_length(_RandomStub(0), [], P.LENGTH_BINS, 6)
+
+
+class _CountingWorker(ThreadPoolExecutor):
+    """A one-thread executor that counts the jobs it is given."""
+
+    def __init__(self):
+        super().__init__(max_workers=1)
+        self.jobs = 0
+
+    def submit(self, *args, **kwargs):
+        self.jobs += 1
+        return super().submit(*args, **kwargs)
+
+
+def _tiny_preset_model(preset):
+    args = argparse.Namespace(preset=preset, config=None, tiny=True, seed=None)
+    model = P.PairClassifier(resolve_train_config(args)[0])
+    # Off init, where the u - v head no longer cancels what the sides share.
+    shift = np.random.default_rng(31)
+    for p in model.parameters().values():
+        p.data += shift.uniform(-0.1, 0.1, p.shape).astype(p.dtype)
+    return model
+
+
+class TestTwoThreadEvaluation:
+    """With a worker, forward_joint encodes the two sides on two threads."""
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    @pytest.mark.parametrize("n_pairs", [2, 9])
+    def test_split_logits_equal_the_joint_path(self, preset, n_pairs):
+        pairs = [p for p in pairs_with_ops(32, 2, max_ops=8) if p.op_count >= 1]
+        ex = P.prepare_examples(pairs)
+        idx = np.random.default_rng(33).permutation(len(ex))[:n_pairs]
+        ids, mask, _ = P._batch_arrays(ex, idx)
+        assert len(set(mask.sum(axis=1))) > 2, "a ragged batch"
+        model = _tiny_preset_model(preset)
+        with T.no_grad(), _CountingWorker() as worker:
+            joint = model.forward_joint(ids, mask).data
+            split = model.forward_joint(ids, mask, worker=worker).data
+        assert worker.jobs == 1
+        assert np.array_equal(split, joint)
+
+    def test_one_pair_batch_stays_joint(self):
+        ex = P.prepare_examples(pairs_with_ops(34, 1, max_ops=4)[3:4])
+        ids, mask, _ = P._batch_arrays(ex, [0])
+        model = _tiny_preset_model("hybrid-shortcut")
+        with T.no_grad(), _CountingWorker() as worker:
+            joint = model.forward_joint(ids, mask).data
+            split = model.forward_joint(ids, mask, worker=worker).data
+        assert worker.jobs == 0
+        assert np.array_equal(split, joint)
+
+    def test_evaluate_inside_a_tape_scope_records_nothing(self):
+        ex = P.prepare_examples(pairs_with_ops(35, 3, max_ops=4))
+        model = P.PairClassifier(tiny_config("hybrid"))
+        with T.tape_scope() as tape:
+            P.evaluate(model, ex)
+        assert tape.entries == []
 
 
 class TestConfigAndCsv:
