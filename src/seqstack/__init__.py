@@ -2,7 +2,9 @@
 
 The package provides a recurrent encoder with ordered chunk gating, a
 self-attention encoder, and a cascaded hybrid of the two, plus the logical
-entailment task used to probe length generalization.
+entailment task used to probe length generalization. Names are imported from
+their modules (`seqstack.tensor`, `seqstack.errors`, ...); the package itself
+re-exports nothing.
 """
 
 import os
@@ -22,38 +24,3 @@ if "numpy" in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
     )
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
-
-from .errors import ConfigError, ContractError, DataError, NumericsError, ShapeError
-from .tensor import (
-    GradTape,
-    Tensor,
-    backward,
-    constant,
-    default_dtype,
-    dtype_scope,
-    no_grad,
-    parameter,
-    set_default_dtype,
-    tape_scope,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "ConfigError",
-    "ContractError",
-    "DataError",
-    "NumericsError",
-    "ShapeError",
-    "GradTape",
-    "Tensor",
-    "backward",
-    "constant",
-    "default_dtype",
-    "dtype_scope",
-    "no_grad",
-    "parameter",
-    "set_default_dtype",
-    "tape_scope",
-    "__version__",
-]

@@ -18,6 +18,7 @@ from .tensor import (
     Packing,
     Tensor,
     add,
+    affine_parameters,
     default_dtype,
     dropout,
     layer_norm,
@@ -68,11 +69,6 @@ def scaled_dot_attention(
     return matmul(softmax_rows(scores, mask_bias), v)
 
 
-def _affine_params(d_in: int, d_out: int, rng: np.random.Generator):
-    w = uniform_parameter(rng, 1.0 / np.sqrt(d_in), d_in, d_out)
-    return w, parameter(np.zeros(d_out, dtype=default_dtype()))
-
-
 class MultiHeadAttention(Module):
     """Heads attend independently on projected slices, then re-project jointly.
 
@@ -89,10 +85,10 @@ class MultiHeadAttention(Module):
         self.d = d
         self.heads = heads
         self.d_head = d // heads
-        self.w_q, self.b_q = _affine_params(d, d, rng)
-        self.w_k, _ = _affine_params(d, d, rng)
-        self.w_v, _ = _affine_params(d, d, rng)
-        self.w_o, self.b_o = _affine_params(d, d, rng)
+        self.w_q, self.b_q = affine_parameters(rng, d, d)
+        self.w_k = uniform_parameter(rng, 1.0 / np.sqrt(d), d, d)
+        self.w_v = uniform_parameter(rng, 1.0 / np.sqrt(d), d, d)
+        self.w_o, self.b_o = affine_parameters(rng, d, d)
 
     def _split_heads(self, x: Tensor, packing: Packing) -> Tensor:
         """Packed (T, d) rows -> padded (B, H, N, d_head), zero at padding."""
@@ -115,8 +111,8 @@ class FeedForward(Module):
     """Position-wise (d -> d_ff -> d) map with a rectifier between."""
 
     def __init__(self, d: int, d_ff: int, rng: np.random.Generator):
-        self.w1, self.b1 = _affine_params(d, d_ff, rng)
-        self.w2, self.b2 = _affine_params(d_ff, d, rng)
+        self.w1, self.b1 = affine_parameters(rng, d, d_ff)
+        self.w2, self.b2 = affine_parameters(rng, d_ff, d)
 
     def __call__(self, x: Tensor) -> Tensor:
         return linear(relu(linear(x, self.w1, self.b1)), self.w2, self.b2)

@@ -250,19 +250,20 @@ def cmd_train(args) -> int:
         checkpoint_path=checkpoint_path, progress=_epoch_printer,
     )
     test_path = data_dir / "test.tsv"
+    report = None
     if test_path.exists():
         best_model, _ = load_model(checkpoint_path)
         test_pairs = load_dataset(test_path)
-        metrics.test = evaluate_by_length(
+        report = evaluate_by_length(
             best_model, test_pairs, bins=config.eval_bins, boundary=config.train_cap,
         )
         with open(out_dir / "bins.csv", "w", encoding="utf-8") as fh:
-            write_length_csv(metrics.test, fh)
+            write_length_csv(report, fh)
     with open(out_dir / "metrics.csv", "w", encoding="utf-8") as fh:
         write_metrics_csv(metrics, fh)
     print(f"best dev accuracy {metrics.best_dev_accuracy:.4f} at epoch {metrics.best_epoch}")
-    if metrics.test is not None:
-        _print_length_table(metrics.test)
+    if report is not None:
+        _print_length_table(report)
     print(f"checkpoint: {checkpoint_path}")
     return EXIT_OK
 

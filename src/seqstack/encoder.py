@@ -34,12 +34,14 @@ from .tensor import (
 ENCODER_KINDS = ("san", "lstm", "onlstm", "hybrid")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EncoderConfig:
     """Everything needed to build one encoder.
 
     K is `recurrent_layers`, L is `attention_layers`; pure kinds must zero the
     stack they do not use, and the hybrid needs at least one layer of each.
+    An invalid config raises ConfigError on construction, and a valid one
+    cannot be changed (`dataclasses.replace` builds, and checks, a new one).
     """
 
     kind: str
@@ -52,7 +54,7 @@ class EncoderConfig:
     dropout: float = 0.0
     use_short_cut: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         k, l = self.recurrent_layers, self.attention_layers
         if self.kind not in ENCODER_KINDS:
             raise ConfigError(f"kind must be one of {ENCODER_KINDS}, got {self.kind!r}")
@@ -84,7 +86,6 @@ class Encoder(Module):
     """Token ids in, contextual states out, per the configured stack layout."""
 
     def __init__(self, config: EncoderConfig, streams: SeedStreams):
-        config.validate()
         self.config = config
         self.embedding = uniform_parameter(
             streams.stream("init", "embedding"), 1.0 / np.sqrt(config.d), len(VOCAB), config.d

@@ -13,7 +13,7 @@ class Adam:
 
     `params` is a name -> Tensor mapping; moment buffers are kept per name so
     a checkpoint-restored model can resume with a fresh optimizer. `lr` is
-    finite and >= 0 (`TrainConfig.validate` checks it).
+    finite and >= 0 (`TrainConfig` checks it when built).
     """
 
     beta1 = 0.9

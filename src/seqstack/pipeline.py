@@ -36,15 +36,14 @@ from .tensor import (
     Module,
     Packing,
     Tensor,
+    affine_parameters,
     backward,
     constant,
     cross_entropy,
-    default_dtype,
     dropout,
     linear,
     no_grad,
     pack_rows,
-    parameter,
     permute,
     relu,
     reshape,
@@ -101,11 +100,6 @@ def pool_trainable_queries(queries: Tensor, seq: Tensor, packing: Packing) -> Te
 # classifier head
 
 
-def _affine_init(rng: np.random.Generator, d_in: int, d_out: int, gain: float = 1.0):
-    w = uniform_parameter(rng, gain * np.sqrt(3.0) / np.sqrt(d_in), d_in, d_out)
-    return w, parameter(np.zeros(d_out, dtype=default_dtype()))
-
-
 class ClassifierHead(Module):
     """Three affine layers over the concatenated pair representation [u, v].
 
@@ -117,9 +111,11 @@ class ClassifierHead(Module):
 
     def __init__(self, d_pair: int, hidden: int, dropout_rate: float, rng):
         self.dropout_rate = dropout_rate
-        self.w1, self.b1 = _affine_init(rng, d_pair, hidden, gain=np.sqrt(2.0))
-        self.w2, self.b2 = _affine_init(rng, hidden, hidden, gain=np.sqrt(2.0))
-        self.w3, self.b3 = _affine_init(rng, hidden, N_RELATIONS, gain=0.7 / np.sqrt(3.0))
+        # U(+-b) has std b / sqrt(3), so the relu layers draw with std sqrt(2 / d_in).
+        relu_gain = np.sqrt(2.0) * np.sqrt(3.0)
+        self.w1, self.b1 = affine_parameters(rng, d_pair, hidden, relu_gain)
+        self.w2, self.b2 = affine_parameters(rng, hidden, hidden, relu_gain)
+        self.w3, self.b3 = affine_parameters(rng, hidden, N_RELATIONS, 0.7)
         # Attention-final encoders end in a layer norm, so much of each pooled
         # vector is common to every example, and a head reading u and v apart
         # turns it into one logit offset shared by the batch (the first-batch
@@ -146,8 +142,10 @@ class ClassifierHead(Module):
 # configuration
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """A training run's settings, checked once when built (see EncoderConfig)."""
+
     encoder: EncoderConfig
     epochs: int = 100
     batch_size: int = 128
@@ -157,8 +155,7 @@ class TrainConfig:
     eval_bins: tuple = LENGTH_BINS
     classifier_hidden: int = 512
 
-    def validate(self) -> None:
-        self.encoder.validate()
+    def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -194,9 +191,14 @@ class TrainConfig:
         _check_fields(cls, data, "train")
         if "eval_bins" in data:
             data["eval_bins"] = tuple(data["eval_bins"])
-        cfg = cls(encoder=encoder_config_from_dict(enc_raw), **data)
-        cfg.validate()
-        return cfg
+        if not isinstance(enc_raw, dict):
+            raise ConfigError(f"encoder config must be an object, got {type(enc_raw).__name__}")
+        _check_fields(EncoderConfig, enc_raw, "encoder")
+        try:
+            encoder = EncoderConfig(**enc_raw)
+        except TypeError as exc:
+            raise ConfigError(f"bad encoder config: {exc}") from exc
+        return cls(encoder=encoder, **data)
 
 
 # Accepted value types per config field annotation (a string: annotations are
@@ -223,18 +225,6 @@ def _check_fields(cls, raw: dict, section: str) -> None:
             raise ConfigError(f"{section} config key {name!r} must be {fields[name]}, got {value!r}")
 
 
-def encoder_config_from_dict(raw: dict) -> EncoderConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"encoder config must be an object, got {type(raw).__name__}")
-    _check_fields(EncoderConfig, raw, "encoder")
-    try:
-        cfg = EncoderConfig(**raw)
-    except TypeError as exc:
-        raise ConfigError(f"bad encoder config: {exc}") from exc
-    cfg.validate()
-    return cfg
-
-
 # ---------------------------------------------------------------------------
 # model
 
@@ -243,7 +233,6 @@ class PairClassifier:
     """Shared encoder + pooling + relation head over premise/hypothesis pairs."""
 
     def __init__(self, config: TrainConfig, streams: SeedStreams | None = None):
-        config.validate()
         self.config = config
         streams = streams if streams is not None else SeedStreams(config.seed)
         self.encoder = Encoder(config.encoder, streams)
@@ -406,7 +395,6 @@ class RunMetrics:
     best_epoch: int
     best_dev_accuracy: float
     wall_clock_seconds: float = field(compare=False, default=0.0)
-    test: LengthReport | None = None
 
 
 def _subset_stats(correct: np.ndarray, labels: np.ndarray, members: dict) -> dict:
@@ -575,14 +563,6 @@ def write_metrics_csv(metrics: RunMetrics, fh) -> None:
     fh.write(f"{metrics.best_epoch},dev,best_accuracy,{metrics.best_dev_accuracy:.10g}\n")
     fh.write(f"0,run,seed,{metrics.seed}\n")
     fh.write(f"0,run,wall_clock_seconds,{metrics.wall_clock_seconds:.6f}\n")
-    if metrics.test is not None:
-        epoch = metrics.best_epoch
-        for b, stats in sorted(metrics.test.bins.items()):
-            fh.write(f"{epoch},test,accuracy_bin_{b},{stats.accuracy:.10g}\n")
-            fh.write(f"{epoch},test,majority_bin_{b},{stats.majority_baseline:.10g}\n")
-        for name, stats in metrics.test.aggregates.items():
-            fh.write(f"{epoch},test,accuracy_{name},{stats.accuracy:.10g}\n")
-            fh.write(f"{epoch},test,majority_{name},{stats.majority_baseline:.10g}\n")
 
 
 def write_length_csv(report: LengthReport, fh) -> None:

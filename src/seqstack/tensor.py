@@ -117,6 +117,12 @@ def uniform_parameter(rng: np.random.Generator, bound: float, *shape: int) -> Te
     return parameter(rng.uniform(-bound, bound, shape).astype(_default_dtype))
 
 
+def affine_parameters(rng: np.random.Generator, d_in: int, d_out: int, gain: float = 1.0):
+    """A (d_in, d_out) weight from U(+-gain / sqrt(d_in)) and a zero (d_out,) bias."""
+    w = uniform_parameter(rng, gain / np.sqrt(d_in), d_in, d_out)
+    return w, parameter(np.zeros(d_out, dtype=_default_dtype))
+
+
 def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
 

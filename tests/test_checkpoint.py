@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import seqstack.checkpoint as C
-from seqstack import DataError
 from seqstack.checkpoint import (
     FORMAT_VERSION,
     MAGIC,
@@ -15,6 +14,7 @@ from seqstack.checkpoint import (
     restore_parameters,
     save_checkpoint,
 )
+from seqstack.errors import DataError
 from seqstack.tensor import parameter
 
 

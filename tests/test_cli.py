@@ -210,9 +210,9 @@ class TestTrain:
 
     @pytest.mark.parametrize("lr", [-0.1, float("nan")], ids=["negative", "nan"])
     def test_bad_learning_rate_is_usage_error(self, workspace, tmp_path, capsys, lr):
-        # TrainConfig.validate is the one check of the rate Adam is built with
+        # building a TrainConfig is the one check of the rate Adam is built with
         with pytest.raises(ConfigError, match="lr must be finite"):
-            dataclasses.replace(resolve("lstm"), lr=lr).validate()
+            dataclasses.replace(resolve("lstm"), lr=lr)
         cfg_path = tmp_path / "lr.json"
         cfg_path.write_text(json.dumps({"lr": lr}))
         out = tmp_path / "x"

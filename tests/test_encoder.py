@@ -56,38 +56,38 @@ def token_ids(rng, batch=2, n=4, vocab=5):
 class TestConfigValidation:
     def test_kind_layer_constraints(self):
         with pytest.raises(ConfigError, match="kind=san"):
-            config("san", recurrent_layers=1).validate()
+            config("san", recurrent_layers=1)
         with pytest.raises(ConfigError, match="kind=lstm"):
-            config("lstm", attention_layers=1).validate()
+            config("lstm", attention_layers=1)
         with pytest.raises(ConfigError, match="kind=hybrid"):
-            config("hybrid", recurrent_layers=0).validate()
+            config("hybrid", recurrent_layers=0)
         with pytest.raises(ConfigError, match="one of"):
-            config("gru").validate()
+            config("gru")
 
     def test_hybrid_only_flags(self):
         with pytest.raises(ConfigError, match="short_cut"):
-            config("san", use_short_cut=True).validate()
+            config("san", use_short_cut=True)
 
     def test_san_needs_an_even_model_dim(self):
         # sinusoidal positions pair a sine and a cosine column per frequency
         with pytest.raises(ConfigError, match="even model dim"):
-            config("san", d=9, heads=3, d_ff=18).validate()
+            config("san", d=9, heads=3, d_ff=18)
         # the cascade adds no positions, so an odd width is fine there
-        config("hybrid", d=9, heads=3, d_ff=18, chunk=3).validate()
+        config("hybrid", d=9, heads=3, d_ff=18, chunk=3)
 
     def test_dimension_constraints(self):
         with pytest.raises(ConfigError, match="heads"):
-            config("san", heads=3).validate()
+            config("san", heads=3)
         with pytest.raises(ConfigError, match="chunk"):
-            config("onlstm", chunk=3).validate()
+            config("onlstm", chunk=3)
         with pytest.raises(ConfigError, match="d_ff"):
-            config("san", d_ff=4).validate()
+            config("san", d_ff=4)
         with pytest.raises(ConfigError, match="dropout"):
-            config("hybrid", dropout=1.0).validate()
+            config("hybrid", dropout=1.0)
 
     def test_valid_configs_pass(self):
         for kind in ("san", "lstm", "onlstm", "hybrid"):
-            config(kind).validate()
+            config(kind)
 
 
 class TestShortCutCombine:
