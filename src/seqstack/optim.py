@@ -26,8 +26,17 @@ class Adam:
         self.step_count = 0
         self._m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
         self._v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+        # Per dtype, two flat buffers the size of the largest parameter hold
+        # each update's intermediates, so a step allocates no temporaries.
+        sizes: dict = {}
+        for p in self.params.values():
+            sizes[p.dtype] = max(sizes.get(p.dtype, 0), p.size)
+        self._scratch = {dt: (np.empty(n, dt), np.empty(n, dt)) for dt, n in sizes.items()}
 
     def step(self) -> None:
+        """One update, in place: the same ufuncs in the same order as
+        m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+        p -= lr * (m/c1) / (sqrt(v/c2) + eps), so bit for bit those values."""
         self.step_count += 1
         correct1 = 1.0 - self.beta1**self.step_count
         correct2 = 1.0 - self.beta2**self.step_count
@@ -37,12 +46,19 @@ class Adam:
             g = p.grad
             m = self._m[name]
             v = self._v[name]
+            a, b = (s[: g.size].reshape(g.shape) for s in self._scratch[p.dtype])
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(1.0 - self.beta1, g, out=a)
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / correct1) / (np.sqrt(v / correct2) + self.eps)
-            p.data -= self.lr * update
+            np.multiply(1.0 - self.beta2, g, out=a)
+            v += np.multiply(a, g, out=a)
+            np.divide(m, correct1, out=a)
+            np.divide(v, correct2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            a *= self.lr
+            p.data -= a
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -66,5 +82,5 @@ def clip_global_norm(params: dict[str, Tensor], max_norm: float) -> float:
         factor = max_norm / norm
         for p in params.values():
             if p.grad is not None:
-                p.grad = p.grad * factor
+                p.grad *= factor
     return norm

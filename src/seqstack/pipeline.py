@@ -7,9 +7,11 @@ encoders use their last real output row, attention-final encoders use two
 trainable query vectors (a single row of an attention stack is not a summary
 state, so they never pool the last row).
 
-The two sides of a pair meet only at the head, so evaluation encodes a
-batch's premises and hypotheses on two threads, with the same logits as one
-joint pass; training records one tape and keeps the joint pass.
+The two sides of a pair meet only at the head, so training and evaluation
+encode a batch's premises and hypotheses on two threads, each side on a tape
+of its own, and a training step backpropagates the two tapes on the same two
+threads. Evaluation's logits equal one joint pass's bit for bit; training's
+gradients differ from it by rounding (see `PairClassifier.forward_joint`).
 
 Training deliberately caps the operator count of the examples it consumes so
 that longer sequences stay unseen until evaluation; `evaluate_by_length`
@@ -28,19 +30,20 @@ import numpy as np
 from .attention import scaled_dot_attention
 from .checkpoint import load_checkpoint, restore_parameters, save_checkpoint
 from .encoder import Encoder, EncoderConfig
-from .errors import ConfigError, DataError, NumericsError
+from .errors import ConfigError, ContractError, DataError, NumericsError
 from .logic import MAX_OPS, VOCAB, serialize
 from .optim import Adam, clip_global_norm
 from .rng import SeedStreams
 from .tensor import (
+    GradTape,
     Module,
     Packing,
     Tensor,
     affine_parameters,
     backward,
-    constant,
     cross_entropy,
     dropout,
+    join_rows,
     linear,
     no_grad,
     pack_rows,
@@ -265,20 +268,30 @@ class PairClassifier:
             return pool_last_hidden(seq, packing)
         return pool_trainable_queries(self.queries, seq, packing)
 
-    def forward_joint(self, ids: np.ndarray, mask: np.ndarray, rng=None, worker=None) -> Tensor:
+    def _side(self, ids: np.ndarray, mask: np.ndarray, rng) -> tuple[Tensor, GradTape]:
+        """`_pooled` recorded on a fresh tape of the calling thread, and that tape."""
+        with tape_scope() as tape:
+            return self._pooled(ids, mask, rng), tape
+
+    def forward_joint(self, ids: np.ndarray, mask: np.ndarray, rng=None, worker=None,
+                      hyp_rng=None) -> Tensor:
         """Logits from a stacked batch: rows [0, b) premises, [b, 2b) hypotheses.
 
-        Training passes its dropout stream as `rng`; without one, no dropout.
+        Training passes its dropout streams; without them, no dropout.
 
         Given a `worker` (an executor) and at least two pairs, the worker
-        encodes and pools the hypothesis rows while the calling thread does
-        the premise rows, and the head reads the two halves joined as a
-        constant. The logits are the joint path's, bit for bit: each row's
-        products are the same, and each half keeps the batch's N columns, so
-        every softmax sums over the same padded width. A one-pair batch stays
-        joint, since a single sequence would take numpy's one-row (gemv)
-        paths. A worker is legal only while no tape records: the constant
-        cuts the encoder out of the gradient.
+        encodes and pools the hypothesis rows on a tape of its own, drawing
+        dropout from `hyp_rng`, while the calling thread does the premise
+        rows on another, drawing from `rng`. The halves meet in one
+        `join_rows` entry, whose backward replays the two side tapes on the
+        same two threads; the head runs on the calling thread with `rng`.
+        Without dropout, the logits are the joint path's, bit for bit: each
+        row's products are the same, and each half keeps the batch's N
+        columns, so every softmax sums over the same padded width. The
+        gradients differ from the joint path's by rounding only, since each
+        weight gradient is summed per side, premise side first. A one-pair
+        batch stays joint, since a single sequence would take numpy's
+        one-row (gemv) paths.
         """
         if ids.shape[0] % 2 != 0:
             raise DataError(f"joint batch must stack premise and hypothesis rows, got {ids.shape}")
@@ -286,9 +299,11 @@ class PairClassifier:
         if worker is None or b < 2:
             pooled = self._pooled(ids, mask, rng)
         else:
-            hyp = worker.submit(self._pooled, ids[b:], mask[b:])
-            prem = self._pooled(ids[:b], mask[:b])
-            pooled = constant(np.concatenate([prem.data, hyp.result().data]))
+            if rng is not None and hyp_rng is None:
+                raise ContractError("a split pass with dropout needs the hypothesis side's stream")
+            hyp = worker.submit(self._side, ids[b:], mask[b:], hyp_rng)
+            prem, prem_tape = self._side(ids[:b], mask[:b], rng)
+            pooled = join_rows(prem, prem_tape, *hyp.result(), worker)
         # Row i of the pair batch is [u_i, v_i] = pooled rows i and b + i.
         pair = reshape(permute(reshape(pooled, (2, b, -1)), (1, 0, 2)), (b, 2 * self.d_sent))
         return self.head(pair, rng=rng)
@@ -452,6 +467,12 @@ def train(model: PairClassifier, train_pairs, dev_pairs,
     the held-out lengths. When `checkpoint_path` is given, the parameters are
     saved every time dev accuracy improves, so the file always holds the best
     epoch seen so far.
+
+    Each step encodes and backpropagates its hypothesis side on one worker
+    thread, which lives as long as the call (see `PairClassifier.forward_joint`).
+    Dropout draws from the named stream ("train", "dropout") on the premise
+    side and in the head, and from ("train", "dropout", "hypothesis") on the
+    hypothesis side, so a run is reproducible bit for bit.
     """
     config = model.config
     cap = config.train_cap
@@ -465,49 +486,52 @@ def train(model: PairClassifier, train_pairs, dev_pairs,
     adam = Adam(params, lr=config.lr)
     streams = SeedStreams(config.seed)
     dropout_rng = streams.stream("train", "dropout")
+    hyp_rng = streams.stream("train", "dropout", "hypothesis")
     started = time.perf_counter()
     epoch_rows: list[EpochMetrics] = []
     best_acc = -1.0
     best_epoch = 0
     global_step = 0
-    for epoch in range(1, config.epochs + 1):
-        order = streams.stream("train", "shuffle", f"epoch{epoch}").permutation(len(train_ex))
-        loss_sum = 0.0
-        correct = 0
-        for start in range(0, len(order), config.batch_size):
-            batch_idx = order[start : start + config.batch_size]
-            ids, mask, labels = _batch_arrays(train_ex, batch_idx)
-            with tape_scope():
-                logits = model.forward_joint(ids, mask, rng=dropout_rng)
-                loss = cross_entropy(logits, labels)
-                value = loss.item()
-                if not np.isfinite(value):
-                    raise NumericsError(
-                        f"non-finite training loss at epoch {epoch}, "
-                        f"batch {start // config.batch_size}, global step {global_step}"
-                    )
-                backward(loss)
-            clip_global_norm(params, CLIP_NORM)
-            adam.step()
-            adam.zero_grad()
-            loss_sum += value * len(batch_idx)
-            correct += int((np.argmax(logits.data, axis=1) == labels).sum())
-            global_step += 1
-        dev_acc = evaluate(model, dev_ex).accuracy
-        row = EpochMetrics(
-            epoch=epoch,
-            train_loss=loss_sum / len(train_ex),
-            train_accuracy=correct / len(train_ex),
-            dev_accuracy=dev_acc,
-        )
-        epoch_rows.append(row)
-        if dev_acc > best_acc:
-            best_acc = dev_acc
-            best_epoch = epoch
-            if checkpoint_path is not None:
-                save_model(checkpoint_path, model)
-        if progress is not None:
-            progress(row)
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        for epoch in range(1, config.epochs + 1):
+            order = streams.stream("train", "shuffle", f"epoch{epoch}").permutation(len(train_ex))
+            loss_sum = 0.0
+            correct = 0
+            for start in range(0, len(order), config.batch_size):
+                batch_idx = order[start : start + config.batch_size]
+                ids, mask, labels = _batch_arrays(train_ex, batch_idx)
+                with tape_scope():
+                    logits = model.forward_joint(ids, mask, rng=dropout_rng, worker=worker,
+                                                 hyp_rng=hyp_rng)
+                    loss = cross_entropy(logits, labels)
+                    value = loss.item()
+                    if not np.isfinite(value):
+                        raise NumericsError(
+                            f"non-finite training loss at epoch {epoch}, "
+                            f"batch {start // config.batch_size}, global step {global_step}"
+                        )
+                    backward(loss)
+                clip_global_norm(params, CLIP_NORM)
+                adam.step()
+                adam.zero_grad()
+                loss_sum += value * len(batch_idx)
+                correct += int((np.argmax(logits.data, axis=1) == labels).sum())
+                global_step += 1
+            dev_acc = evaluate(model, dev_ex).accuracy
+            row = EpochMetrics(
+                epoch=epoch,
+                train_loss=loss_sum / len(train_ex),
+                train_accuracy=correct / len(train_ex),
+                dev_accuracy=dev_acc,
+            )
+            epoch_rows.append(row)
+            if dev_acc > best_acc:
+                best_acc = dev_acc
+                best_epoch = epoch
+                if checkpoint_path is not None:
+                    save_model(checkpoint_path, model)
+            if progress is not None:
+                progress(row)
     return RunMetrics(
         seed=config.seed,
         epochs=epoch_rows,

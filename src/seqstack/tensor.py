@@ -1,10 +1,13 @@
 """Dense tensors with a reverse-mode gradient tape.
 
 Storage is a numpy array; every differentiable operation records an entry on
-the active GradTape (operation id, output ref, and a closure over the saved
-intermediates and the inputs). backward() replays the tape in reverse,
-accumulating gradients additively so fan-out works, and stores `.grad` on
-leaves only: tensors that require gradients but no op on the tape produced.
+the calling thread's active GradTape (operation id, output ref, and a closure
+over the saved intermediates and the inputs). backward() replays the tape in
+reverse, accumulating gradients additively so fan-out works, and stores
+`.grad` on leaves only: tensors that require gradients but no op on the tape
+produced. `replay` runs the same loop over any tape from a seed gradient and
+returns the leaf gradients instead, so a tape recorded on one thread can be
+backpropagated on another.
 
 Precision is build-selectable: float32 by default for training speed, float64
 for finite-difference verification (see set_default_dtype / dtype_scope).
@@ -16,6 +19,7 @@ scalar (say, `np.sqrt(d)`) would promote a float32 operand to float64.
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -175,27 +179,39 @@ class GradTape:
         self.entries: list[TapeEntry] = []
 
 
-_tape_stack: list[GradTape] = [GradTape()]
+class _Tapes(threading.local):
+    """Each thread's tape stack; a thread starts with one base tape."""
+
+    def __init__(self):
+        self.stack = [GradTape()]
+
+
+_tapes = _Tapes()
 
 
 def active_tape() -> GradTape:
-    return _tape_stack[-1]
+    """The innermost tape of the calling thread."""
+    return _tapes.stack[-1]
 
 
 @contextlib.contextmanager
 def tape_scope():
     """Run with a fresh tape; entries are dropped when the scope exits."""
     tape = GradTape()
-    _tape_stack.append(tape)
+    _tapes.stack.append(tape)
     try:
         yield tape
     finally:
-        _tape_stack.pop()
+        _tapes.stack.pop()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable recording: outputs are plain values with requires_grad=False."""
+    """Disable recording: outputs are plain values with requires_grad=False.
+
+    The switch is process-wide, so it also holds for work the caller hands
+    to other threads while the block is open.
+    """
     global _grad_enabled
     previous = _grad_enabled
     _grad_enabled = False
@@ -235,8 +251,19 @@ def backward(loss: Tensor) -> None:
         raise ContractError(f"backward() needs a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         raise ContractError("backward() on a tensor with no gradient path")
-    pending: dict[int, list] = {id(loss): [loss, np.ones((), dtype=loss.data.dtype)]}
-    for entry in reversed(active_tape().entries):
+    for tensor, g in replay(active_tape(), loss, np.ones((), dtype=loss.data.dtype)):
+        tensor.accumulate_grad(g)
+
+
+def replay(tape: GradTape, output: Tensor, seed: np.ndarray) -> list[tuple[Tensor, np.ndarray]]:
+    """Backpropagate gradient `seed` of `output` through `tape`, in reverse.
+
+    Returns (leaf, gradient) for each tensor that requires a gradient, was
+    reached and that no entry of `tape` produced, in the order first reached;
+    writes no `.grad`. A leaf reached more than once gets one summed gradient.
+    """
+    pending: dict[int, list] = {id(output): [output, seed]}
+    for entry in reversed(tape.entries):
         slot = pending.pop(id(entry.output), None)
         if slot is None:
             continue
@@ -247,9 +274,27 @@ def backward(loss: Tensor) -> None:
                 pending[id(tensor)] = [tensor, contribution]
             else:
                 held[1] = held[1] + contribution
-    for tensor, g in pending.values():
-        if tensor.requires_grad:
-            tensor.accumulate_grad(g)
+    return [(tensor, g) for tensor, g in pending.values() if tensor.requires_grad]
+
+
+def join_rows(first: Tensor, first_tape: GradTape, second: Tensor, second_tape: GradTape,
+              worker) -> Tensor:
+    """`first` stacked over `second` on axis 0, where each was recorded on its own tape.
+
+    One entry on the active tape. Its backward replays `second_tape` on
+    `worker` (an executor) while the calling thread replays `first_tape`,
+    and returns the first tape's leaf gradients, then the second's: a leaf
+    that both tapes reach gets its two gradients summed in that order,
+    whichever thread finishes first.
+    """
+    n = first.shape[0]
+
+    def back(g):
+        theirs = worker.submit(replay, second_tape, second, g[n:])
+        mine = replay(first_tape, first, g[:n])
+        return mine + theirs.result()
+
+    return _record("join_rows", (first, second), np.concatenate([first.data, second.data]), back)
 
 
 # ---------------------------------------------------------------------------

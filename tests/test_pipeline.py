@@ -7,6 +7,7 @@ rather than against the pipeline's own bookkeeping.
 """
 
 import argparse
+import contextlib
 import dataclasses
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -18,7 +19,7 @@ import seqstack.pipeline as P
 import seqstack.tensor as T
 from seqstack.cli import PRESETS, resolve_train_config
 from seqstack.encoder import EncoderConfig
-from seqstack.errors import ConfigError, DataError, NumericsError
+from seqstack.errors import ConfigError, ContractError, DataError, NumericsError
 from seqstack.gradcheck import finite_difference_check
 from seqstack.logic import make_pair, sample_expression, serialize
 
@@ -327,6 +328,21 @@ class TestBuildPrecision:
         assert not off, f"{len(off)} off-dtype values, first: {off[:5]}"
 
 
+def _record_tapes(monkeypatch):
+    """Collect every tape that pipeline opens, on any thread, in opening order."""
+    tapes = []
+    real_scope = P.tape_scope
+
+    @contextlib.contextmanager
+    def recorded():
+        with real_scope() as tape:
+            tapes.append(tape)
+            yield tape
+
+    monkeypatch.setattr(P, "tape_scope", recorded)
+    return tapes
+
+
 class TestTraining:
     @pytest.mark.parametrize("seed", range(42, 50))
     def test_first_batch_loss_near_uniform(self, seed):
@@ -351,42 +367,47 @@ class TestTraining:
         model = P.PairClassifier(tiny_config(
             "hybrid", epochs=1, batch_size=len(pairs), encoder_overrides=dict(dropout=0.2),
         ))
+        tapes = _record_tapes(monkeypatch)
         seen = []
         real_backward = P.backward
 
         def checked(loss):
             real_backward(loss)
-            outputs = [e.output for e in T.active_tape().entries]
-            seen.append((outputs, {n: p.grad for n, p in model.parameters().items()}))
+            outputs = [e.output for tape in tapes for e in tape.entries]
+            seen.append((len(tapes), outputs, {n: p.grad for n, p in model.parameters().items()}))
 
         monkeypatch.setattr(P, "backward", checked)
         P.train(model, pairs, pairs[:4])
         assert len(seen) == 1, "one batch, one step"
-        outputs, grads = seen[0]
+        n_tapes, outputs, grads = seen[0]
+        assert n_tapes == 3, "the step's tape and one tape per side"
         assert outputs and all(t.grad is None for t in outputs)
         assert all(g is not None for g in grads.values())
 
-    # Dropout sites per step: the embedding (recurrent-first kinds) or the
+    # Dropout sites per side: the embedding (recurrent-first kinds) or the
     # attention input, each recurrent layer above the first, the attention
-    # input and two per attention layer, and two in the head.
-    @pytest.mark.parametrize("kind, sites", [("lstm", 4), ("onlstm", 4), ("san", 7), ("hybrid", 6)])
+    # input and two per attention layer. The head adds two more.
+    @pytest.mark.parametrize("kind, sites", [("lstm", 2), ("onlstm", 2), ("san", 5), ("hybrid", 4)])
     def test_train_applies_dropout_at_every_site(self, kind, sites, monkeypatch):
         # the rng is the only training switch: a step that lost it would run
-        # as evaluation, with no dropout entry on its tape
+        # as evaluation, with no dropout entry on its tapes
         pairs = pairs_with_ops(22, 2, max_ops=3)
         model = P.PairClassifier(tiny_config(
             kind, epochs=1, batch_size=len(pairs), encoder_overrides=dict(dropout=0.2),
         ))
+        tapes = _record_tapes(monkeypatch)
         seen = []
         real_backward = P.backward
 
         def counted(loss):
-            seen.append([e.op for e in T.active_tape().entries].count("dropout"))
+            step, *sides = tapes
+            assert step is T.active_tape()
+            seen.append([[e.op for e in t.entries].count("dropout") for t in [step] + sides])
             real_backward(loss)
 
         monkeypatch.setattr(P, "backward", counted)
         P.train(model, pairs, pairs[:4])
-        assert seen == [sites], "one batch, one step, every dropout site drawn"
+        assert seen == [[2, sites, sites]], "one batch, one step, every dropout site drawn"
 
     def test_zero_learning_rate_leaves_parameters_untouched(self):
         pairs = pairs_with_ops(6, 3, max_ops=4)
@@ -610,6 +631,76 @@ class TestTwoThreadEvaluation:
         with T.tape_scope() as tape:
             P.evaluate(model, ex)
         assert tape.entries == []
+
+
+def _gradients(model, ids, mask, labels, **kwargs):
+    """Every parameter's gradient after one recorded pass; the grads are reset."""
+    params = model.parameters()
+    with T.tape_scope():
+        T.backward(T.cross_entropy(model.forward_joint(ids, mask, **kwargs), labels))
+    grads = {n: p.grad for n, p in params.items()}
+    for p in params.values():
+        p.zero_grad()
+    return grads
+
+
+class TestTwoThreadTraining:
+    """A recorded split pass: two side tapes, backpropagated on two threads."""
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_split_gradients_match_the_joint_path(self, preset):
+        pairs = [p for p in pairs_with_ops(32, 2, max_ops=8) if p.op_count >= 1]
+        ex = P.prepare_examples(pairs)
+        idx = np.random.default_rng(36).permutation(len(ex))[:9]
+        ids, mask, labels = P._batch_arrays(ex, idx)
+        assert len(set(mask.sum(axis=1))) > 2, "a ragged batch"
+        with T.dtype_scope("float64"):
+            model = _tiny_preset_model(preset)
+            joint = _gradients(model, ids, mask, labels)
+            with _CountingWorker() as worker:
+                split = _gradients(model, ids, mask, labels, worker=worker)
+        assert worker.jobs == 2, "one side's forward and its backward"
+        assert joint.keys() == split.keys()
+        for name, g in joint.items():
+            assert np.abs(g).max() > 0, name
+            rel = np.abs(split[name] - g).max() / np.abs(g).max()
+            assert rel <= 1e-12, (name, rel)
+
+    def test_dropout_runs_reproduce_bit_for_bit(self):
+        pairs = pairs_with_ops(37, 3, max_ops=4)
+        runs = []
+        for _ in range(2):
+            model = P.PairClassifier(tiny_config(
+                "hybrid", epochs=3, batch_size=4, encoder_overrides=dict(dropout=0.2),
+            ))
+            P.train(model, pairs, pairs[:8])
+            runs.append({n: p.data for n, p in model.parameters().items()})
+        for name, data in runs[0].items():
+            assert np.array_equal(data, runs[1][name]), name
+
+    def test_split_dropout_needs_a_stream_per_side(self):
+        ex = P.prepare_examples(pairs_with_ops(39, 1, max_ops=4))
+        ids, mask, _ = P._batch_arrays(ex, range(4))
+        model = P.PairClassifier(tiny_config("lstm", encoder_overrides=dict(dropout=0.2)))
+        with _CountingWorker() as worker, pytest.raises(ContractError, match="hypothesis"):
+            model.forward_joint(ids, mask, rng=np.random.default_rng(0), worker=worker)
+        assert worker.jobs == 0
+
+    def test_one_pair_training_batches_give_the_worker_no_job(self, monkeypatch):
+        executors = []
+
+        def counting(max_workers):
+            assert max_workers == 1
+            executors.append(_CountingWorker())
+            return executors[-1]
+
+        monkeypatch.setattr(P, "ThreadPoolExecutor", counting)
+        pairs = pairs_with_ops(38, 1, max_ops=4)
+        model = P.PairClassifier(tiny_config("hybrid", epochs=1, batch_size=1))
+        P.train(model, pairs, pairs[:4])
+        train_worker, dev_worker = executors
+        assert train_worker.jobs == 0
+        assert dev_worker.jobs == 1, "the dev pass still splits its 4-pair batch"
 
 
 class TestConfigAndCsv:
