@@ -8,10 +8,12 @@ trainable query vectors (a single row of an attention stack is not a summary
 state, so they never pool the last row).
 
 The two sides of a pair meet only at the head, so training and evaluation
-encode a batch's premises and hypotheses on two threads, each side on a tape
-of its own, and a training step backpropagates the two tapes on the same two
-threads. Evaluation's logits equal one joint pass's bit for bit; training's
-gradients differ from it by rounding (see `PairClassifier.forward_joint`).
+encode a batch's rows on two threads, each half on a tape of its own, and a
+training step backpropagates the two tapes on the same two threads. Without
+dropout, a batch encodes each distinct sequence once and gathers the pooled
+rows back to every pair. Evaluation's logits equal one joint pass's bit for
+bit; training's gradients differ from it by rounding (see
+`PairClassifier.forward_joint`).
 
 Training deliberately caps the operator count of the examples it consumes so
 that longer sequences stay unseen until evaluation; `evaluate_by_length`
@@ -43,6 +45,7 @@ from .tensor import (
     backward,
     cross_entropy,
     dropout,
+    gather_rows,
     join_rows,
     linear,
     no_grad,
@@ -65,10 +68,12 @@ LENGTH_BINS = tuple(range(1, MAX_OPS + 1))
 
 
 def encode_tokens(text: str) -> np.ndarray:
-    """Whitespace-tokenized expression text to vocabulary ids."""
+    """Whitespace-tokenized expression text to vocabulary ids, never PAD_ID."""
     ids = []
     for tok in text.split():
         tid = TOKEN_IDS.get(tok)
+        if tid == PAD_ID:
+            raise DataError(f"padding token {tok!r} inside an expression")
         if tid is None:
             raise DataError(f"unknown token {tok!r} (vocabulary: {', '.join(VOCAB)})")
         ids.append(tid)
@@ -232,6 +237,22 @@ def _check_fields(cls, raw: dict, section: str) -> None:
 # model
 
 
+def _distinct_rows(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The distinct rows of a (B, N) id batch and each row's place among them.
+
+    Each distinct row is kept at its first occurrence, in batch order. None
+    when no row repeats, or when one row alone would remain: a single
+    sequence takes numpy's one-row (gemv) paths, which change bits.
+    """
+    _, first, inverse = np.unique(ids, axis=0, return_index=True, return_inverse=True)
+    if not 2 <= len(first) < len(ids):
+        return None
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse.reshape(-1)]
+
+
 class PairClassifier:
     """Shared encoder + pooling + relation head over premise/hypothesis pairs."""
 
@@ -279,31 +300,44 @@ class PairClassifier:
 
         Training passes its dropout streams; without them, no dropout.
 
-        Given a `worker` (an executor) and at least two pairs, the worker
-        encodes and pools the hypothesis rows on a tape of its own, drawing
-        dropout from `hyp_rng`, while the calling thread does the premise
-        rows on another, drawing from `rng`. The halves meet in one
-        `join_rows` entry, whose backward replays the two side tapes on the
-        same two threads; the head runs on the calling thread with `rng`.
-        Without dropout, the logits are the joint path's, bit for bit: each
-        row's products are the same, and each half keeps the batch's N
-        columns, so every softmax sums over the same padded width. The
-        gradients differ from the joint path's by rounding only, since each
-        weight gradient is summed per side, premise side first. A one-pair
-        batch stays joint, since a single sequence would take numpy's
-        one-row (gemv) paths.
+        Without dropout (evaluation, gradient checks, the scripts), the rows
+        to encode are the batch's distinct id rows (`_distinct_rows`), and
+        `gather_rows` copies their pooled rows back to all 2b; its backward
+        sums a row's repeats. Training encodes every row, since each draws
+        its own dropout mask.
+
+        Given a `worker` (an executor) and at least two rows in each half,
+        the calling thread encodes and pools the first half of the rows to
+        encode, drawing dropout from `rng`, and the worker the second half,
+        drawing from `hyp_rng`, each on a tape of its own; with every row
+        kept, the halves are the premise rows [0, b) and the hypothesis rows
+        [b, 2b). They meet in one `join_rows` entry, whose backward replays
+        the two tapes on the same two threads; the head runs on the calling
+        thread with `rng`. Without dropout, the logits are those of one pass
+        over every row, bit for bit: each row's products are the same, and
+        the rows keep the batch's N columns, so every softmax sums over the
+        same padded width. The gradients differ from that pass's by rounding
+        only, since each weight gradient is summed per half, first half
+        first. A single sequence would take numpy's one-row (gemv) paths,
+        so fewer than four rows stay joint.
         """
         if ids.shape[0] % 2 != 0:
             raise DataError(f"joint batch must stack premise and hypothesis rows, got {ids.shape}")
         b = ids.shape[0] // 2
-        if worker is None or b < 2:
+        distinct = _distinct_rows(ids) if rng is None else None
+        if distinct is not None:
+            ids, mask = ids[distinct[0]], mask[distinct[0]]
+        half = len(ids) // 2
+        if worker is None or half < 2:
             pooled = self._pooled(ids, mask, rng)
         else:
             if rng is not None and hyp_rng is None:
                 raise ContractError("a split pass with dropout needs the hypothesis side's stream")
-            hyp = worker.submit(self._side, ids[b:], mask[b:], hyp_rng)
-            prem, prem_tape = self._side(ids[:b], mask[:b], rng)
+            hyp = worker.submit(self._side, ids[half:], mask[half:], hyp_rng)
+            prem, prem_tape = self._side(ids[:half], mask[:half], rng)
             pooled = join_rows(prem, prem_tape, *hyp.result(), worker)
+        if distinct is not None:
+            pooled = gather_rows(pooled, distinct[1])
         # Row i of the pair batch is [u_i, v_i] = pooled rows i and b + i.
         pair = reshape(permute(reshape(pooled, (2, b, -1)), (1, 0, 2)), (b, 2 * self.d_sent))
         return self.head(pair, rng=rng)
@@ -353,9 +387,10 @@ def _predict(model: PairClassifier, pairs) -> tuple[np.ndarray, np.ndarray]:
     """Predictions and labels of labeled pairs in their given order, gradient-free.
 
     Examples run sorted by padded width and cut greedily at both limits; a
-    pair wider than the token limit runs alone. Each batch's hypothesis side
-    runs on one worker thread alongside its premise side (see
-    `PairClassifier.forward_joint`); the thread ends with the call.
+    pair wider than the token limit runs alone. Each batch encodes its
+    distinct sequences once, the second half of them on one worker thread
+    alongside the first (see `PairClassifier.forward_joint`); the thread
+    ends with the call.
     """
     if not pairs:
         raise DataError("no examples to evaluate")

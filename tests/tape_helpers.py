@@ -21,6 +21,10 @@ for the recurrent stack and `padded_san` for the attention stack, and
 Their dropout, `grid_dropout`, draws each site's mask as the packed rows
 do, one (T, d) draw in packed order, and scatters it onto the grid.
 `pack` and `unpack` move between padded arrays and packed rows.
+
+`all_rows_logits` finishes a `PairClassifier` from `_pooled` over every
+row of a batch, repeats included: the oracle `forward_joint`'s
+distinct-row path is held to.
 """
 
 from typing import Sequence
@@ -397,4 +401,12 @@ def padded_logits(model, ids: np.ndarray, mask: np.ndarray) -> Tensor:
         pooled = scaled_dot_attention(model.queries, seq, seq, Packing(mask).key_bias(seq.dtype))
         pooled = reshape(pooled, (batch, -1))
     pair = reshape(permute(reshape(pooled, (2, batch // 2, -1)), (1, 0, 2)), (batch // 2, -1))
+    return model.head(pair)
+
+
+def all_rows_logits(model, ids: np.ndarray, mask: np.ndarray) -> Tensor:
+    """`PairClassifier.forward_joint` without dropout, encoding every row, repeats included."""
+    b = ids.shape[0] // 2
+    pooled = model._pooled(ids, mask)
+    pair = reshape(permute(reshape(pooled, (2, b, -1)), (1, 0, 2)), (b, -1))
     return model.head(pair)

@@ -23,7 +23,7 @@ from seqstack.errors import ConfigError, ContractError, DataError, NumericsError
 from seqstack.gradcheck import finite_difference_check
 from seqstack.logic import make_pair, sample_expression, serialize
 
-from tape_helpers import pack
+from tape_helpers import all_rows_logits, pack
 
 
 def pairs_with_ops(seed, per_bin, max_ops=8):
@@ -115,6 +115,13 @@ class TestTokens:
             P.encode_tokens("( a ( xor b ) )")
         with pytest.raises(DataError, match="empty"):
             P.encode_tokens("   ")
+
+    def test_padding_token_rejected(self):
+        # Equal id rows must mean equal sequences, so no real row holds PAD_ID.
+        with pytest.raises(DataError, match="padding token '<pad>'"):
+            P.encode_tokens("<pad> a")
+        with pytest.raises(DataError, match="padding token '<pad>'"):
+            P.encode_tokens("( a ( and <pad> ) )")
 
 
 class TestPooling:
@@ -696,11 +703,100 @@ class TestTwoThreadTraining:
 
         monkeypatch.setattr(P, "ThreadPoolExecutor", counting)
         pairs = pairs_with_ops(38, 1, max_ops=4)
+        dev_ids, _, _ = P._batch_arrays(P.prepare_examples(pairs[:4]), range(4))
+        assert len(np.unique(dev_ids, axis=0)) >= 4, "both halves of the dev batch hold 2 rows"
         model = P.PairClassifier(tiny_config("hybrid", epochs=1, batch_size=1))
         P.train(model, pairs, pairs[:4])
         train_worker, dev_worker = executors
         assert train_worker.jobs == 0
         assert dev_worker.jobs == 1, "the dev pass still splits its 4-pair batch"
+
+
+def _repeating_batch():
+    """A ragged 10-pair batch with many repeated rows, one pair with premise = hypothesis."""
+    ex = P.prepare_examples([p for p in pairs_with_ops(40, 2, max_ops=5) if p.op_count <= 3])
+    same = ex[5].premise_ids
+    ex.append(P.PreparedExample(same, same, 0, 1))
+    return P._batch_arrays(ex, [0, 1, 2, 0, 3, 1, 6, len(ex) - 1, 0, 4])
+
+
+def _count_encoded_rows(model, monkeypatch):
+    """Patch `model._pooled` to record the row count of every batch it encodes."""
+    rows = []
+    pooled = model._pooled
+
+    def counting(ids, mask, rng=None):
+        rows.append(len(ids))
+        return pooled(ids, mask, rng)
+
+    monkeypatch.setattr(model, "_pooled", counting)
+    return rows
+
+
+class TestDistinctRows:
+    """Without dropout, forward_joint encodes each distinct row of a batch once."""
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_logits_equal_the_all_rows_pass(self, preset, monkeypatch):
+        ids, mask, _ = _repeating_batch()
+        distinct = len(np.unique(ids, axis=0))
+        assert 4 <= distinct <= len(ids) - 6, "a batch with many repeats"
+        assert len(set(mask.sum(axis=1))) > 2, "a ragged batch"
+        model = _tiny_preset_model(preset)
+        with T.no_grad():
+            reference = all_rows_logits(model, ids, mask).data
+            rows = _count_encoded_rows(model, monkeypatch)
+            joint = model.forward_joint(ids, mask).data
+            assert rows == [distinct]
+            rows.clear()
+            with _CountingWorker() as worker:
+                split = model.forward_joint(ids, mask, worker=worker).data
+        assert worker.jobs == 1
+        assert sorted(rows) == sorted([distinct // 2, distinct - distinct // 2])
+        assert np.array_equal(joint, reference)
+        assert np.array_equal(split, reference)
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_gradients_match_the_all_rows_pass(self, preset):
+        ids, mask, labels = _repeating_batch()
+        with T.dtype_scope("float64"):
+            model = _tiny_preset_model(preset)
+            with T.tape_scope():
+                T.backward(T.cross_entropy(all_rows_logits(model, ids, mask), labels))
+            reference = {n: p.grad for n, p in model.parameters().items()}
+            for p in model.parameters().values():
+                p.zero_grad()
+            joint = _gradients(model, ids, mask, labels)
+            with _CountingWorker() as worker:
+                split = _gradients(model, ids, mask, labels, worker=worker)
+        assert worker.jobs == 2, "one half's forward and its backward"
+        for name, g in reference.items():
+            assert np.abs(g).max() > 0, name
+            for grads in (joint, split):
+                rel = np.abs(grads[name] - g).max() / np.abs(g).max()
+                assert rel <= 1e-12, (name, rel)
+
+    def test_one_pair_with_equal_sides_keeps_both_rows(self, monkeypatch):
+        same = P.encode_tokens("( a ( and ( not b ) ) )")
+        ids, mask, _ = P._batch_arrays([P.PreparedExample(same, same, 0, 2)], [0])
+        model = _tiny_preset_model("hybrid-shortcut")
+        with T.no_grad():
+            reference = all_rows_logits(model, ids, mask).data
+            rows = _count_encoded_rows(model, monkeypatch)
+            with _CountingWorker() as worker:
+                logits = model.forward_joint(ids, mask, worker=worker).data
+        assert rows == [2]
+        assert worker.jobs == 0
+        assert np.array_equal(logits, reference)
+
+    def test_training_encodes_every_row(self, monkeypatch):
+        ids, mask, _ = _repeating_batch()
+        model = _tiny_preset_model("lstm")
+        rows = _count_encoded_rows(model, monkeypatch)
+        with T.no_grad(), _CountingWorker() as worker:
+            model.forward_joint(ids, mask, rng=np.random.default_rng(0), worker=worker,
+                                hyp_rng=np.random.default_rng(1))
+        assert sorted(rows) == [len(ids) // 2, len(ids) // 2]
 
 
 class TestConfigAndCsv:
