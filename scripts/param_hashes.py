@@ -12,8 +12,11 @@ For each run it prints the SHA-256 of the trained parameters (name, dtype,
 shape and bytes, in name order), of the `forward_joint` logits on the test
 split (one padded batch), and of the same logits from the freshly built
 model before any training (`init-logits`, a check of the forward pass
-alone). A refactor that claims to keep behaviour to the bit must leave
-every line unchanged. It takes no options.
+alone). Its first line, `data`, is the SHA-256 of the test split as
+`prepare_examples(load_dataset(...))` returns it (token ids, labels and
+operator counts, in order), so a change to the data path can show that it
+is bit for bit too. A refactor that claims to keep behaviour to the bit
+must leave every line unchanged. It takes no options.
 """
 
 import contextlib
@@ -61,6 +64,19 @@ def _sha(chunks) -> str:
     return h.hexdigest()
 
 
+def data_sha(test_file: Path) -> str:
+    """Hash of the prepared examples: ids, label and operator count of each."""
+    return _sha(
+        part
+        for ex in prepare_examples(load_dataset(test_file))
+        for part in (
+            f"{len(ex.premise_ids)} {len(ex.hyp_ids)} {ex.label} {ex.op_count}\n".encode(),
+            ex.premise_ids.tobytes(),
+            ex.hyp_ids.tobytes(),
+        )
+    )
+
+
 def logits_sha(model, test_file: Path) -> str:
     examples = prepare_examples(load_dataset(test_file))
     ids, mask, _ = _batch_arrays(examples, range(len(examples)))
@@ -95,6 +111,8 @@ def build() -> None:
         config = tmp / "config.json"
         config.write_text(json.dumps(SMALL_DESK))
         _run(["gen-data", "--seed", DATA_SEED, "--bins", BINS, "--out", str(data)])
+        print(f"{'data':<12} {'test.tsv':<16} examples {data_sha(data / 'test.tsv')}",
+              flush=True)
         settings = {"tiny": ["--tiny"], "d32-dropout": ["--config", str(config)]}
         for setting, extra in settings.items():
             for preset in sorted(PRESETS):

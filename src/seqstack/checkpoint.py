@@ -62,7 +62,7 @@ def save_checkpoint(path, config: dict, params: dict[str, Tensor]) -> None:
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(bytes(blob))
+            fh.write(blob)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -72,12 +72,12 @@ def save_checkpoint(path, config: dict, params: dict[str, Tensor]) -> None:
 
 
 class _Reader:
-    def __init__(self, buf: bytes, path):
+    def __init__(self, buf: memoryview, path):
         self.buf = buf
         self.pos = 0
         self.path = path
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.buf):
             raise DataError(f"{self.path}: truncated checkpoint file")
         out = self.buf[self.pos : self.pos + n]
@@ -89,9 +89,13 @@ class _Reader:
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a checkpoint file back into (config dict, name -> array)."""
+    """Read a checkpoint file back into (config dict, name -> array).
+
+    The arrays are read-only little-endian views of the file's bytes, so the
+    copy `restore_parameters` makes is the only one.
+    """
     with open(path, "rb") as fh:
-        reader = _Reader(fh.read(), path)
+        reader = _Reader(memoryview(fh.read()), path)
     if reader.take(len(MAGIC)) != MAGIC:
         raise DataError(f"{path}: not a checkpoint file (bad magic)")
     (version,) = reader.unpack("<I")
@@ -102,7 +106,7 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         )
     (config_len,) = reader.unpack("<I")
     try:
-        config = json.loads(reader.take(config_len).decode("utf-8"))
+        config = json.loads(str(reader.take(config_len), "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"{path}: corrupt config block: {exc}") from exc
     (count,) = reader.unpack("<I")
@@ -110,9 +114,11 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     for _ in range(count):
         (name_len,) = reader.unpack("<H")
         try:
-            name = reader.take(name_len).decode("utf-8")
+            name = str(reader.take(name_len), "utf-8")
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: corrupt parameter name: {exc}") from exc
+        if name in arrays:
+            raise DataError(f"{path}: parameter {name!r} is stored twice")
         code, ndim = reader.unpack("<BB")
         dtype = _DTYPE_CODES.get(code)
         if dtype is None:
@@ -120,8 +126,7 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         shape = reader.unpack(f"<{ndim}I")
         n_items = int(np.prod(shape, dtype=np.int64)) if ndim else 1
         raw = reader.take(n_items * dtype.itemsize)
-        arr = np.frombuffer(raw, dtype=dtype).reshape(shape)
-        arrays[name] = arr.astype(dtype.newbyteorder("="))
+        arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape)
     if reader.pos != len(reader.buf):
         raise DataError(f"{path}: trailing bytes after last parameter")
     return config, arrays

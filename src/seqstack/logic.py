@@ -11,6 +11,7 @@ exactly one label.
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
@@ -186,67 +187,74 @@ def sample_expression(rng: np.random.Generator, op_count: int) -> Expr:
     return Or(left, right) if op == "or" else And(left, right)
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens: list[tuple[str, int]] = []
-        offset = 0
-        for piece in text.split(" "):
-            if piece:
-                self.tokens.append((piece, offset))
-            offset += len(piece) + 1
-        self.pos = 0
+# One shared node per atom: trees are immutable, so every parse reuses them.
+_ATOM_NODES = {name: Atom(name) for name in ATOMS}
+_BINARY_OPS = {"or": Or, "and": And}
 
-    def _fail(self, message: str, offset: int | None = None) -> None:
-        if offset is None:
-            offset = self.tokens[self.pos][1] if self.pos < len(self.tokens) else len(self.text)
+
+def _parse(text: str) -> tuple[Expr, int]:
+    """Recursive descent over the space-separated tokens, counting operators.
+
+    A None sentinel ends the token list, so running out of input fails like
+    any other unexpected token. Byte offsets are computed only on failure.
+    """
+    tokens: list = [piece for piece in text.split(" ") if piece]
+    if not tokens:
+        raise DataError("empty expression at byte 0")
+    tokens.append(None)
+    pos = ops = 0
+
+    def fail(i: int, want: str | None = None):
+        tok = tokens[i]
+        if tok is None:
+            raise DataError(f"unexpected end of input at byte {len(text)}")
+        offset = [m.start() for m in re.finditer("[^ ]+", text)][i]
+        message = f"expected {want}, found {tok!r}" if want else f"trailing input {tok!r}"
         raise DataError(f"{message} at byte {offset}")
 
-    def _take(self) -> tuple[str, int]:
-        if self.pos >= len(self.tokens):
-            self._fail("unexpected end of input")
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def _expect(self, want: str) -> None:
-        tok, off = self._take()
-        if tok != want:
-            self._fail(f"expected {want!r}, found {tok!r}", off)
-
-    def expression(self) -> Expr:
-        tok, off = self._take()
-        if tok in ATOMS:
-            return Atom(tok)
+    def expression() -> Expr:
+        nonlocal pos, ops
+        tok = tokens[pos]
+        pos += 1
+        node = _ATOM_NODES.get(tok)
+        if node is not None:
+            return node
         if tok != "(":
-            self._fail(f"expected atom or '(', found {tok!r}", off)
-        nxt, _ = self.tokens[self.pos] if self.pos < len(self.tokens) else ("", len(self.text))
-        if nxt == "not":
-            self._take()
-            child = self.expression()
-            self._expect(")")
-            return Not(child)
-        left = self.expression()
-        self._expect("(")
-        op, op_off = self._take()
-        if op not in ("or", "and"):
-            self._fail(f"expected 'or' or 'and', found {op!r}", op_off)
-        right = self.expression()
-        self._expect(")")
-        self._expect(")")
-        return Or(left, right) if op == "or" else And(left, right)
+            fail(pos - 1, "atom or '('")
+        ops += 1
+        if tokens[pos] == "not":
+            pos += 1
+            node = Not(expression())
+        else:
+            left = expression()
+            if tokens[pos] != "(":
+                fail(pos, "'('")
+            binary = _BINARY_OPS.get(tokens[pos + 1])
+            if binary is None:
+                fail(pos + 1, "'or' or 'and'")
+            pos += 2
+            node = binary(left, expression())
+            if tokens[pos] != ")":
+                fail(pos, "')'")
+            pos += 1
+        if tokens[pos] != ")":
+            fail(pos, "')'")
+        pos += 1
+        return node
 
-    def parse(self) -> Expr:
-        if not self.tokens:
-            self._fail("empty expression", 0)
-        root = self.expression()
-        if self.pos != len(self.tokens):
-            self._fail(f"trailing input {self.tokens[self.pos][0]!r}")
-        return root
+    root = expression()
+    if tokens[pos] is not None:
+        fail(pos)
+    return root, ops
 
 
 def parse_expression(text: str) -> Expr:
-    return _Parser(text).parse()
+    """Parse the canonical serialization into a tree; errors name a byte offset.
+
+    Atoms are the shared nodes of `_ATOM_NODES`; load_dataset also takes the
+    operator count that `_parse` gathers on the way.
+    """
+    return _parse(text)[0]
 
 
 def _split_sizes(n: int, ratios: tuple[float, float, float]) -> tuple[int, int, int]:
@@ -366,10 +374,13 @@ def load_dataset(path: str | Path) -> list[LabeledPair]:
     Accepts both the token labels written by generate_dataset and the
     single-character symbols used by public natural-logic files. The stored
     label is trusted here; audit_pairs re-derives labels when verification
-    is wanted.
+    is wanted. Each distinct expression text is parsed once per call: pairs
+    that repeat a text share its (immutable) tree, and a pair's op_count
+    comes from the operators the parse counted.
     """
     path = Path(path)
     pairs: list[LabeledPair] = []
+    parsed: dict[str, tuple[Expr, int]] = {}
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
     except OSError as exc:
@@ -385,16 +396,14 @@ def load_dataset(path: str | Path) -> list[LabeledPair]:
         if label is None:
             raise DataError(f"{path}:{lineno}: unknown label token {token!r}")
         try:
-            premise = parse_expression(premise_text)
-            hypothesis = parse_expression(hypothesis_text)
+            for text in (premise_text, hypothesis_text):
+                if text not in parsed:
+                    parsed[text] = _parse(text)
         except DataError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
-        pairs.append(
-            LabeledPair(
-                premise, hypothesis, label,
-                max(operator_count(premise), operator_count(hypothesis)),
-            )
-        )
+        (premise, premise_ops), (hypothesis, hypothesis_ops) = (
+            parsed[premise_text], parsed[hypothesis_text])
+        pairs.append(LabeledPair(premise, hypothesis, label, max(premise_ops, hypothesis_ops)))
     return pairs
 
 

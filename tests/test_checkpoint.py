@@ -2,6 +2,7 @@
 
 import errno
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from seqstack.checkpoint import (
     save_checkpoint,
 )
 from seqstack.errors import DataError
-from seqstack.tensor import parameter
+from seqstack.tensor import constant, parameter
+
+GOLDEN_CHECKPOINT = Path(__file__).parent / "golden" / "model.ckpt"
 
 
 def small_params(rng):
@@ -58,6 +61,23 @@ class TestRoundTrip:
         restore_parameters(live, arrays)
         assert live["w"].data.dtype == np.float32
         np.testing.assert_array_equal(live["w"].data, np.array([1.5, -2.25], np.float32))
+
+    def test_resaving_the_golden_arrays_gives_its_exact_bytes(self, tmp_path):
+        config, arrays = load_checkpoint(GOLDEN_CHECKPOINT)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, config, {name: constant(a) for name, a in arrays.items()})
+        assert path.read_bytes() == GOLDEN_CHECKPOINT.read_bytes()
+
+    def test_restored_parameters_are_writable_copies(self, tmp_path, rng):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {}, small_params(rng))
+        _, arrays = load_checkpoint(path)
+        live = small_params(np.random.default_rng(5))
+        restore_parameters(live, arrays)
+        for name, tensor in live.items():
+            assert tensor.data.flags.writeable
+            assert not np.shares_memory(tensor.data, arrays[name])
+            np.testing.assert_array_equal(tensor.data, arrays[name])
 
     def test_on_disk_floats_are_little_endian(self, tmp_path):
         # [TRIVIAL] the single stored value must appear as its LE byte string.
@@ -133,6 +153,15 @@ class TestRejection:
         save_checkpoint(path, {}, small_params(rng))
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(DataError, match="trailing"):
+            load_checkpoint(path)
+
+    def test_repeated_parameter_name(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {}, {"w1": parameter(np.zeros(2)), "w2": parameter(np.ones(3))})
+        blob = path.read_bytes()
+        assert blob.count(b"w2") == 1
+        path.write_bytes(blob.replace(b"w2", b"w1"))
+        with pytest.raises(DataError, match=r"model\.ckpt: parameter 'w1' is stored twice"):
             load_checkpoint(path)
 
     def test_restore_rejects_shape_mismatch(self, tmp_path, rng):

@@ -8,6 +8,7 @@ sharing nothing with the bitset implementation under test.
 import numpy as np
 import pytest
 
+from parser_reference import reference_parse
 from seqstack.errors import ConfigError, DataError
 from seqstack.logic import (
     ATOMS,
@@ -16,9 +17,12 @@ from seqstack.logic import (
     FULL_SET,
     LABEL_TOKENS,
     LabeledPair,
+    MAX_OPS,
     Not,
     Or,
     Relation,
+    TOKEN_TO_RELATION,
+    _parse,
     audit_pairs,
     generate_dataset,
     load_dataset,
@@ -252,6 +256,125 @@ class TestParser:
             parse_expression("")
         with pytest.raises(DataError, match="byte"):
             parse_expression("( a ( xor b ) )")
+
+
+def parse_outcome(parse, text):
+    """The tree `parse` returns for `text`, or the message of its DataError."""
+    try:
+        return parse(text)
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
+# Tokens a mutation inserts: the grammar's own, plus ones it never accepts.
+MUTATION_TOKENS = ("(", ")", "not", "or", "and", "a", "f", "xyz", "((", "A", "\t")
+
+
+def mutate(rng, text):
+    """One seeded edit: delete, insert or swap a token, or double a space."""
+    tokens = text.split(" ")
+    i = int(rng.integers(0, len(tokens)))
+    kind = int(rng.integers(0, 4))
+    if kind == 0:
+        del tokens[i]
+    elif kind == 1:
+        tokens.insert(int(rng.integers(0, len(tokens) + 1)),
+                      MUTATION_TOKENS[rng.integers(0, len(MUTATION_TOKENS))])
+    elif kind == 2:
+        j = int(rng.integers(0, len(tokens)))
+        tokens[i], tokens[j] = tokens[j], tokens[i]
+    else:
+        # an empty piece: a doubled space, or a leading or trailing one
+        tokens.insert(int(rng.integers(0, len(tokens) + 1)), "")
+    return " ".join(tokens)
+
+
+class TestParserAgainstReference:
+    """The parser against the recursive-descent parser it replaced."""
+
+    ERROR_KINDS = ("empty expression", "unexpected end of input", "expected atom or '('",
+                   "expected '('", "expected ')'", "expected 'or' or 'and'", "trailing input")
+
+    def test_random_expressions_parse_to_equal_trees_and_counts(self):
+        rng = np.random.default_rng(31)
+        for _ in range(5000):
+            e = sample_expression(rng, int(rng.integers(0, MAX_OPS + 1)))
+            text = serialize(e)
+            tree, ops = _parse(text)
+            assert tree == reference_parse(text) == e
+            assert ops == operator_count(e)
+
+    def test_mutated_texts_give_the_same_tree_or_the_same_error(self):
+        rng = np.random.default_rng(32)
+        errors, parsed = set(), 0
+        for _ in range(15000):
+            text = serialize(sample_expression(rng, int(rng.integers(0, MAX_OPS + 1))))
+            for _ in range(int(rng.integers(1, 4))):
+                text = mutate(rng, text)
+            got = parse_outcome(parse_expression, text)
+            assert got == parse_outcome(reference_parse, text), text
+            if isinstance(got, str):
+                errors.add(next(kind for kind in self.ERROR_KINDS
+                                if got.startswith(f"DataError: {kind}")))
+            else:
+                parsed += 1
+                assert _parse(text)[1] == operator_count(got)
+        assert parsed > 0
+        assert errors == set(self.ERROR_KINDS)
+
+    def test_hand_written_malformed_texts_match(self):
+        for text in ("", " ", "  ", "a junk", " ( a ( or", "( a ( or", "( xyz ( or b ) )",
+                     "( a ( xor b ) )", "( a  ( and b ) ) )", "( not a ]", "( a b ( or c ) )",
+                     "( a ( or b ) (", "( not  ", ") a", "a\t", "( a ( or b ) ) c"):
+            assert parse_outcome(parse_expression, text) == parse_outcome(reference_parse, text)
+
+
+def reference_load(path):
+    """load_dataset's pairs, each side parsed afresh by the reference parser."""
+    pairs = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        token, premise_text, hypothesis_text = line.split("\t")
+        premise, hypothesis = reference_parse(premise_text), reference_parse(hypothesis_text)
+        pairs.append(LabeledPair(premise, hypothesis, TOKEN_TO_RELATION[token],
+                                 max(operator_count(premise), operator_count(hypothesis))))
+    return pairs
+
+
+class TestLoadDatasetParsesEachTextOnce:
+    SHARED = "( ( not a ) ( or ( b ( and c ) ) ) )"
+
+    def test_repeated_text_shares_one_tree(self, tmp_path):
+        path = tmp_path / "repeats.tsv"
+        path.write_text(f"lt\t{self.SHARED}\tc\neq\t{self.SHARED}\t{self.SHARED}\n"
+                        f"ind\t( not c )\td\ngt\td\t{self.SHARED}\n", encoding="utf-8")
+        pairs = load_dataset(path)
+        shared = [pairs[0].premise, pairs[1].premise, pairs[1].hypothesis, pairs[3].hypothesis]
+        assert all(tree is shared[0] for tree in shared)
+        for pair in pairs:
+            assert pair.op_count == max(operator_count(pair.premise),
+                                        operator_count(pair.hypothesis))
+        assert pairs == reference_load(path)
+        # the memo lives for one call: a second load builds its trees anew
+        assert load_dataset(path)[0].premise is not pairs[0].premise
+
+    def test_generated_splits_equal_the_reference_load(self, tmp_path):
+        generate_dataset(14, {b: 40 for b in range(1, 9)}, tmp_path)
+        for split in ("train", "dev", "test"):
+            path = tmp_path / f"{split}.tsv"
+            assert load_dataset(path) == reference_load(path)
+
+    def test_a_failed_parse_is_not_remembered(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        bad = "( a ( xor b ) )"
+        path.write_text(f"eq\ta\ta\nlt\ta\t{self.SHARED}\nind\tb\t{bad}\n"
+                        f"eq\tb\tb\nind\t{bad}\tc\n", encoding="utf-8")
+        with pytest.raises(DataError) as first:
+            load_dataset(path)
+        message = str(first.value)
+        assert ":3: expected 'or' or 'and', found 'xor' at byte 6" in message
+        path.write_text("\n".join(path.read_text().splitlines()[3:]) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"bad\.tsv:2: expected 'or' or 'and'"):
+            load_dataset(path)
 
 
 class TestDatasetGeneration:
