@@ -16,7 +16,9 @@ alone). Its first line, `data`, is the SHA-256 of the test split as
 `prepare_examples(load_dataset(...))` returns it (token ids, labels and
 operator counts, in order), so a change to the data path can show that it
 is bit for bit too. A refactor that claims to keep behaviour to the bit
-must leave every line unchanged. It takes no options.
+must leave every line unchanged. It also checks that saving each restored
+model gives its checkpoint's exact bytes, and stops if one does not. It
+takes no options.
 """
 
 import contextlib
@@ -38,6 +40,7 @@ from seqstack.pipeline import (  # noqa: E402
     _batch_arrays,
     load_model,
     prepare_examples,
+    save_model,
 )
 from seqstack.tensor import no_grad  # noqa: E402
 
@@ -88,6 +91,9 @@ def logits_sha(model, test_file: Path) -> str:
 def fingerprint(run: Path, test_file: Path) -> tuple[str, str, str]:
     """Hashes of the trained parameters, their logits, and the init logits."""
     model, _ = load_model(run / "model.ckpt")
+    save_model(run / "resaved.ckpt", model)
+    if (run / "resaved.ckpt").read_bytes() != (run / "model.ckpt").read_bytes():
+        raise SystemExit(f"{run.name}: saving the restored model changed the checkpoint's bytes")
     params = model.parameters()
     param_sha = _sha(
         part

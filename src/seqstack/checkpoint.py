@@ -38,31 +38,24 @@ _CODE_FOR_KIND = {np.dtype(np.float32): 1, np.dtype(np.float64): 2}
 
 
 def save_checkpoint(path, config: dict, params: dict[str, Tensor]) -> None:
-    """Write the checkpoint atomically: the target is either old or complete."""
-    blob = bytearray()
-    blob += MAGIC
-    blob += struct.pack("<I", FORMAT_VERSION)
-    config_bytes = json.dumps(config, sort_keys=True).encode("utf-8")
-    blob += struct.pack("<I", len(config_bytes))
-    blob += config_bytes
-    blob += struct.pack("<I", len(params))
-    for name in sorted(params):
-        data = np.asarray(params[name].data)
-        code = _CODE_FOR_KIND.get(data.dtype)
-        if code is None:
-            raise DataError(f"parameter {name!r} has unsupported dtype {data.dtype}")
-        encoded = name.encode("utf-8")
-        blob += struct.pack("<H", len(encoded))
-        blob += encoded
-        blob += struct.pack("<BB", code, data.ndim)
-        blob += struct.pack(f"<{data.ndim}I", *data.shape)
-        blob += np.ascontiguousarray(data, dtype=_DTYPE_CODES[code]).tobytes()
-    # Write a sibling temp file, then rename it over the target.
+    """Write each piece, parameters as 1-D byte views, straight to a sibling temp file, fsync
+    it and rename it over the target: the target is either old or complete."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    config_bytes = json.dumps(config, sort_keys=True).encode("utf-8")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(blob)
+            fh.write(MAGIC + struct.pack("<II", FORMAT_VERSION, len(config_bytes)) + config_bytes)
+            fh.write(struct.pack("<I", len(params)))
+            for name in sorted(params):
+                data = np.asarray(params[name].data)
+                code = _CODE_FOR_KIND.get(data.dtype)
+                if code is None:
+                    raise DataError(f"parameter {name!r} has unsupported dtype {data.dtype}")
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack(f"<H{len(encoded)}sBB{data.ndim}I", len(encoded), encoded,
+                                     code, data.ndim, *data.shape))
+                fh.write(np.ascontiguousarray(data, dtype=_DTYPE_CODES[code]).ravel().view(np.uint8))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

@@ -17,7 +17,7 @@ import numpy as np
 from .attention import SanEncoder, sinusoidal_positions
 from .errors import ConfigError, DataError
 from .logic import VOCAB
-from .rng import SeedStreams
+from .rng import NoDraws, SeedStreams
 from .recurrent import RecurrentEncoder
 from .tensor import (
     Module,
@@ -85,7 +85,7 @@ class EncoderConfig:
 class Encoder(Module):
     """Token ids in, contextual states out, per the configured stack layout."""
 
-    def __init__(self, config: EncoderConfig, streams: SeedStreams):
+    def __init__(self, config: EncoderConfig, streams: SeedStreams | NoDraws):
         self.config = config
         self.embedding = uniform_parameter(
             streams.stream("init", "embedding"), 1.0 / np.sqrt(config.d), len(VOCAB), config.d

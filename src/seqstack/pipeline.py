@@ -35,7 +35,7 @@ from .encoder import Encoder, EncoderConfig
 from .errors import ConfigError, ContractError, DataError, NumericsError
 from .logic import MAX_OPS, VOCAB, serialize
 from .optim import Adam, clip_global_norm
-from .rng import SeedStreams
+from .rng import NoDraws, SeedStreams
 from .tensor import (
     GradTape,
     Module,
@@ -254,9 +254,11 @@ def _distinct_rows(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 
 
 class PairClassifier:
-    """Shared encoder + pooling + relation head over premise/hypothesis pairs."""
+    """Shared encoder + pooling + relation head over premise/hypothesis pairs.
 
-    def __init__(self, config: TrainConfig, streams: SeedStreams | None = None):
+    Parameters draw from `streams` (default `SeedStreams(config.seed)`); from `NoDraws()`, zero."""
+
+    def __init__(self, config: TrainConfig, streams: SeedStreams | NoDraws | None = None):
         self.config = config
         streams = streams if streams is not None else SeedStreams(config.seed)
         self.encoder = Encoder(config.encoder, streams)
@@ -356,8 +358,18 @@ class PreparedExample:
 
 
 def prepare_examples(pairs) -> list[PreparedExample]:
-    return [PreparedExample(encode_tokens(serialize(p.premise)), encode_tokens(serialize(p.hypothesis)),
-                            int(p.label), p.op_count) for p in pairs]
+    """Encode each expression tree once per call (`load_dataset` shares a repeated
+    text's tree); the pairs that hold it share one read-only id array."""
+    encoded: dict[int, tuple] = {}  # id(tree) -> (tree, ids); the held tree keeps its id unique
+
+    def ids(tree) -> np.ndarray:
+        if (hit := encoded.get(id(tree))) is None:
+            hit = encoded[id(tree)] = (tree, encode_tokens(serialize(tree)))
+            hit[1].setflags(write=False)
+        return hit[1]
+
+    return [PreparedExample(ids(p.premise), ids(p.hypothesis), int(p.label), p.op_count)
+            for p in pairs]
 
 
 def _batch_arrays(examples: list[PreparedExample], indices) -> tuple:
@@ -588,7 +600,7 @@ def save_model(path, model: PairClassifier) -> None:
 
 
 def load_model(path) -> tuple[PairClassifier, dict]:
-    """Rebuild the model a checkpoint describes and restore its parameters."""
+    """Rebuild the model a checkpoint describes, with no random draw, and restore its parameters."""
     config, arrays = load_checkpoint(path)
     if not isinstance(config, dict):
         raise DataError(f"{path}: checkpoint config must be an object, "
@@ -600,7 +612,7 @@ def load_model(path) -> tuple[PairClassifier, dict]:
         train_config = TrainConfig.from_dict(config.get("train"))
     except ConfigError as exc:
         raise DataError(f"{path}: bad model config: {exc}") from exc
-    model = PairClassifier(train_config)
+    model = PairClassifier(train_config, NoDraws())
     try:
         restore_parameters(model.parameters(), arrays)
     except DataError as exc:

@@ -36,3 +36,10 @@ class SeedStreams:
 
     def __repr__(self) -> str:
         return f"SeedStreams(seed={self.seed})"
+
+
+class NoDraws:
+    """Hands out no generator, so `tensor.uniform_parameter` draws nothing."""
+
+    def stream(self, *names: str) -> None:
+        return None

@@ -116,12 +116,15 @@ def parameter(data) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
-def uniform_parameter(rng: np.random.Generator, bound: float, *shape: int) -> Tensor:
-    """A parameter of `shape` drawn from U(-bound, bound), in the build's dtype."""
+def uniform_parameter(rng: np.random.Generator | None, bound: float, *shape: int) -> Tensor:
+    """A parameter of `shape` drawn from U(-bound, bound), in the build's dtype;
+    zero, with no draw, without a generator (a structure to restore into)."""
+    if rng is None:
+        return parameter(np.zeros(shape, dtype=_default_dtype))
     return parameter(rng.uniform(-bound, bound, shape).astype(_default_dtype))
 
 
-def affine_parameters(rng: np.random.Generator, d_in: int, d_out: int, gain: float = 1.0):
+def affine_parameters(rng: np.random.Generator | None, d_in: int, d_out: int, gain: float = 1.0):
     """A (d_in, d_out) weight from U(+-gain / sqrt(d_in)) and a zero (d_out,) bias."""
     w = uniform_parameter(rng, gain / np.sqrt(d_in), d_in, d_out)
     return w, parameter(np.zeros(d_out, dtype=_default_dtype))

@@ -124,6 +124,63 @@ class TestCrashSafety:
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
+    def test_write_failing_inside_a_parameter_keeps_previous_checkpoint(
+        self, tmp_path, rng, monkeypatch
+    ):
+        run = tmp_path / "run"
+        run.mkdir()
+        path = run / "model.ckpt"
+        save_checkpoint(path, {"epoch": 1}, small_params(rng))
+        before = path.read_bytes()
+        params = small_params(np.random.default_rng(5))
+        save_checkpoint(tmp_path / "full.ckpt", {"epoch": 2}, params)
+        weight = params["layer.w"].data.tobytes()
+        # The disk fills halfway through the bytes of layer.w, not in the header.
+        limit = (tmp_path / "full.ckpt").read_bytes().index(weight) + len(weight) // 2
+        writers = []
+
+        class FullDiskWriter:
+            """A file that takes `limit` bytes over any number of writes, then
+            reports a full disk."""
+
+            def __init__(self, fh):
+                self.fh = fh
+                self.written = 0
+                self.writes = 0
+                writers.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                view = memoryview(data)
+                assert view.ndim == 1 and view.itemsize == 1, "writes take 1-D bytes"
+                self.writes += 1
+                room = limit - self.written
+                self.fh.write(view[:room])
+                self.written += min(room, len(view))
+                if len(view) > room:
+                    self.fh.flush()
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return len(view)
+
+        monkeypatch.setattr(
+            C, "open", lambda *a, **kw: FullDiskWriter(open(*a, **kw)), raising=False
+        )
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(path, {"epoch": 2}, params)
+        monkeypatch.undo()
+        [writer] = writers
+        assert writer.writes > 1 and writer.written == limit
+        assert path.read_bytes() == before
+        config, _ = load_checkpoint(path)
+        assert config == {"epoch": 1}
+        assert [p.name for p in run.iterdir()] == ["model.ckpt"]
+
+
 class TestRejection:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bogus.ckpt"

@@ -22,6 +22,7 @@ from seqstack.encoder import EncoderConfig
 from seqstack.errors import ConfigError, ContractError, DataError, NumericsError
 from seqstack.gradcheck import finite_difference_check
 from seqstack.logic import make_pair, sample_expression, serialize
+from seqstack.rng import NoDraws, SeedStreams
 
 from tape_helpers import all_rows_logits, pack
 
@@ -116,6 +117,25 @@ class TestTokens:
         with pytest.raises(DataError, match="empty"):
             P.encode_tokens("   ")
 
+    def test_prepare_encodes_each_tree_once(self):
+        pairs = pairs_with_ops(41, 2, max_ops=3)
+        first, other = pairs[4], pairs[6]
+        # The same tree objects again, as load_dataset shares a repeated text's tree.
+        chosen = [first, make_pair(first.hypothesis, other.premise), first]
+        ex = P.prepare_examples(chosen)
+        assert ex[0].premise_ids is ex[2].premise_ids
+        assert ex[0].hyp_ids is ex[1].premise_ids is ex[2].hyp_ids
+        for e, pair in zip(ex, chosen):
+            for ids, tree in ((e.premise_ids, pair.premise), (e.hyp_ids, pair.hypothesis)):
+                np.testing.assert_array_equal(ids, P.encode_tokens(serialize(tree)))
+                assert not ids.flags.writeable
+            assert (e.label, e.op_count) == (int(pair.label), pair.op_count)
+        # Each call encodes afresh (no cache outlives it), and batches copy.
+        assert P.prepare_examples(chosen)[0].premise_ids is not ex[0].premise_ids
+        ids, _, _ = P._batch_arrays(ex, range(3))
+        ids[0, 0] = P.PAD_ID
+        assert ex[0].premise_ids[0] != P.PAD_ID
+
     def test_padding_token_rejected(self):
         # Equal id rows must mean equal sequences, so no real row holds PAD_ID.
         with pytest.raises(DataError, match="padding token '<pad>'"):
@@ -202,6 +222,50 @@ class TestParameterOrder:
     def test_names_in_declaration_order(self, kind, names):
         assert list(P.PairClassifier(tiny_config(kind)).parameters()) == names
         assert len(names) == {"lstm": 13, "onlstm": 19, "san": 33, "hybrid": 27}[kind]
+
+
+class TestLoadModelDrawsNothing:
+    """load_model builds the model's structure without a random draw, then restores it."""
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_restores_every_bit_without_a_draw(self, preset, tmp_path, monkeypatch):
+        saved = _tiny_preset_model(preset)
+        path = tmp_path / "model.ckpt"
+        P.save_model(path, saved)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("load_model asked for a random generator")
+
+        # numpy's Generator type is immutable, so its `uniform` cannot be
+        # patched; every generator seqstack makes comes from these two.
+        monkeypatch.setattr(SeedStreams, "stream", no_draw)
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        loaded, _ = P.load_model(path)
+        monkeypatch.undo()
+        params = loaded.parameters()
+        assert list(params) == list(saved.parameters())
+        for name, p in saved.parameters().items():
+            assert params[name].data.dtype == p.data.dtype
+            assert params[name].data.tobytes() == p.data.tobytes(), name
+            assert params[name].data.flags.writeable
+
+    @pytest.mark.parametrize("kind", ["lstm", "onlstm", "san", "hybrid"])
+    def test_a_built_model_still_draws_its_init(self, kind):
+        config = tiny_config(kind)
+        drawn = P.PairClassifier(config).parameters()
+        bound = 1.0 / np.sqrt(config.encoder.d)
+        embedding = SeedStreams(config.seed).stream("init", "embedding").uniform(
+            -bound, bound, (len(P.VOCAB), config.encoder.d)).astype(np.float32)
+        assert drawn["encoder.embedding"].data.tobytes() == embedding.tobytes()
+        again = P.PairClassifier(config, SeedStreams(config.seed)).parameters()
+        empty = P.PairClassifier(config, NoDraws()).parameters()
+        assert list(again) == list(empty) == list(drawn)
+        for name, p in drawn.items():
+            assert again[name].data.tobytes() == p.data.tobytes()
+            assert empty[name].shape == p.shape and empty[name].dtype == p.dtype
+        # Every drawn weight is zero without a draw.
+        assert not np.any(empty["encoder.embedding"].data)
+        assert not np.any(empty["head.w2"].data)
 
 
 class TestClassifierHead:
