@@ -36,7 +36,7 @@ from .tensor import (
 )
 
 def sinusoidal_positions(n: int, d: int) -> np.ndarray:
-    """Fixed position signals: even columns sine, odd columns cosine.
+    """Fixed position signals in float64: even columns sine, odd columns cosine.
 
     Column pairs share a wavelength that grows geometrically from 2*pi to
     10000*2*pi, so position 0 encodes as (0, 1, 0, 1, ...).
@@ -48,7 +48,7 @@ def sinusoidal_positions(n: int, d: int) -> np.ndarray:
     pos = np.arange(n, dtype=np.float64)[:, None]
     i = np.arange(d // 2, dtype=np.float64)[None, :]
     angles = pos / np.power(10000.0, 2.0 * i / d)
-    out = np.zeros((n, d), dtype=default_dtype())
+    out = np.zeros((n, d))
     out[:, 0::2] = np.sin(angles)
     out[:, 1::2] = np.cos(angles)
     return out

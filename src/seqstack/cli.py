@@ -18,7 +18,7 @@ import numpy as np
 
 from .encoder import EncoderConfig
 from .errors import ConfigError, DataError, NumericsError
-from .gradcheck import finite_difference_check
+from .gradcheck import finite_difference_check, to_float64
 from .logic import (
     generate_dataset,
     load_dataset,
@@ -40,7 +40,7 @@ from .pipeline import (
     write_length_csv,
     write_metrics_csv,
 )
-from .tensor import cross_entropy, default_dtype, dtype_scope, no_grad
+from .tensor import cross_entropy, default_dtype, no_grad
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -148,7 +148,7 @@ def _prepare_out_dir(path_str: str) -> Path:
 
 
 def _write_resolved_config(out_dir: Path, payload: dict) -> None:
-    payload = {**payload, "dtype": np.dtype(default_dtype()).name}
+    payload = {"dtype": np.dtype(default_dtype()).name, **payload}
     with open(out_dir / "resolved-config.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -249,41 +249,35 @@ def cmd_train(args) -> int:
         model, train_pairs, dev_pairs,
         checkpoint_path=checkpoint_path, progress=_epoch_printer,
     )
-    test_path = data_dir / "test.tsv"
-    report = None
-    if test_path.exists():
-        best_model, _ = load_model(checkpoint_path)
-        test_pairs = load_dataset(test_path)
-        report = evaluate_by_length(
-            best_model, test_pairs, bins=config.eval_bins, boundary=config.train_cap,
-        )
-        with open(out_dir / "bins.csv", "w", encoding="utf-8") as fh:
-            write_length_csv(report, fh)
     with open(out_dir / "metrics.csv", "w", encoding="utf-8") as fh:
         write_metrics_csv(metrics, fh)
     print(f"best dev accuracy {metrics.best_dev_accuracy:.4f} at epoch {metrics.best_epoch}")
-    if report is not None:
-        _print_length_table(report)
+    test_path = data_dir / "test.tsv"
+    if test_path.exists():
+        _report_by_length(checkpoint_path, test_path, out_dir)
     print(f"checkpoint: {checkpoint_path}")
     return EXIT_OK
 
 
-def _print_length_table(report) -> None:
+def _report_by_length(checkpoint, test_file, out_dir: Path) -> dict:
+    """Evaluate a checkpoint on a test file by length bin, write bins.csv and
+    print the table; returns the checkpoint's stored payload."""
+    model, stored = load_model(checkpoint)
+    config = model.config
+    report = evaluate_by_length(
+        model, load_dataset(test_file), bins=config.eval_bins, boundary=config.train_cap,
+    )
+    with open(out_dir / "bins.csv", "w", encoding="utf-8") as fh:
+        write_length_csv(report, fh)
     print(f"{'bin':>5}  {'n':>6}  {'accuracy':>9}  {'majority':>9}")
-    for b, stats in sorted(report.bins.items()):
+    for b, stats in [*sorted(report.bins.items()), *report.aggregates.items()]:
         print(f"{b:>5}  {stats.n:>6}  {stats.accuracy:>9.4f}  {stats.majority_baseline:>9.4f}")
-    for name, stats in report.aggregates.items():
-        print(f"{name:>5}  {stats.n:>6}  {stats.accuracy:>9.4f}  {stats.majority_baseline:>9.4f}")
+    return stored
 
 
 def cmd_eval(args) -> int:
     out_dir = _prepare_out_dir(args.out)
-    model, stored = load_model(args.checkpoint)
-    test_pairs = load_dataset(args.test_file)
-    config = model.config
-    report = evaluate_by_length(
-        model, test_pairs, bins=config.eval_bins, boundary=config.train_cap,
-    )
+    stored = _report_by_length(args.checkpoint, args.test_file, out_dir)
     _write_resolved_config(
         out_dir,
         {
@@ -294,9 +288,6 @@ def cmd_eval(args) -> int:
             "train": stored.get("train"),
         },
     )
-    with open(out_dir / "bins.csv", "w", encoding="utf-8") as fh:
-        write_length_csv(report, fh)
-    _print_length_table(report)
     return EXIT_OK
 
 
@@ -320,12 +311,6 @@ def _gradcheck_config(kind: str, k: int, l: int) -> TrainConfig:
 
 
 def cmd_gradcheck(args) -> int:
-    # The check needs float64; the scope restores the caller's build on exit.
-    with dtype_scope("float64"):
-        return _run_gradcheck(args)
-
-
-def _run_gradcheck(args) -> int:
     out_dir = _prepare_out_dir(args.out)
     rng = np.random.default_rng(DEFAULT_SEED if args.seed is None else args.seed)
     pairs = [
@@ -340,13 +325,14 @@ def _run_gradcheck(args) -> int:
     for kind, k, l in _GRADCHECK_MATRIX:
         config = _gradcheck_config(kind, k, l)
         model = PairClassifier(config)
+        params = to_float64(model.parameters())
         ids, mask, labels = _batch_arrays(examples, range(len(examples)))
 
         def build_loss():
             return cross_entropy(model.forward_joint(ids, mask), labels)
 
         worst = finite_difference_check(
-            build_loss, model.parameters(), max_entries=4,
+            build_loss, params, max_entries=4,
             rng=np.random.default_rng(7),
         )
         for name in sorted(worst, key=worst.get, reverse=True):
@@ -375,6 +361,7 @@ def _run_gradcheck(args) -> int:
         out_dir,
         {
             "command": "gradcheck",
+            "dtype": "float64",
             "tolerance": _GRADCHECK_TOLERANCE,
             "matrix": [list(row) for row in _GRADCHECK_MATRIX],
             "out": str(out_dir),

@@ -2,9 +2,11 @@
 
 Central differences against the analytic gradients from backward(). Checks
 must run in float64; at float32 the difference quotient loses too many digits
-to certify anything. The step is small enough that a relu kink sitting inside
-the probe window (which makes the two-sided quotient average the slopes of
-both sides) is vanishingly rare.
+to certify anything. Models are built in float32, and a model computes in its
+parameters' dtype, so `to_float64` turns one into a float64 model to check.
+The step is small enough that a relu kink sitting inside the probe window
+(which makes the two-sided quotient average the slopes of both sides) is
+vanishingly rare.
 
 A small step costs precision. Each loss evaluation is exact only to about
 eps * |L|, so the quotient (L(x+h) - L(x-h)) / 2h carries a rounding error of
@@ -43,10 +45,16 @@ class GradientGap(float):
         return gap
 
 
+def to_float64(params: dict[str, Tensor]) -> dict[str, Tensor]:
+    """Cast every parameter to float64 in place, and return `params`."""
+    for p in params.values():
+        p.data = p.data.astype(np.float64)
+    return params
+
+
 def finite_difference_check(
     build_loss: Callable[[], Tensor],
     params: dict[str, Tensor],
-    step: float = DEFAULT_STEP,
     max_entries: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> dict[str, GradientGap]:
@@ -58,9 +66,9 @@ def finite_difference_check(
 
         max(|ad - fd| - eps * max(|L(x+h)|, |L(x-h)|) / h, 0) / max(|ad|, |fd|, 1e-8)
 
-    where eps is the float64 machine epsilon: the gap between the analytic
-    gradient `ad` and the central quotient `fd` counts only where it exceeds
-    the quotient's own rounding bound.
+    where eps is the float64 machine epsilon and h is DEFAULT_STEP: the gap
+    between the analytic gradient `ad` and the central quotient `fd` counts
+    only where it exceeds the quotient's own rounding bound.
 
     With `max_entries`, a random subset of entries per parameter is probed
     (requires `rng`); otherwise every entry is.
@@ -100,16 +108,16 @@ def finite_difference_check(
         bounds = np.empty(len(indices))
         for j, i in enumerate(indices):
             original = flat[i]
-            flat[i] = original + step
+            flat[i] = original + DEFAULT_STEP
             hi = loss_value()
-            flat[i] = original - step
+            flat[i] = original - DEFAULT_STEP
             lo = loss_value()
             flat[i] = original
-            fd = (hi - lo) / (2.0 * step)
+            fd = (hi - lo) / (2.0 * DEFAULT_STEP)
             if not np.isfinite(fd):
                 raise NumericsError(f"numeric gradient of {name!r} is not finite")
             ad = float(a_flat[i])
-            bound = _EPS * max(abs(hi), abs(lo)) / step
+            bound = _EPS * max(abs(hi), abs(lo)) / DEFAULT_STEP
             scale = max(abs(ad), abs(fd), 1e-8)
             bounds[j] = bound / scale
             error = max(error, max(abs(ad - fd) - bound, 0.0) / scale)

@@ -9,11 +9,12 @@ produced. `replay` runs the same loop over any tape from a seed gradient and
 returns the leaf gradients instead, so a tape recorded on one thread can be
 backpropagated on another.
 
-Precision is build-selectable: float32 by default for training speed, float64
-for finite-difference verification (see set_default_dtype / dtype_scope).
-Every op keeps its operands' dtype. Scalar factors must therefore be Python
-floats: NumPy 2 treats a Python float as a weak scalar, but an `np.float64`
-scalar (say, `np.sqrt(d)`) would promote a float32 operand to float64.
+Parameters are built in float32 (`default_dtype`), and every op keeps its
+operands' dtype, so a model computes in its parameters' dtype: cast them to
+float64 (`gradcheck.to_float64`) and the whole pass runs in float64. Scalar
+factors must therefore be Python floats: NumPy 2 treats a Python float as a
+weak scalar, but an `np.float64` scalar (say, `np.sqrt(d)`) would promote a
+float32 operand to float64.
 """
 
 from __future__ import annotations
@@ -29,50 +30,29 @@ from .errors import ConfigError, ContractError, DataError, ShapeError
 LAYER_NORM_EPS = 1e-6
 MASK_FILL = -1e9  # attention-score offset of a padding key
 
-_DTYPES = {"float32": np.float32, "float64": np.float64}
-_default_dtype = np.float32
 _grad_enabled = True
 
 
-def set_default_dtype(name: str) -> None:
-    """Select the build precision: "float32" or "float64"."""
-    global _default_dtype
-    if name not in _DTYPES:
-        raise ConfigError(f"unknown dtype {name!r}; expected one of {sorted(_DTYPES)}")
-    _default_dtype = _DTYPES[name]
-
-
 def default_dtype() -> type:
-    return _default_dtype
-
-
-@contextlib.contextmanager
-def dtype_scope(name: str):
-    """Temporarily switch the build precision (used by gradient-check suites)."""
-    global _default_dtype
-    previous = _default_dtype
-    set_default_dtype(name)
-    try:
-        yield
-    finally:
-        _default_dtype = previous
+    """The dtype every parameter is built in."""
+    return np.float32
 
 
 class Tensor:
     """A dense n-dimensional value that can participate in the gradient tape.
 
     `data` is the numpy buffer, `grad` a lazily allocated same-shape buffer.
-    Tensors built from plain Python data adopt the build's default dtype;
-    tensors built from a float numpy array keep that array's precision.
+    Tensors built from plain Python data are `default_dtype`; tensors built
+    from a float numpy array or scalar keep its precision.
     """
 
     __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        if isinstance(data, np.ndarray) and data.dtype in (np.float32, np.float64):
-            array = data
+        if isinstance(data, (np.ndarray, np.generic)) and data.dtype in (np.float32, np.float64):
+            array = np.asarray(data)
         else:
-            array = np.asarray(data, dtype=_default_dtype)
+            array = np.asarray(data, dtype=default_dtype())
         self.data = array
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
@@ -117,17 +97,17 @@ def parameter(data) -> Tensor:
 
 
 def uniform_parameter(rng: np.random.Generator | None, bound: float, *shape: int) -> Tensor:
-    """A parameter of `shape` drawn from U(-bound, bound), in the build's dtype;
+    """A parameter of `shape` drawn from U(-bound, bound), in `default_dtype`;
     zero, with no draw, without a generator (a structure to restore into)."""
     if rng is None:
-        return parameter(np.zeros(shape, dtype=_default_dtype))
-    return parameter(rng.uniform(-bound, bound, shape).astype(_default_dtype))
+        return parameter(np.zeros(shape, dtype=default_dtype()))
+    return parameter(rng.uniform(-bound, bound, shape).astype(default_dtype()))
 
 
 def affine_parameters(rng: np.random.Generator | None, d_in: int, d_out: int, gain: float = 1.0):
     """A (d_in, d_out) weight from U(+-gain / sqrt(d_in)) and a zero (d_out,) bias."""
     w = uniform_parameter(rng, gain / np.sqrt(d_in), d_in, d_out)
-    return w, parameter(np.zeros(d_out, dtype=_default_dtype))
+    return w, parameter(np.zeros(d_out, dtype=default_dtype()))
 
 
 def constant(data) -> Tensor:

@@ -12,12 +12,10 @@ from seqstack import tensor
 
 
 @pytest.fixture(autouse=True)
-def _clean_tensor_state():
-    """Keep tests independent: fresh default tape, float32 build precision."""
-    tensor.set_default_dtype("float32")
+def _clean_tape():
+    """Keep tests independent: each starts and ends with an empty default tape."""
     tensor.active_tape().entries.clear()
     yield
-    tensor.set_default_dtype("float32")
     tensor.active_tape().entries.clear()
 
 

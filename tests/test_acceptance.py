@@ -22,6 +22,7 @@ import seqstack.cli as cli
 import seqstack.pipeline as P
 import seqstack.tensor as T
 from seqstack.encoder import EncoderConfig
+from seqstack.gradcheck import to_float64
 from seqstack.logic import (
     And,
     Not,
@@ -55,64 +56,64 @@ class TestCriterion1MechanismCorrectness:
         rng = np.random.default_rng(101)
         worst_cell = 0.0
         worst_identity = 0.0
-        with T.dtype_scope("float64"):
-            params = LstmParams(d_in=6, d_hidden=8, rng=rng, chunk=4)
-            for step in range(steps):
-                if step % 200 == 0:
-                    params = LstmParams(d_in=6, d_hidden=8, rng=rng, chunk=4)
-                x = rng.standard_normal(6)
-                h = rng.standard_normal(8) * 0.5
-                c = rng.standard_normal(8)
-                got_h, got_c = on_lstm_cell_step(
-                    params,
-                    T.constant(x[None, :]),
-                    (T.constant(h[None, :]), T.constant(c[None, :])),
-                )
-                ref = scalar_onlstm_step(params, x, h, c)
-                worst_cell = max(
-                    worst_cell,
-                    np.max(np.abs(got_h.data[0] - ref["h"])),
-                    np.max(np.abs(got_c.data[0] - ref["c"])),
-                )
-                # decomposed erase/write gates against the raw-gate algebra
-                lhs = np.asarray(ref["fhat"]) + np.asarray(ref["ihat"])
-                rhs = (
-                    np.asarray(ref["ft"]) + np.asarray(ref["it"])
-                    + (np.asarray(ref["f"]) + np.asarray(ref["i"]) - 2.0)
-                    * np.asarray(ref["w"])
-                )
-                worst_identity = max(worst_identity, np.max(np.abs(lhs - rhs)))
-
-            # saturated overlap: the ordered cell must equal the plain cell
-            ones = T.constant(np.ones((4, 8)))
-            x = T.constant(rng.standard_normal((4, 6)))
-            h = T.constant(rng.standard_normal((4, 8)))
-            c = T.constant(rng.standard_normal((4, 8)))
-            forced_h, forced_c = forced_onlstm_step(params, x, (h, c), (ones, ones))
-            plain_h, plain_c = lstm_cell_step(params, x, (h, c))
-            saturated_exact = np.array_equal(forced_h.data, plain_h.data) and np.array_equal(
-                forced_c.data, plain_c.data
+        params = LstmParams(d_in=6, d_hidden=8, rng=rng, chunk=4)
+        for step in range(steps):
+            if step % 200 == 0:
+                params = LstmParams(d_in=6, d_hidden=8, rng=rng, chunk=4)
+                to_float64(params.parameters())
+            x = rng.standard_normal(6)
+            h = rng.standard_normal(8) * 0.5
+            c = rng.standard_normal(8)
+            got_h, got_c = on_lstm_cell_step(
+                params,
+                T.constant(x[None, :]),
+                (T.constant(h[None, :]), T.constant(c[None, :])),
             )
-
-            # disjoint supports: zero overlap hands each gate its whole block
-            ft = np.tile(np.array([1.0] * 4 + [0.0] * 4), (4, 1))
-            it = 1.0 - ft
-            disj_h, disj_c = forced_onlstm_step(
-                params, x, (h, c), (T.constant(ft), T.constant(it))
+            ref = scalar_onlstm_step(params, x, h, c)
+            worst_cell = max(
+                worst_cell,
+                np.max(np.abs(got_h.data[0] - ref["h"])),
+                np.max(np.abs(got_c.data[0] - ref["c"])),
             )
-            worst_disjoint = 0.0
-            for row in range(4):
-                ref = scalar_onlstm_step(
-                    params, x.data[row], h.data[row], c.data[row],
-                    masters=(ft[row], it[row]),
-                )
-                assert np.max(np.abs(np.asarray(ref["fhat"]) - ft[row])) == 0.0
-                assert np.max(np.abs(np.asarray(ref["ihat"]) - it[row])) == 0.0
-                worst_disjoint = max(
-                    worst_disjoint,
-                    np.max(np.abs(disj_c.data[row] - ref["c"])),
-                    np.max(np.abs(disj_h.data[row] - ref["h"])),
-                )
+            # decomposed erase/write gates against the raw-gate algebra
+            lhs = np.asarray(ref["fhat"]) + np.asarray(ref["ihat"])
+            rhs = (
+                np.asarray(ref["ft"]) + np.asarray(ref["it"])
+                + (np.asarray(ref["f"]) + np.asarray(ref["i"]) - 2.0)
+                * np.asarray(ref["w"])
+            )
+            worst_identity = max(worst_identity, np.max(np.abs(lhs - rhs)))
+
+        # saturated overlap: the ordered cell must equal the plain cell
+        ones = T.constant(np.ones((4, 8)))
+        x = T.constant(rng.standard_normal((4, 6)))
+        h = T.constant(rng.standard_normal((4, 8)))
+        c = T.constant(rng.standard_normal((4, 8)))
+        forced_h, forced_c = forced_onlstm_step(params, x, (h, c), (ones, ones))
+        plain_h, plain_c = lstm_cell_step(params, x, (h, c))
+        saturated_exact = np.array_equal(forced_h.data, plain_h.data) and np.array_equal(
+            forced_c.data, plain_c.data
+        )
+
+        # disjoint supports: zero overlap hands each gate its whole block
+        ft = np.tile(np.array([1.0] * 4 + [0.0] * 4), (4, 1))
+        it = 1.0 - ft
+        disj_h, disj_c = forced_onlstm_step(
+            params, x, (h, c), (T.constant(ft), T.constant(it))
+        )
+        worst_disjoint = 0.0
+        for row in range(4):
+            ref = scalar_onlstm_step(
+                params, x.data[row], h.data[row], c.data[row],
+                masters=(ft[row], it[row]),
+            )
+            assert np.max(np.abs(np.asarray(ref["fhat"]) - ft[row])) == 0.0
+            assert np.max(np.abs(np.asarray(ref["ihat"]) - it[row])) == 0.0
+            worst_disjoint = max(
+                worst_disjoint,
+                np.max(np.abs(disj_c.data[row] - ref["c"])),
+                np.max(np.abs(disj_h.data[row] - ref["h"])),
+            )
         elapsed = time.perf_counter() - started
         ok = (
             worst_cell < tol
@@ -132,8 +133,7 @@ class TestCriterion1MechanismCorrectness:
 class TestCriterion2CumaxContract:
     def test_worked_example_and_monotone_terminal_properties(self):
         probs = np.array([[0.1, 0.2, 0.4, 0.2, 0.1]])
-        with T.dtype_scope("float64"):
-            out = cumax(T.constant(np.log(probs))).data[0]
+        out = cumax(T.constant(np.log(probs))).data[0]
         example_ok = np.allclose(out, [0.1, 0.3, 0.7, 0.9, 1.0], atol=1e-9, rtol=0)
 
         worst_drop = 0.0
@@ -349,19 +349,19 @@ class TestCriterion7Reproducibility:
         train_pairs = load_dataset(a / "train.tsv")
         dev_pairs = load_dataset(a / "dev.tsv")
         runs = []
-        with T.dtype_scope("float64"):
-            for _ in range(2):
-                config = P.TrainConfig(
-                    encoder=EncoderConfig(
-                        kind="hybrid", d=8, heads=2, d_ff=16,
-                        chunk=2, recurrent_layers=1, attention_layers=1,
-                        use_short_cut=True, dropout=0.1,
-                    ),
-                    epochs=2, batch_size=32, lr=1e-3,
-                    classifier_hidden=16, eval_bins=tuple(range(1, 9)),
-                )
-                model = P.PairClassifier(config)
-                runs.append(P.train(model, train_pairs, dev_pairs))
+        for _ in range(2):
+            config = P.TrainConfig(
+                encoder=EncoderConfig(
+                    kind="hybrid", d=8, heads=2, d_ff=16,
+                    chunk=2, recurrent_layers=1, attention_layers=1,
+                    use_short_cut=True, dropout=0.1,
+                ),
+                epochs=2, batch_size=32, lr=1e-3,
+                classifier_hidden=16, eval_bins=tuple(range(1, 9)),
+            )
+            model = P.PairClassifier(config)
+            to_float64(model.parameters())
+            runs.append(P.train(model, train_pairs, dev_pairs))
         metrics_equal = runs[0] == runs[1] and runs[0].epochs == runs[1].epochs
         verdict(
             7, "byte-identical datasets and bit-identical 64-bit run metrics",

@@ -14,7 +14,7 @@ from seqstack.attention import (
     sinusoidal_positions,
 )
 from seqstack.errors import ConfigError, ShapeError
-from seqstack.gradcheck import finite_difference_check
+from seqstack.gradcheck import finite_difference_check, to_float64
 from seqstack.rng import SeedStreams
 
 from tape_helpers import mul, pack, sum_all, unpack
@@ -106,15 +106,14 @@ class TestScaledDotAttention:
         np.testing.assert_allclose(out.data[0], expected, atol=1e-6)
 
     def test_matches_loop_reference(self):
-        with T.dtype_scope("float64"):
-            rng = np.random.default_rng(8)
-            q = rng.standard_normal((3, 4))
-            k = rng.standard_normal((6, 4))
-            v = rng.standard_normal((6, 5))
-            got = scaled_dot_attention(
-                T.constant(q[None]), T.constant(k[None]), T.constant(v[None])
-            )
-            np.testing.assert_allclose(got.data[0], ref_attention(q, k, v), atol=1e-6)
+        rng = np.random.default_rng(8)
+        q = rng.standard_normal((3, 4))
+        k = rng.standard_normal((6, 4))
+        v = rng.standard_normal((6, 5))
+        got = scaled_dot_attention(
+            T.constant(q[None]), T.constant(k[None]), T.constant(v[None])
+        )
+        np.testing.assert_allclose(got.data[0], ref_attention(q, k, v), atol=1e-6)
 
     def test_batched_matches_per_slice(self, rng):
         q = rng.standard_normal((2, 3, 4))
@@ -153,19 +152,19 @@ class TestScaledDotAttention:
 
 class TestMultiHeadAttention:
     def test_one_head_equals_plain_attention_with_same_projections(self):
-        with T.dtype_scope("float64"):
-            mha = MultiHeadAttention(6, 1, streams(1))
-            rng = np.random.default_rng(9)
-            x = rng.standard_normal((1, 4, 6))
-            got = on_grid(mha, x)
-            q = x[0] @ mha.w_q.data + mha.b_q.data
-            k = x[0] @ mha.w_k.data
-            v = x[0] @ mha.w_v.data
-            core = scaled_dot_attention(
-                T.constant(q[None]), T.constant(k[None]), T.constant(v[None])
-            )
-            expected = core.data[0] @ mha.w_o.data + mha.b_o.data
-            np.testing.assert_allclose(got[0], expected, atol=1e-9)
+        mha = MultiHeadAttention(6, 1, streams(1))
+        to_float64(mha.parameters())
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((1, 4, 6))
+        got = on_grid(mha, x)
+        q = x[0] @ mha.w_q.data + mha.b_q.data
+        k = x[0] @ mha.w_k.data
+        v = x[0] @ mha.w_v.data
+        core = scaled_dot_attention(
+            T.constant(q[None]), T.constant(k[None]), T.constant(v[None])
+        )
+        expected = core.data[0] @ mha.w_o.data + mha.b_o.data
+        np.testing.assert_allclose(got[0], expected, atol=1e-9)
 
     def test_zero_value_path_yields_output_bias(self, rng):
         mha = MultiHeadAttention(8, 2, streams(2))
@@ -175,12 +174,12 @@ class TestMultiHeadAttention:
         np.testing.assert_allclose(out, np.broadcast_to(mha.b_o.data, (2, 3, 8)), atol=1e-6)
 
     def test_two_heads_match_reference(self):
-        with T.dtype_scope("float64"):
-            mha = MultiHeadAttention(8, 2, streams(3))
-            rng = np.random.default_rng(10)
-            x = rng.standard_normal((1, 3, 8))
-            got = on_grid(mha, x)
-            np.testing.assert_allclose(got[0], ref_mha(x[0], mha), atol=1e-6)
+        mha = MultiHeadAttention(8, 2, streams(3))
+        to_float64(mha.parameters())
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal((1, 3, 8))
+        got = on_grid(mha, x)
+        np.testing.assert_allclose(got[0], ref_mha(x[0], mha), atol=1e-6)
 
     def test_attention_rows_are_distributions(self, rng):
         mha = MultiHeadAttention(8, 4, streams(4))
@@ -251,16 +250,16 @@ class TestSanEncoder:
             np.testing.assert_allclose(permuted, base[perm], atol=1e-5)
 
     def test_padding_with_mask_matches_unpadded(self):
-        with T.dtype_scope("float64"):
-            enc = self._encoder()
-            rng = np.random.default_rng(56)
-            x = rng.standard_normal((2, 5, 8))
-            x[0, 3:] = 0.0
-            mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]], dtype=float)
-            out = on_grid(enc, x, mask)
-            solo = on_grid(enc, x[0:1, :3].copy())
-            np.testing.assert_allclose(out[0, :3], solo[0], atol=1e-9)
-            assert np.all(out[0, 3:] == 0.0), "padding holds no output rows"
+        enc = self._encoder()
+        to_float64(enc.parameters())
+        rng = np.random.default_rng(56)
+        x = rng.standard_normal((2, 5, 8))
+        x[0, 3:] = 0.0
+        mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]], dtype=float)
+        out = on_grid(enc, x, mask)
+        solo = on_grid(enc, x[0:1, :3].copy())
+        np.testing.assert_allclose(out[0, :3], solo[0], atol=1e-9)
+        assert np.all(out[0, 3:] == 0.0), "padding holds no output rows"
 
     def test_same_dropout_stream_reproduces(self, rng):
         x = rng.standard_normal((2, 4, 8))
@@ -272,15 +271,14 @@ class TestSanEncoder:
         assert np.array_equal(outs[0], outs[1])
 
     def test_gradients_pass_finite_difference_check(self):
-        with T.dtype_scope("float64"):
-            enc = self._encoder(layers=2)
-            rng = np.random.default_rng(57)
-            rows, packing = pack(rng.standard_normal((1, 3, 8)))
-            coeff = T.constant(rng.standard_normal((3, 8)))
+        enc = self._encoder(layers=2)
+        rng = np.random.default_rng(57)
+        rows, packing = pack(rng.standard_normal((1, 3, 8)))
+        coeff = T.constant(rng.standard_normal((3, 8)))
 
-            def build():
-                return sum_all(mul(enc(rows, packing), coeff))
+        def build():
+            return sum_all(mul(enc(rows, packing), coeff))
 
-            report = finite_difference_check(build, enc.parameters())
-            assert max(report.values()) < 1e-3
+        report = finite_difference_check(build, to_float64(enc.parameters()))
+        assert max(report.values()) < 1e-3
 

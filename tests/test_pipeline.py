@@ -20,7 +20,7 @@ import seqstack.tensor as T
 from seqstack.cli import PRESETS, resolve_train_config
 from seqstack.encoder import EncoderConfig
 from seqstack.errors import ConfigError, ContractError, DataError, NumericsError
-from seqstack.gradcheck import finite_difference_check
+from seqstack.gradcheck import finite_difference_check, to_float64
 from seqstack.logic import make_pair, sample_expression, serialize
 from seqstack.rng import NoDraws, SeedStreams
 
@@ -311,18 +311,17 @@ class TestClassifierHead:
 
     def test_full_model_gradcheck_at_small_width(self):
         pairs = pairs_with_ops(3, 1, max_ops=4)
-        with T.dtype_scope("float64"):
-            model = P.PairClassifier(tiny_config("hybrid"))
-            ex = P.prepare_examples(pairs[:4])
-            ids, mask, labels = P._batch_arrays(ex, range(4))
+        model = P.PairClassifier(tiny_config("hybrid"))
+        ex = P.prepare_examples(pairs[:4])
+        ids, mask, labels = P._batch_arrays(ex, range(4))
 
-            def build_loss():
-                return T.cross_entropy(model.forward_joint(ids, mask), labels)
+        def build_loss():
+            return T.cross_entropy(model.forward_joint(ids, mask), labels)
 
-            worst = finite_difference_check(
-                build_loss, model.parameters(), max_entries=4,
-                rng=np.random.default_rng(11),
-            )
+        worst = finite_difference_check(
+            build_loss, to_float64(model.parameters()), max_entries=4,
+            rng=np.random.default_rng(11),
+        )
         assert max(worst.values()) < 1e-3, worst
 
     @pytest.mark.parametrize("kind, short_cut", [
@@ -333,21 +332,20 @@ class TestClassifierHead:
         # so common-mode gradients (the pooling's value path) are about 1e-17
         # there: a seeded step off init gives them a size the check can resolve.
         pairs = pairs_with_ops(24, 1, max_ops=4)[1:]  # one pair each of 1-4 operators
-        with T.dtype_scope("float64"):
-            model = P.PairClassifier(tiny_config(kind, encoder_overrides=dict(use_short_cut=short_cut)))
-            params = model.parameters()
-            shift = np.random.default_rng(25)
-            for p in params.values():
-                p.data += shift.uniform(-0.1, 0.1, p.shape)
-            ids, mask, labels = P._batch_arrays(P.prepare_examples(pairs), range(4))
-            assert len(set(mask.sum(axis=1))) > 2, "a ragged batch"
+        model = P.PairClassifier(tiny_config(kind, encoder_overrides=dict(use_short_cut=short_cut)))
+        params = to_float64(model.parameters())
+        shift = np.random.default_rng(25)
+        for p in params.values():
+            p.data += shift.uniform(-0.1, 0.1, p.shape)
+        ids, mask, labels = P._batch_arrays(P.prepare_examples(pairs), range(4))
+        assert len(set(mask.sum(axis=1))) > 2, "a ragged batch"
 
-            def build_loss():
-                return T.cross_entropy(model.forward_joint(ids, mask), labels)
+        def build_loss():
+            return T.cross_entropy(model.forward_joint(ids, mask), labels)
 
-            worst = finite_difference_check(
-                build_loss, params, max_entries=4, rng=np.random.default_rng(26),
-            )
+        worst = finite_difference_check(
+            build_loss, params, max_entries=4, rng=np.random.default_rng(26),
+        )
         assert max(worst.values()) < 1e-3, worst
         # the check can resolve every probed entry of the paths the init hides
         hidden = ("encoder.rnn.layer1.",) if kind == "lstm" else ("encoder.san.final", "pooling.")
@@ -356,39 +354,45 @@ class TestClassifierHead:
 
 
 class TestBuildPrecision:
-    """A build computes in its own precision: no op may promote or demote."""
+    """A model computes in its parameters' precision: no op may promote or demote."""
 
+    @pytest.mark.parametrize("split", [False, True], ids=["joint", "split"])
     @pytest.mark.parametrize("build", ["float32", "float64"])
     @pytest.mark.parametrize(
         "kind, short_cut",
         [("lstm", False), ("onlstm", False), ("san", False),
          ("hybrid", True), ("hybrid", False)],
     )
-    def test_training_step_stays_in_build_dtype(self, build, kind, short_cut):
+    def test_training_step_stays_in_build_dtype(self, build, kind, short_cut, split, monkeypatch):
         dt = np.dtype(build)
         pairs = pairs_with_ops(4, 2, max_ops=4)
-        with T.dtype_scope(build):
-            cfg = tiny_config(kind, encoder_overrides=dict(dropout=0.2, use_short_cut=short_cut))
-            model = P.PairClassifier(cfg)
-            ids, mask, labels = P._batch_arrays(P.prepare_examples(pairs), range(8))
-            assert (mask == 0).any(), "the batch must carry padding"
-            off = []
+        cfg = tiny_config(kind, encoder_overrides=dict(dropout=0.2, use_short_cut=short_cut))
+        model = P.PairClassifier(cfg)
+        if build == "float64":
+            to_float64(model.parameters())
+        ids, mask, labels = P._batch_arrays(P.prepare_examples(pairs), range(8))
+        assert (mask == 0).any(), "the batch must carry padding"
+        off = []
 
-            def checked(op, back):
-                def run(g):
-                    contribs = back(g)
-                    off.extend(f"{op} grad {c.dtype}" for _, c in contribs if c.dtype != dt)
-                    return contribs
-                return run
+        def checked(op, back):
+            def run(g):
+                contribs = back(g)
+                off.extend(f"{op} grad {c.dtype}" for _, c in contribs if c.dtype != dt)
+                return contribs
+            return run
 
-            with T.tape_scope() as tape:
-                logits = model.forward_joint(ids, mask, rng=np.random.default_rng(0))
-                loss = T.cross_entropy(logits, labels)
-                for entry in tape.entries:
-                    if entry.output.dtype != dt:
-                        off.append(f"{entry.op} out {entry.output.dtype}")
-                    entry.backward = checked(entry.op, entry.backward)
-                T.backward(loss)
+        side_tapes = _record_tapes(monkeypatch)
+        with T.tape_scope() as tape, ThreadPoolExecutor(max_workers=1) as worker:
+            logits = model.forward_joint(ids, mask, rng=np.random.default_rng(0),
+                                         worker=worker if split else None,
+                                         hyp_rng=np.random.default_rng(1))
+            loss = T.cross_entropy(logits, labels)
+            assert len(side_tapes) == (2 if split else 0)
+            for entry in [e for t in (tape, *side_tapes) for e in t.entries]:
+                if entry.output.dtype != dt:
+                    off.append(f"{entry.op} out {entry.output.dtype}")
+                entry.backward = checked(entry.op, entry.backward)
+            T.backward(loss)
         if loss.dtype != dt:
             off.append(f"loss {loss.dtype}")
         for name, p in model.parameters().items():
@@ -490,10 +494,10 @@ class TestTraining:
 
     def test_same_seed_reproduces_run_metrics_exactly(self):
         pairs = pairs_with_ops(7, 3, max_ops=4)
-        T.set_default_dtype("float64")
         runs = []
         for _ in range(2):
             model = P.PairClassifier(tiny_config("hybrid", epochs=2))
+            to_float64(model.parameters())
             runs.append(P.train(model, pairs, pairs[:10]))
         assert runs[0] == runs[1]
         assert runs[0].epochs == runs[1].epochs
@@ -725,11 +729,11 @@ class TestTwoThreadTraining:
         idx = np.random.default_rng(36).permutation(len(ex))[:9]
         ids, mask, labels = P._batch_arrays(ex, idx)
         assert len(set(mask.sum(axis=1))) > 2, "a ragged batch"
-        with T.dtype_scope("float64"):
-            model = _tiny_preset_model(preset)
-            joint = _gradients(model, ids, mask, labels)
-            with _CountingWorker() as worker:
-                split = _gradients(model, ids, mask, labels, worker=worker)
+        model = _tiny_preset_model(preset)
+        to_float64(model.parameters())
+        joint = _gradients(model, ids, mask, labels)
+        with _CountingWorker() as worker:
+            split = _gradients(model, ids, mask, labels, worker=worker)
         assert worker.jobs == 2, "one side's forward and its backward"
         assert joint.keys() == split.keys()
         for name, g in joint.items():
@@ -823,16 +827,16 @@ class TestDistinctRows:
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_gradients_match_the_all_rows_pass(self, preset):
         ids, mask, labels = _repeating_batch()
-        with T.dtype_scope("float64"):
-            model = _tiny_preset_model(preset)
-            with T.tape_scope():
-                T.backward(T.cross_entropy(all_rows_logits(model, ids, mask), labels))
-            reference = {n: p.grad for n, p in model.parameters().items()}
-            for p in model.parameters().values():
-                p.zero_grad()
-            joint = _gradients(model, ids, mask, labels)
-            with _CountingWorker() as worker:
-                split = _gradients(model, ids, mask, labels, worker=worker)
+        model = _tiny_preset_model(preset)
+        to_float64(model.parameters())
+        with T.tape_scope():
+            T.backward(T.cross_entropy(all_rows_logits(model, ids, mask), labels))
+        reference = {n: p.grad for n, p in model.parameters().items()}
+        for p in model.parameters().values():
+            p.zero_grad()
+        joint = _gradients(model, ids, mask, labels)
+        with _CountingWorker() as worker:
+            split = _gradients(model, ids, mask, labels, worker=worker)
         assert worker.jobs == 2, "one half's forward and its backward"
         for name, g in reference.items():
             assert np.abs(g).max() > 0, name

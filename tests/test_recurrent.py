@@ -15,7 +15,7 @@ import pytest
 
 from seqstack import tensor as T
 from seqstack.errors import DataError, ShapeError
-from seqstack.gradcheck import finite_difference_check
+from seqstack.gradcheck import finite_difference_check, to_float64
 import seqstack.recurrent as recurrent
 from seqstack.recurrent import LstmParams, RecurrentEncoder
 from seqstack.rng import SeedStreams
@@ -172,17 +172,17 @@ class TestLstmCell:
         np.testing.assert_allclose(c.data, c_prev, atol=1e-4)
 
     def test_matches_scalar_reference(self):
-        with T.dtype_scope("float64"):
-            rng = np.random.default_rng(7)
-            for _ in range(10):
-                params = LstmParams(3, 5, rng)
-                x, h, c = make_inputs(rng, 1, [3, 5, 5])
-                got_h, got_c = lstm_cell_step(params, x, (h, c))
-                ref_h, ref_c = scalar_lstm_step(
-                    params, x.data[0].tolist(), h.data[0].tolist(), c.data[0].tolist()
-                )
-                np.testing.assert_allclose(got_h.data[0], ref_h, atol=1e-6)
-                np.testing.assert_allclose(got_c.data[0], ref_c, atol=1e-6)
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            params = LstmParams(3, 5, rng)
+            to_float64(params.parameters())
+            x, h, c = make_inputs(rng, 1, [3, 5, 5])
+            got_h, got_c = lstm_cell_step(params, x, (h, c))
+            ref_h, ref_c = scalar_lstm_step(
+                params, x.data[0].tolist(), h.data[0].tolist(), c.data[0].tolist()
+            )
+            np.testing.assert_allclose(got_h.data[0], ref_h, atol=1e-6)
+            np.testing.assert_allclose(got_c.data[0], ref_c, atol=1e-6)
 
     def test_dim_mismatch_raises(self):
         rng = np.random.default_rng(2)
@@ -227,14 +227,14 @@ class TestMasterGates:
             assert np.all((it.data >= -1e-7) & (it.data <= 1 + 1e-7))
 
     def test_matches_scalar_reference(self):
-        with T.dtype_scope("float64"):
-            rng = np.random.default_rng(12)
-            params = LstmParams(3, 6, rng, chunk=3)
-            x, h = make_inputs(rng, 1, [3, 6])
-            ft, it = master_gates(params, x, h)
-            ref_f, ref_i = scalar_master_gates(params, x.data[0].tolist(), h.data[0].tolist())
-            np.testing.assert_allclose(ft.data[0], ref_f, atol=1e-6)
-            np.testing.assert_allclose(it.data[0], ref_i, atol=1e-6)
+        rng = np.random.default_rng(12)
+        params = LstmParams(3, 6, rng, chunk=3)
+        to_float64(params.parameters())
+        x, h = make_inputs(rng, 1, [3, 6])
+        ft, it = master_gates(params, x, h)
+        ref_f, ref_i = scalar_master_gates(params, x.data[0].tolist(), h.data[0].tolist())
+        np.testing.assert_allclose(ft.data[0], ref_f, atol=1e-6)
+        np.testing.assert_allclose(it.data[0], ref_i, atol=1e-6)
 
 
 class TestOnLstmCell:
@@ -249,54 +249,54 @@ class TestOnLstmCell:
         assert np.array_equal(got_c.data, ref_c.data)
 
     def test_zero_overlap_passes_masters_through_exactly(self):
-        with T.dtype_scope("float64"):
-            rng = np.random.default_rng(22)
-            params = LstmParams(4, 6, rng, chunk=2)
-            x, h, c = make_inputs(rng, 1, [4, 6, 6])
-            ft = np.array([[1.0, 1.0, 1.0, 0.0, 0.0, 0.0]])
-            it = np.array([[0.0, 0.0, 0.0, 1.0, 1.0, 1.0]])
-            got_h, got_c = forced_onlstm_step(
-                params, x, (h, c), (T.constant(ft), T.constant(it))
-            )
-            ref = scalar_onlstm_step(
-                params, x.data[0].tolist(), h.data[0].tolist(), c.data[0].tolist(),
-                masters=(ft[0].tolist(), it[0].tolist()),
-            )
-            np.testing.assert_allclose(ref["fhat"], ft[0], atol=0)
-            np.testing.assert_allclose(ref["ihat"], it[0], atol=0)
-            np.testing.assert_allclose(got_c.data[0], ref["c"], atol=1e-9)
-            np.testing.assert_allclose(got_h.data[0], ref["h"], atol=1e-9)
+        rng = np.random.default_rng(22)
+        params = LstmParams(4, 6, rng, chunk=2)
+        to_float64(params.parameters())
+        x, h, c = make_inputs(rng, 1, [4, 6, 6])
+        ft = np.array([[1.0, 1.0, 1.0, 0.0, 0.0, 0.0]])
+        it = np.array([[0.0, 0.0, 0.0, 1.0, 1.0, 1.0]])
+        got_h, got_c = forced_onlstm_step(
+            params, x, (h, c), (T.constant(ft), T.constant(it))
+        )
+        ref = scalar_onlstm_step(
+            params, x.data[0].tolist(), h.data[0].tolist(), c.data[0].tolist(),
+            masters=(ft[0].tolist(), it[0].tolist()),
+        )
+        np.testing.assert_allclose(ref["fhat"], ft[0], atol=0)
+        np.testing.assert_allclose(ref["ihat"], it[0], atol=0)
+        np.testing.assert_allclose(got_c.data[0], ref["c"], atol=1e-9)
+        np.testing.assert_allclose(got_h.data[0], ref["h"], atol=1e-9)
 
     def test_matches_scalar_reference_sweep(self):
-        with T.dtype_scope("float64"):
-            rng = np.random.default_rng(23)
-            for _ in range(20):
-                params = LstmParams(4, 8, rng, chunk=2)
-                x, h, c = make_inputs(rng, 1, [4, 8, 8])
-                got_h, got_c = on_lstm_cell_step(params, x, (h, c))
-                ref = scalar_onlstm_step(
-                    params, x.data[0].tolist(), h.data[0].tolist(), c.data[0].tolist()
-                )
-                np.testing.assert_allclose(got_c.data[0], ref["c"], atol=1e-6)
-                np.testing.assert_allclose(got_h.data[0], ref["h"], atol=1e-6)
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            params = LstmParams(4, 8, rng, chunk=2)
+            to_float64(params.parameters())
+            x, h, c = make_inputs(rng, 1, [4, 8, 8])
+            got_h, got_c = on_lstm_cell_step(params, x, (h, c))
+            ref = scalar_onlstm_step(
+                params, x.data[0].tolist(), h.data[0].tolist(), c.data[0].tolist()
+            )
+            np.testing.assert_allclose(got_c.data[0], ref["c"], atol=1e-6)
+            np.testing.assert_allclose(got_h.data[0], ref["h"], atol=1e-6)
 
     def test_gate_combination_identity_and_ranges(self):
         rng = np.random.default_rng(24)
-        with T.dtype_scope("float64"):
-            for _ in range(200):
-                params = LstmParams(3, 6, rng, chunk=2)
-                x, h, c = make_inputs(rng, 1, [3, 6, 6])
-                got_h, got_c = on_lstm_cell_step(params, x, (h, c))
-                ref = scalar_onlstm_step(
-                    params, x.data[0].tolist(), h.data[0].tolist(), c.data[0].tolist()
-                )
-                np.testing.assert_allclose(got_c.data[0], ref["c"], atol=1e-6)
-                for j in range(6):
-                    lhs = ref["fhat"][j] + ref["ihat"][j]
-                    rhs = ref["ft"][j] + ref["it"][j] + (ref["f"][j] + ref["i"][j] - 2.0) * ref["w"][j]
-                    assert abs(lhs - rhs) < 1e-6
-                    assert -1e-9 <= ref["fhat"][j] <= 1 + 1e-9
-                    assert -1e-9 <= ref["ihat"][j] <= 1 + 1e-9
+        for _ in range(200):
+            params = LstmParams(3, 6, rng, chunk=2)
+            to_float64(params.parameters())
+            x, h, c = make_inputs(rng, 1, [3, 6, 6])
+            got_h, got_c = on_lstm_cell_step(params, x, (h, c))
+            ref = scalar_onlstm_step(
+                params, x.data[0].tolist(), h.data[0].tolist(), c.data[0].tolist()
+            )
+            np.testing.assert_allclose(got_c.data[0], ref["c"], atol=1e-6)
+            for j in range(6):
+                lhs = ref["fhat"][j] + ref["ihat"][j]
+                rhs = ref["ft"][j] + ref["it"][j] + (ref["f"][j] + ref["i"][j] - 2.0) * ref["w"][j]
+                assert abs(lhs - rhs) < 1e-6
+                assert -1e-9 <= ref["fhat"][j] <= 1 + 1e-9
+                assert -1e-9 <= ref["ihat"][j] <= 1 + 1e-9
 
 
 class TestRecurrentEncoder:
@@ -374,20 +374,19 @@ class TestRecurrentEncoder:
         assert trace == {}
 
     def test_gradients_pass_finite_difference_check(self):
-        with T.dtype_scope("float64"):
-            enc = self._encoder(kind="onlstm", layers=2, d=4, chunk=2, seed=5)
-            rng = np.random.default_rng(39)
-            # a ragged batch: the second sequence ends a step early
-            rows, packing = pack(rng.standard_normal((2, 3, 4)), np.array([[1, 1, 1], [1, 1, 0.0]]))
-            coeff = T.constant(rng.standard_normal((2, 4)))
+        enc = self._encoder(kind="onlstm", layers=2, d=4, chunk=2, seed=5)
+        rng = np.random.default_rng(39)
+        # a ragged batch: the second sequence ends a step early
+        rows, packing = pack(rng.standard_normal((2, 3, 4)), np.array([[1, 1, 1], [1, 1, 0.0]]))
+        coeff = T.constant(rng.standard_normal((2, 4)))
 
-            def build():
-                seq = enc(rows, packing)
-                last = T.pack_rows(seq, packing.last)
-                return T.add(sum_all(mul(last, coeff)), mean_all(seq))
+        def build():
+            seq = enc(rows, packing)
+            last = T.pack_rows(seq, packing.last)
+            return T.add(sum_all(mul(last, coeff)), mean_all(seq))
 
-            report = finite_difference_check(build, enc.parameters())
-            assert max(report.values()) < 1e-3
+        report = finite_difference_check(build, to_float64(enc.parameters()))
+        assert max(report.values()) < 1e-3
 
 
 def _max_rel_gap(got: dict, ref: dict) -> float:
@@ -417,42 +416,43 @@ class TestFusedScanMatchesTapeOracle:
     def _run(self, kind, layers, chunk, dtype):
         n, batch, d = max(self.LENGTHS), len(self.LENGTHS), 8
         results = []
-        with T.dtype_scope(dtype):
-            enc = RecurrentEncoder(
-                layers, d, d, SeedStreams(3).stream("init", "rnn"),
-                chunk=chunk if kind == "onlstm" else None, dropout_rate=0.2,
-            )
-            rng = np.random.default_rng(41)
-            real = np.arange(n)[:, None] < np.array(self.LENGTHS)[None, :]
-            x = rng.standard_normal((n, batch, d))
-            x[~real] = rng.standard_normal(d)  # one pad embedding at every padded step
-            coeff = (rng.standard_normal((batch, n, d)) * real.T[..., None]).astype(dtype)
-            packing = T.Packing(real.T)
-            rows = packing.index
-            time_rows = packing.steps * batch + rows // n  # the same tokens on the (N, B) grid
-            on_rows = [  # packed input and loss weights; padded ones for the tape cell
-                (x.reshape(-1, d)[time_rows], coeff.reshape(-1, d)[rows],
-                 lambda xt, **kw: enc(xt, packing, **kw)),
-                (x, coeff, lambda xt, **kw: tape_scan(enc, xt, packing, **kw)),
-            ]
-            for x_in, c_in, scan in on_rows:
-                for p in enc.parameters().values():
-                    p.zero_grad()
-                xt = T.parameter(x_in.astype(dtype))
-                trace: dict[int, list] = {}
-                with T.tape_scope():
-                    seq = scan(xt, rng=np.random.default_rng(9), trace=trace)
-                    T.backward(sum_all(mul(seq, T.constant(c_in))))
-                grads = {name: p.grad for name, p in enc.parameters().items()}
-                grads["input"] = xt.grad
-                results.append((seq.data, trace, grads))
-            # the tape cell's real rows, its gates of running sequences, in packed order
-            seq, trace, grads = results[1]
-            steps = zip(packing.offsets[:-1], packing.offsets[1:])
-            running = [rows[lo:hi] // n for lo, hi in steps]
-            trace = {li: [(f[r], i[r]) for (f, i), r in zip(gates, running)] for li, gates in trace.items()}
-            grads["input"] = grads["input"].reshape(-1, d)[time_rows]
-            results[1] = (seq.reshape(-1, d)[rows], trace, grads)
+        enc = RecurrentEncoder(
+            layers, d, d, SeedStreams(3).stream("init", "rnn"),
+            chunk=chunk if kind == "onlstm" else None, dropout_rate=0.2,
+        )
+        if dtype == "float64":
+            to_float64(enc.parameters())
+        rng = np.random.default_rng(41)
+        real = np.arange(n)[:, None] < np.array(self.LENGTHS)[None, :]
+        x = rng.standard_normal((n, batch, d))
+        x[~real] = rng.standard_normal(d)  # one pad embedding at every padded step
+        coeff = (rng.standard_normal((batch, n, d)) * real.T[..., None]).astype(dtype)
+        packing = T.Packing(real.T)
+        rows = packing.index
+        time_rows = packing.steps * batch + rows // n  # the same tokens on the (N, B) grid
+        on_rows = [  # packed input and loss weights; padded ones for the tape cell
+            (x.reshape(-1, d)[time_rows], coeff.reshape(-1, d)[rows],
+             lambda xt, **kw: enc(xt, packing, **kw)),
+            (x, coeff, lambda xt, **kw: tape_scan(enc, xt, packing, **kw)),
+        ]
+        for x_in, c_in, scan in on_rows:
+            for p in enc.parameters().values():
+                p.zero_grad()
+            xt = T.parameter(x_in.astype(dtype))
+            trace: dict[int, list] = {}
+            with T.tape_scope():
+                seq = scan(xt, rng=np.random.default_rng(9), trace=trace)
+                T.backward(sum_all(mul(seq, T.constant(c_in))))
+            grads = {name: p.grad for name, p in enc.parameters().items()}
+            grads["input"] = xt.grad
+            results.append((seq.data, trace, grads))
+        # the tape cell's real rows, its gates of running sequences, in packed order
+        seq, trace, grads = results[1]
+        steps = zip(packing.offsets[:-1], packing.offsets[1:])
+        running = [rows[lo:hi] // n for lo, hi in steps]
+        trace = {li: [(f[r], i[r]) for (f, i), r in zip(gates, running)] for li, gates in trace.items()}
+        grads["input"] = grads["input"].reshape(-1, d)[time_rows]
+        results[1] = (seq.reshape(-1, d)[rows], trace, grads)
         return results
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])

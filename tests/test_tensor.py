@@ -57,27 +57,26 @@ def check_op_grad(build, shapes, seed=0, tol=1e-6):
     """
     rng = np.random.default_rng(seed)
     arrays = [rng.standard_normal(s) for s in shapes]
-    with T.dtype_scope("float64"):
-        inputs = [T.parameter(a.copy()) for a in arrays]
-        with T.tape_scope():
-            out = build(inputs)
-            coeffs = T.constant(np.asarray(rng.standard_normal(out.shape)))
-            loss = sum_all(mul(out, coeffs))
-            T.backward(loss)
-        for idx in range(len(arrays)):
-            def scalar(x, idx=idx):
-                probe = [T.constant(a) for a in arrays]
-                probe[idx] = T.constant(x)
-                with T.no_grad():
-                    val = sum_all(mul(build(probe), coeffs))
-                return val.item()
+    inputs = [T.parameter(a.copy()) for a in arrays]
+    with T.tape_scope():
+        out = build(inputs)
+        coeffs = T.constant(np.asarray(rng.standard_normal(out.shape)))
+        loss = sum_all(mul(out, coeffs))
+        T.backward(loss)
+    for idx in range(len(arrays)):
+        def scalar(x, idx=idx):
+            probe = [T.constant(a) for a in arrays]
+            probe[idx] = T.constant(x)
+            with T.no_grad():
+                val = sum_all(mul(build(probe), coeffs))
+            return val.item()
 
-            expected = numeric_grad(scalar, arrays[idx].copy())
-            got = inputs[idx].grad
-            assert got is not None
-            denom = np.maximum(np.abs(expected), 1.0)
-            np.testing.assert_allclose(got, expected, atol=tol, rtol=0, err_msg=f"input {idx}")
-            assert np.max(np.abs(got - expected) / denom) < tol
+        expected = numeric_grad(scalar, arrays[idx].copy())
+        got = inputs[idx].grad
+        assert got is not None
+        denom = np.maximum(np.abs(expected), 1.0)
+        np.testing.assert_allclose(got, expected, atol=tol, rtol=0, err_msg=f"input {idx}")
+        assert np.max(np.abs(got - expected) / denom) < tol
 
 
 class TestForwardValues:
@@ -242,11 +241,10 @@ class TestGradients:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((4, 6))
         x[np.abs(x) < 0.1] = 0.5
-        with T.dtype_scope("float64"):
-            xt = T.parameter(x.copy())
-            with T.tape_scope():
-                T.backward(sum_all(T.relu(xt)))
-            np.testing.assert_allclose(xt.grad, (x > 0).astype(float), atol=1e-9)
+        xt = T.parameter(x.copy())
+        with T.tape_scope():
+            T.backward(sum_all(T.relu(xt)))
+        np.testing.assert_allclose(xt.grad, (x > 0).astype(float), atol=1e-9)
 
     def test_softmax_cumsum_reverse(self):
         check_op_grad(lambda t: T.softmax_rows(t[0]), [(4, 6)])
@@ -486,19 +484,10 @@ class TestValidationAndDtype:
         with pytest.raises(ConfigError):
             T.dropout(x, -0.1, rng)
 
-    def test_default_dtype_and_scope(self):
-        assert T.Tensor([1.0, 2.0]).dtype == np.float32
-        with T.dtype_scope("float64"):
-            assert T.Tensor([1.0]).dtype == np.float64
-        assert T.Tensor([1.0]).dtype == np.float32
-
     def test_ndarray_precision_is_preserved(self):
         x64 = np.zeros(3, dtype=np.float64)
         assert T.Tensor(x64).dtype == np.float64
-
-    def test_unknown_dtype_rejected(self):
-        with pytest.raises(ConfigError):
-            T.set_default_dtype("float16")
+        assert T.Tensor([1.0, 2.0]).dtype == T.default_dtype() == np.float32
 
 
 class TestOpSet:
