@@ -6,6 +6,15 @@ packed rows of a batch (see `tensor.Packing`); only the attention core
 scatters queries, keys and values to the padded (B, N) grid, where key
 padding is handled by adding the packing's key bias, a large negative
 constant at padding columns, to the scores before the softmax.
+
+The attention core and the feed-forward sublayer are one tape entry each,
+recorded through `tensor._record` as `recurrent.scan_layer` is. Each works
+inside the arrays its matrix products return: the core scales, biases and
+softmaxes the scores in place, and the feed-forward rectifies its hidden
+layer in place. Their hand-written backwards repeat the arithmetic of the
+tape-op chains they replace (`tests/tape_helpers.py` keeps those chains),
+in the same order and with the same products on the same operand layouts,
+so forward and gradients are those chains' to the bit.
 """
 
 from __future__ import annotations
@@ -17,20 +26,17 @@ from .tensor import (
     Module,
     Packing,
     Tensor,
+    _record,
     add,
     affine_parameters,
     default_dtype,
     dropout,
     layer_norm,
     linear,
-    matmul,
     pack_rows,
     parameter,
     permute,
-    relu,
     reshape,
-    scale,
-    softmax_rows,
     uniform_parameter,
     unpack_rows,
 )
@@ -57,16 +63,52 @@ def sinusoidal_positions(n: int, d: int) -> np.ndarray:
 def scaled_dot_attention(
     q: Tensor, k: Tensor, v: Tensor, mask_bias: np.ndarray | None = None
 ) -> Tensor:
-    """softmax(q k^T / sqrt(d_k)) v over (..., n_q, d_k) queries.
+    """softmax(q k^T / sqrt(d_k) + mask_bias) v over (..., n_q, d_k) queries.
 
-    k and v share their leading (batch) axes, and q shares them or is one
-    (n_q, d_k) set of queries for every batch; `matmul` rejects any other
-    shapes. `mask_bias` is an additive score offset that broadcasts to the
+    k and v share their leading (batch) axes and their key count, and q
+    shares the leading axes or is one (n_q, d_k) set of queries for every
+    batch, whose gradient is then summed over the batch. `mask_bias` is an
+    additive score offset of the scores' dtype that broadcasts to the
     (..., n_q, N) scores, such as the (B, 1, N) `Packing.key_bias`.
+
+    One tape entry. The scores are scaled, biased and softmaxed inside the
+    array `q @ k^T` returns, and the backward keeps only the weights P and
+    the three inputs.
     """
-    k_t = permute(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))
-    scores = scale(matmul(q, k_t), 1.0 / np.sqrt(q.shape[-1]))
-    return matmul(softmax_rows(scores, mask_bias), v)
+    lead = k.shape[:-2]
+    if (q.ndim < 2 or k.ndim < 2 or q.shape[:-2] not in (lead, ())
+            or q.shape[-1:] != k.shape[-1:] or v.ndim < 2 or v.shape[:-1] != k.shape[:-1]):
+        raise ShapeError(f"attention: incompatible shapes q {q.shape}, k {k.shape}, v {v.shape}")
+    factor = float(1.0 / np.sqrt(q.shape[-1]))
+    p = q.data @ k.data.swapaxes(-1, -2)
+    if mask_bias is not None and np.broadcast_shapes(mask_bias.shape, p.shape) != p.shape:
+        raise ShapeError(f"attention: bias {mask_bias.shape} does not broadcast to {p.shape}")
+    p *= factor
+    if mask_bias is not None:
+        p += mask_bias
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+
+    def back(g):
+        contribs = []
+        if q.requires_grad or k.requires_grad:
+            # the softmax's backward, then the scale's, in the gradient of P
+            d = g @ v.data.swapaxes(-1, -2)
+            inner = (d * p).sum(axis=-1, keepdims=True)
+            d -= inner
+            d *= p
+            d *= factor
+            if q.requires_grad:
+                gq = d @ k.data
+                contribs.append((q, gq if q.ndim == k.ndim else gq.reshape((-1,) + q.shape).sum(axis=0)))
+            if k.requires_grad:
+                contribs.append((k, (q.data.swapaxes(-1, -2) @ d).swapaxes(-1, -2)))
+        if v.requires_grad:
+            contribs.append((v, p.swapaxes(-1, -2) @ g))
+        return contribs
+
+    return _record("scaled_dot_attention", (q, k, v), p @ v.data, back)
 
 
 class MultiHeadAttention(Module):
@@ -108,14 +150,48 @@ class MultiHeadAttention(Module):
 
 
 class FeedForward(Module):
-    """Position-wise (d -> d_ff -> d) map with a rectifier between."""
+    """Position-wise (d -> d_ff -> d) map with a rectifier between.
+
+    One tape entry over x of any rank: x is flattened to (-1, d) rows, the
+    rectifier runs in place on the first product, and the backward reads
+    its mask from that rectified array.
+    """
 
     def __init__(self, d: int, d_ff: int, rng: np.random.Generator):
         self.w1, self.b1 = affine_parameters(rng, d, d_ff)
         self.w2, self.b2 = affine_parameters(rng, d_ff, d)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return linear(relu(linear(x, self.w1, self.b1)), self.w2, self.b2)
+        w1, b1, w2, b2 = self.w1, self.b1, self.w2, self.b2
+        d = w1.shape[0]
+        if x.shape[-1:] != (d,):
+            raise ShapeError(f"feed-forward: expected rows of width {d}, got {x.shape}")
+        rows = x.data.reshape(-1, d)
+        hidden = rows @ w1.data
+        hidden += b1.data
+        np.maximum(hidden, 0.0, out=hidden)
+        out = hidden @ w2.data
+        out += b2.data
+
+        def back(g):
+            g = g.reshape(-1, d)
+            contribs = []
+            if x.requires_grad or w1.requires_grad or b1.requires_grad:
+                g_hidden = g @ w2.data.T
+                g_hidden *= hidden > 0
+                if x.requires_grad:
+                    contribs.append((x, (g_hidden @ w1.data.T).reshape(x.shape)))
+                if w1.requires_grad:
+                    contribs.append((w1, rows.T @ g_hidden))
+                if b1.requires_grad:
+                    contribs.append((b1, g_hidden.sum(axis=0)))
+            if w2.requires_grad:
+                contribs.append((w2, hidden.T @ g))
+            if b2.requires_grad:
+                contribs.append((b2, g.sum(axis=0)))
+            return contribs
+
+        return _record("feed_forward", (x, w1, b1, w2, b2), out.reshape(x.shape), back)
 
 
 class SanLayer(Module):

@@ -74,7 +74,7 @@ def clip_global_norm(params: dict[str, Tensor], max_norm: float) -> float:
     total = 0.0
     for p in params.values():
         if p.grad is not None:
-            total += float(np.sum(p.grad.astype(np.float64) ** 2))
+            total += float(np.sum(np.square(p.grad, dtype=np.float64)))
     norm = float(np.sqrt(total))
     if not np.isfinite(norm):
         raise NumericsError(f"gradient norm is not finite ({norm})")

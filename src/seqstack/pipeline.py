@@ -131,6 +131,10 @@ class ClassifierHead(Module):
         # only u - v, and the layers above get zero-mean columns, which cancel
         # the relu units' positive mean and the small hidden biases. Zero
         # biases would put every unit exactly on its relu kink when u = v.
+        # Without a generator the parameters are zero structure to restore
+        # into, and there is nothing to shape.
+        if rng is None:
+            return
         half = d_pair // 2
         self.w1.data[half:] = -self.w1.data[:half]
         for w in (self.w2, self.w3):

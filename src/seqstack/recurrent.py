@@ -11,9 +11,10 @@ packed rows of a batch (see `tensor.Packing`) and is recorded as a single
 tape entry whose backward is hand-written backpropagation through time.
 Each step runs only the sequences that have not ended, makes one input and
 one hidden matmul, against the gate weights concatenated with the master
-heads' weights, and keeps what the backward reads only while the tape
-records. `tests/tape_helpers.py` keeps the per-step cell built from
-tape ops; the tests hold the kernel's forward to it bit for bit.
+heads' weights, builds its gate logits inside the hidden product's array,
+and keeps what the backward reads only while the tape records.
+`tests/tape_helpers.py` keeps the per-step cell built from tape ops; the
+tests hold the kernel's forward to it bit for bit.
 """
 
 from __future__ import annotations
@@ -57,10 +58,16 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     """1 / (1 + e) where x >= 0, else e / (1 + e), with e = exp(-|x|).
 
     max(e, x >= 0) picks the numerator (e <= 1): the bits of the two-branch
-    select, without the cost of np.where's masked select.
+    select, without the cost of np.where's masked select. Each step runs
+    in place inside one of its own two arrays.
     """
-    e = np.exp(-np.abs(x))
-    return np.maximum(e, x >= 0) / (1.0 + e)
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.maximum(e, x >= 0)
+    e += 1.0
+    out /= e
+    return out
 
 
 def _sigmoid_grad(out: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -125,7 +132,9 @@ def scan_layer(
     for lo, hi in spans:
         b = hi - lo
         h_prev, c_prev = h[:b], c[:b]
-        z = x_w[lo:hi] + h_w(h_prev, w_h) + bias
+        z = h_w(h_prev, w_h)  # x_w[lo:hi] + h_prev @ w_h + bias, summed in place
+        z += x_w[lo:hi]
+        z += bias
         s = _sigmoid(z[:, : 3 * dh])
         f, i, o = s[:, :dh], s[:, dh : 2 * dh], s[:, 2 * dh : 3 * dh]
         g = np.tanh(z[:, 3 * dh : 4 * dh])

@@ -9,6 +9,12 @@ produced. `replay` runs the same loop over any tape from a seed gradient and
 returns the leaf gradients instead, so a tape recorded on one thread can be
 backpropagated on another.
 
+Ops here are the generic ones. An op that fuses a layer's chain of steps
+lives beside its module (`recurrent.scan_layer`, `attention.FeedForward`
+and `attention.scaled_dot_attention`) and records through `_record` too.
+An op may work in place only inside arrays it made itself; it never writes
+its inputs, nor an array its backward has handed on.
+
 Parameters are built in float32 (`default_dtype`), and every op keeps its
 operands' dtype, so a model computes in its parameters' dtype: cast them to
 float64 (`gradcheck.to_float64`) and the whole pass runs in float64. Scalar
@@ -82,10 +88,14 @@ class Tensor:
         self.grad = None
 
     def accumulate_grad(self, g: np.ndarray) -> None:
+        """Add `g`, of this tensor's dtype, to `.grad`: the first gradient is
+        copied, and later ones are added in place into that private copy."""
+        if g.dtype != self.data.dtype:
+            raise ContractError(f"a {g.dtype} gradient for a {self.data.dtype} tensor")
         if self.grad is None:
-            self.grad = g.astype(self.data.dtype, copy=True)
+            self.grad = g.copy(order="K")
         else:
-            self.grad = self.grad + g
+            self.grad += g
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -285,30 +295,6 @@ def join_rows(first: Tensor, first_tape: GradTape, second: Tensor, second_tape: 
 # ---------------------------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Product over the last two axes, batched over equal leading axes.
-
-    A rank-2 `a` may also meet a `b` with leading axes: it is broadcast over
-    them, and its gradient is summed over them.
-    """
-    lead = b.shape[:-2]
-    if (a.ndim < 2 or b.ndim < 2 or a.shape[:-2] not in (lead, ())
-            or a.shape[-1:] != b.shape[-2:-1]):
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    out = a.data @ b.data
-
-    def back(g):
-        contribs = []
-        if a.requires_grad:
-            ga = g @ b.data.swapaxes(-1, -2)
-            contribs.append((a, ga if a.ndim == b.ndim else ga.reshape((-1,) + a.shape).sum(axis=0)))
-        if b.requires_grad:
-            contribs.append((b, a.data.swapaxes(-1, -2) @ g))
-        return contribs
-
-    return _record("matmul", (a, b), out, back)
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """Affine map `x @ w + b` over the last axis of x, of any rank.
 
@@ -485,31 +471,6 @@ def relu(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def softmax_rows(x: Tensor, bias: np.ndarray | None = None) -> Tensor:
-    """Softmax over the last dimension, computed with max subtraction.
-
-    `bias` is a constant added to x first, such as a key mask bias; it must
-    broadcast to x's shape. It takes no gradient.
-    """
-    if bias is not None and np.broadcast_shapes(bias.shape, x.shape) != x.shape:
-        raise ShapeError(f"softmax_rows: bias {bias.shape} does not broadcast to {x.shape}")
-    # The backward reads only `out`, so one fresh array is shifted,
-    # exponentiated and normalized in place.
-    if bias is None:
-        out = x.data - x.data.max(axis=-1, keepdims=True)
-    else:
-        out = x.data + bias
-        out -= out.max(axis=-1, keepdims=True)
-    np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
-
-    def back(g):
-        inner = (g * out).sum(axis=-1, keepdims=True)
-        return [(x, out * (g - inner))]
-
-    return _record("softmax_rows", (x,), out, back)
-
-
 def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
     """Row lookup (embedding): out[..., :] = table[ids[...], :]."""
     ids = np.asarray(ids)
@@ -543,10 +504,10 @@ def layer_norm(x: Tensor, gain: Tensor) -> Tensor:
     d = x.shape[-1]
     if gain.shape != (d,):
         raise ShapeError(f"layer_norm: gain {gain.shape} does not match last dim {d}")
-    xc = x.data - x.data.mean(axis=-1, keepdims=True)
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = xc * inv
+    xhat *= inv  # normalised inside the centred copy
     out = xhat * gain.data
 
     def back(g):

@@ -5,6 +5,12 @@ checks; `sub` and `mul` are the same-shape elementwise ops tests build
 losses and references from. They record on the active tape like the ops in
 `seqstack.tensor`.
 
+`matmul` and `softmax_rows` are the generic ops the attention core was
+once built from. With `permute`, `scale`, `relu` and `linear` they make
+`reference_attention` and `reference_feed_forward`, the tape-op chains
+that `attention.scaled_dot_attention` and `attention.FeedForward` fuse into
+one entry each; the tests hold the fused ops to them bit for bit.
+
 The rest is the recurrent cell built from per-step tape ops, the oracle the
 fused scan in `seqstack.recurrent` is held to: the ops it needs
 (`add_bias`, `sigmoid`, `tanh`, `cumsum_last`, `repeat_last`, `slice_last`,
@@ -35,8 +41,8 @@ from seqstack.attention import scaled_dot_attention, sinusoidal_positions
 from seqstack.errors import ShapeError
 from seqstack.recurrent import LstmParams
 from seqstack.tensor import (
-    Packing, Tensor, _record, add, constant, layer_norm, linear, matmul, permute, reshape,
-    softmax_rows, unpack_rows,
+    Packing, Tensor, _record, add, constant, layer_norm, linear, permute, relu, reshape, scale,
+    unpack_rows,
 )
 
 
@@ -90,6 +96,72 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         return contribs
 
     return _record("mul", (a, b), a.data * b.data, back)
+
+
+# ---------------------------------------------------------------------------
+# The attention core and the feed-forward sublayer as chains of tape ops
+# ---------------------------------------------------------------------------
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Product over the last two axes, batched over equal leading axes.
+
+    A rank-2 `a` may also meet a `b` with leading axes: it is broadcast over
+    them, and its gradient is summed over them.
+    """
+    lead = b.shape[:-2]
+    if (a.ndim < 2 or b.ndim < 2 or a.shape[:-2] not in (lead, ())
+            or a.shape[-1:] != b.shape[-2:-1]):
+        raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
+    out = a.data @ b.data
+
+    def back(g):
+        contribs = []
+        if a.requires_grad:
+            ga = g @ b.data.swapaxes(-1, -2)
+            contribs.append((a, ga if a.ndim == b.ndim else ga.reshape((-1,) + a.shape).sum(axis=0)))
+        if b.requires_grad:
+            contribs.append((b, a.data.swapaxes(-1, -2) @ g))
+        return contribs
+
+    return _record("matmul", (a, b), out, back)
+
+
+def softmax_rows(x: Tensor, bias: np.ndarray | None = None) -> Tensor:
+    """Softmax over the last dimension, computed with max subtraction.
+
+    `bias` is a constant added to x first, such as a key mask bias; it must
+    broadcast to x's shape. It takes no gradient.
+    """
+    if bias is not None and np.broadcast_shapes(bias.shape, x.shape) != x.shape:
+        raise ShapeError(f"softmax_rows: bias {bias.shape} does not broadcast to {x.shape}")
+    # The backward reads only `out`, so one fresh array is shifted,
+    # exponentiated and normalized in place.
+    if bias is None:
+        out = x.data - x.data.max(axis=-1, keepdims=True)
+    else:
+        out = x.data + bias
+        out -= out.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+
+    def back(g):
+        inner = (g * out).sum(axis=-1, keepdims=True)
+        return [(x, out * (g - inner))]
+
+    return _record("softmax_rows", (x,), out, back)
+
+
+def reference_attention(q: Tensor, k: Tensor, v: Tensor, mask_bias=None) -> Tensor:
+    """`scaled_dot_attention` as five tape ops: permute, matmul, scale, softmax, matmul."""
+    k_t = permute(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))
+    scores = scale(matmul(q, k_t), 1.0 / np.sqrt(q.shape[-1]))
+    return matmul(softmax_rows(scores, mask_bias), v)
+
+
+def reference_feed_forward(ffn, x: Tensor) -> Tensor:
+    """`FeedForward` as three tape ops: linear, relu, linear."""
+    return linear(relu(linear(x, ffn.w1, ffn.b1)), ffn.w2, ffn.b2)
 
 
 # ---------------------------------------------------------------------------

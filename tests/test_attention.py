@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from seqstack import attention
 from seqstack import tensor as T
 from seqstack.attention import (
+    FeedForward,
     MultiHeadAttention,
     SanEncoder,
     SanLayer,
@@ -17,7 +19,9 @@ from seqstack.errors import ConfigError, ShapeError
 from seqstack.gradcheck import finite_difference_check, to_float64
 from seqstack.rng import SeedStreams
 
-from tape_helpers import mul, pack, sum_all, unpack
+from tape_helpers import (
+    mul, pack, reference_attention, reference_feed_forward, sum_all, unpack,
+)
 
 
 def ref_attention(q, k, v):
@@ -181,12 +185,21 @@ class TestMultiHeadAttention:
         got = on_grid(mha, x)
         np.testing.assert_allclose(got[0], ref_mha(x[0], mha), atol=1e-6)
 
-    def test_attention_rows_are_distributions(self, rng):
+    def test_attention_rows_are_distributions(self, rng, monkeypatch):
         mha = MultiHeadAttention(8, 4, streams(4))
-        with T.tape_scope() as tape:
-            on_grid(mha, rng.standard_normal((2, 5, 8)))
-        (entry,) = [e for e in tape.entries if e.op == "softmax_rows"]
-        weights = entry.output.data.reshape(2, 4, 5, 5)
+        calls = []
+
+        def spy(q, k, v, mask_bias):
+            calls.append((q, k, mask_bias))
+            return scaled_dot_attention(q, k, v, mask_bias)
+
+        monkeypatch.setattr(attention, "scaled_dot_attention", spy)
+        on_grid(mha, rng.standard_normal((2, 5, 8)))
+        ((q, k, mask_bias),) = calls
+        # the core's weights P, read exactly as P @ I
+        eye = T.constant(np.broadcast_to(np.eye(5, dtype=q.dtype), (2, 4, 5, 5)).copy())
+        weights = scaled_dot_attention(q, k, eye, mask_bias).data
+        assert weights.shape == (2, 4, 5, 5)
         assert np.all(weights >= 0)
         np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-6)
 
@@ -202,6 +215,109 @@ class TestMultiHeadAttention:
         assert [e.output.shape for e in tape.entries if e.op == "linear"] == [(8, 8)] * 4
         assert ops.count("unpack_rows") == 3 and ops.count("pack_rows") == 1
         assert all(e.output.shape != (2 * 4, 5, 5) for e in tape.entries)
+
+
+class TestFusedOps:
+    """The attention core and the feed-forward sublayer are one tape entry each,
+    and their forward and every gradient equal the tape-op chains of
+    `tape_helpers` bit for bit."""
+
+    @staticmethod
+    def _run(fn, leaves, coeff, record):
+        """fn's output, and the leaves' gradients of sum(output * coeff) when recording."""
+        for leaf in leaves:
+            leaf.zero_grad()
+        with T.tape_scope() as tape:
+            if not record:
+                with T.no_grad():
+                    out = fn()
+                assert not out.requires_grad and not tape.entries
+                return out.data, []
+            out = fn()
+            T.backward(sum_all(mul(out, T.constant(coeff))))
+        return out.data, [leaf.grad for leaf in leaves]
+
+    @staticmethod
+    def _assert_same_bits(got, ref, dtype):
+        out, grads = got
+        ref_out, ref_grads = ref
+        assert out.dtype == dtype and out.tobytes() == ref_out.tobytes()
+        assert len(grads) == len(ref_grads)
+        for g, r in zip(grads, ref_grads):
+            assert g.dtype == dtype and g.tobytes() == r.tobytes()
+
+    @pytest.mark.parametrize("record", [True, False], ids=["record", "no_grad"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_heads_with_a_key_bias_match_the_reference_chain(self, rng, dtype, record):
+        # q, k and v as MultiHeadAttention makes them: (B, H, N, d_head) views
+        # of (B, N, H, d_head) arrays, with a ragged batch's key bias
+        packing = T.Packing(np.arange(6) < np.array([[4], [6], [1]]))
+        leaves = [T.parameter(rng.standard_normal((3, 6, 2, 4)).astype(dtype)) for _ in range(3)]
+        bias = packing.key_bias(dtype)[:, None]
+        coeff = rng.standard_normal((3, 2, 6, 4)).astype(dtype)
+
+        def heads(core):
+            return lambda: core(*(T.permute(leaf, (0, 2, 1, 3)) for leaf in leaves), bias)
+
+        got = self._run(heads(scaled_dot_attention), leaves, coeff, record)
+        ref = self._run(heads(reference_attention), leaves, coeff, record)
+        self._assert_same_bits(got, ref, dtype)
+
+    @pytest.mark.parametrize("record", [True, False], ids=["record", "no_grad"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pooling_queries_match_the_reference_chain(self, rng, dtype, record):
+        # one rank-2 set of queries for every batch, keys and values one tensor
+        packing = T.Packing(np.arange(5) < np.array([[5], [2], [3], [5]]))
+        queries = T.parameter(rng.standard_normal((2, 8)).astype(dtype))
+        rows = T.parameter(rng.standard_normal((len(packing.steps), 8)).astype(dtype))
+        coeff = rng.standard_normal((4, 2, 8)).astype(dtype)
+
+        def pooled(core):
+            def fn():
+                seq = T.unpack_rows(rows, packing)
+                return core(queries, seq, seq, packing.key_bias(dtype))
+            return fn
+
+        got = self._run(pooled(scaled_dot_attention), [queries, rows], coeff, record)
+        ref = self._run(pooled(reference_attention), [queries, rows], coeff, record)
+        self._assert_same_bits(got, ref, dtype)
+
+    @pytest.mark.parametrize("record", [True, False], ids=["record", "no_grad"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(11, 8), (3, 4, 8)], ids=["packed", "padded"])
+    def test_feed_forward_matches_the_reference_chain(self, rng, dtype, shape, record):
+        ffn = FeedForward(8, 16, streams(30))
+        if dtype == np.float64:
+            to_float64(ffn.parameters())
+        x = T.parameter(rng.standard_normal(shape).astype(dtype))
+        leaves = [x, *ffn.parameters().values()]
+        coeff = rng.standard_normal(shape).astype(dtype)
+        got = self._run(lambda: ffn(x), leaves, coeff, record)
+        ref = self._run(lambda: reference_feed_forward(ffn, x), leaves, coeff, record)
+        self._assert_same_bits(got, ref, dtype)
+        hidden = T.linear(x, ffn.w1, ffn.b1).data
+        assert (hidden > 0).any() and (hidden < 0).any(), "both sides of the rectifier"
+
+    def test_a_layer_records_one_entry_per_core_and_feed_forward(self, rng):
+        layer = SanLayer(8, 2, 16, streams(31))
+        rows, packing = pack(rng.standard_normal((2, 5, 8)).astype(np.float32),
+                             np.arange(5) < np.array([[3], [5]]))
+        rows.requires_grad = True
+        with T.tape_scope() as tape:
+            layer(rows, packing)
+        ops = [e.op for e in tape.entries]
+        assert ops.count("scaled_dot_attention") == 1 and ops.count("feed_forward") == 1
+        assert not {"matmul", "softmax_rows", "scale", "relu"} & set(ops)
+
+    def test_shapes_and_bias_are_checked(self, rng):
+        q = T.constant(rng.standard_normal((2, 3, 4)))
+        k = T.constant(rng.standard_normal((2, 5, 4)))
+        with pytest.raises(ShapeError):
+            scaled_dot_attention(q, k, T.constant(rng.standard_normal((2, 4, 3))))
+        with pytest.raises(ShapeError):
+            scaled_dot_attention(q, k, k, np.zeros((2, 1, 1, 5)))
+        with pytest.raises(ShapeError):
+            FeedForward(4, 8, streams(32))(T.constant(np.zeros((3, 5))))
 
 
 class TestSanLayer:

@@ -96,6 +96,19 @@ class TestClipGlobalNorm:
         total = np.sqrt(a.grad[0] ** 2 + b.grad[0] ** 2)
         np.testing.assert_allclose(total, 5.0, atol=1e-6)
 
+    def test_float32_gradients_are_squared_and_summed_in_float64(self, rng):
+        # 1 + 2^-12 squares to 1 + 2^-11 + 2^-24, which float32 cannot hold
+        grads = [np.full(3, 1 + 2.0**-12, dtype=np.float32),
+                 rng.standard_normal((7, 5)).astype(np.float32)]
+        params = {}
+        for i, g in enumerate(grads):
+            params[str(i)] = T.parameter(np.zeros_like(g))
+            params[str(i)].grad = g.copy()
+        norm = clip_global_norm(params, max_norm=1e6)
+        exact = sum(float(np.sum(g.astype(np.float64) ** 2)) for g in grads)
+        assert norm == float(np.sqrt(exact))
+        assert norm != float(np.sqrt(sum(float(np.sum(g * g, dtype=np.float64)) for g in grads)))
+
     def test_non_finite_norm_raises(self):
         p = T.parameter(np.zeros(2))
         p.grad = np.array([np.inf, 1.0])
@@ -110,7 +123,7 @@ class TestFiniteDifferenceCheck:
         x = T.constant(rng.standard_normal((4, 3)))
 
         def build():
-            return mean_all(H.sigmoid(T.matmul(x, w)))
+            return mean_all(H.sigmoid(H.matmul(x, w)))
 
         return build, {"w": w}
 

@@ -15,6 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import seqstack.attention as A
 import seqstack.pipeline as P
 import seqstack.tensor as T
 from seqstack.cli import PRESETS, resolve_train_config
@@ -24,7 +25,7 @@ from seqstack.gradcheck import finite_difference_check, to_float64
 from seqstack.logic import make_pair, sample_expression, serialize
 from seqstack.rng import NoDraws, SeedStreams
 
-from tape_helpers import all_rows_logits, pack
+from tape_helpers import all_rows_logits, pack, reference_attention, reference_feed_forward
 
 
 def pairs_with_ops(seed, per_bin, max_ops=8):
@@ -263,9 +264,14 @@ class TestLoadModelDrawsNothing:
         for name, p in drawn.items():
             assert again[name].data.tobytes() == p.data.tobytes()
             assert empty[name].shape == p.shape and empty[name].dtype == p.dtype
-        # Every drawn weight is zero without a draw.
+        # Every drawn weight is zero without a draw, and the head's init is
+        # shaped only when drawn: its hidden biases stay zero, not 0.01.
         assert not np.any(empty["encoder.embedding"].data)
         assert not np.any(empty["head.w2"].data)
+        assert not np.any(empty["head.b1"].data) and not np.any(empty["head.b2"].data)
+        assert np.all(drawn["head.b1"].data == np.float32(0.01))
+        half = drawn["head.w1"].shape[0] // 2
+        assert np.array_equal(drawn["head.w1"].data[half:], -drawn["head.w1"].data[:half])
 
 
 class TestClassifierHead:
@@ -381,6 +387,18 @@ class TestBuildPrecision:
                 return contribs
             return run
 
+        # numpy promotes float32 + float64 to float64, and an in-place op
+        # rounds a float64 operand to float32, so the constants an op reads
+        # are checked too: every key bias, and every float array or tensor a
+        # backward holds (positions, dropout masks, saved intermediates)
+        biases = []
+        real_key_bias = T.Packing.key_bias
+
+        def key_bias(packing, dtype):
+            biases.append(real_key_bias(packing, dtype))
+            return biases[-1]
+
+        monkeypatch.setattr(T.Packing, "key_bias", key_bias)
         side_tapes = _record_tapes(monkeypatch)
         with T.tape_scope() as tape, ThreadPoolExecutor(max_workers=1) as worker:
             logits = model.forward_joint(ids, mask, rng=np.random.default_rng(0),
@@ -391,8 +409,11 @@ class TestBuildPrecision:
             for entry in [e for t in (tape, *side_tapes) for e in t.entries]:
                 if entry.output.dtype != dt:
                     off.append(f"{entry.op} out {entry.output.dtype}")
+                off.extend(f"{entry.op} holds {d}" for d in _held_float_dtypes(entry.backward) if d != dt)
                 entry.backward = checked(entry.op, entry.backward)
             T.backward(loss)
+        assert bool(biases) == (model.encoder.san is not None)
+        off.extend(f"key bias {b.dtype}" for b in biases if b.dtype != dt)
         if loss.dtype != dt:
             off.append(f"loss {loss.dtype}")
         for name, p in model.parameters().items():
@@ -401,6 +422,67 @@ class TestBuildPrecision:
             if p.grad is None or p.grad.dtype != dt:
                 off.append(f"{name} .grad {None if p.grad is None else p.grad.dtype}")
         assert not off, f"{len(off)} off-dtype values, first: {off[:5]}"
+
+
+class TestFusedSublayers:
+    """A training pass through the fused attention core and feed-forward
+    sublayer gives the logits, loss and gradients of one through their
+    tape-op chains (`tape_helpers`), bit for bit."""
+
+    @pytest.mark.parametrize("split", [False, True], ids=["joint", "split"])
+    @pytest.mark.parametrize("build", ["float32", "float64"])
+    @pytest.mark.parametrize("kind", ["san", "hybrid"])
+    def test_training_pass_matches_the_reference_chains(self, kind, build, split, monkeypatch):
+        cfg = tiny_config(kind, encoder_overrides=dict(dropout=0.2))
+        ids, mask, labels = P._batch_arrays(
+            P.prepare_examples(pairs_with_ops(5, 2, max_ops=4)), range(8))
+        assert (mask == 0).any(), "the batch must carry padding"
+
+        def run():
+            model = P.PairClassifier(cfg)
+            if build == "float64":
+                to_float64(model.parameters())
+            with T.tape_scope(), ThreadPoolExecutor(max_workers=1) as worker:
+                logits = model.forward_joint(ids, mask, rng=np.random.default_rng(0),
+                                             worker=worker if split else None,
+                                             hyp_rng=np.random.default_rng(1))
+                loss = T.cross_entropy(logits, labels)
+                T.backward(loss)
+            return [logits.data, loss.data] + [p.grad for p in model.parameters().values()]
+
+        fused = run()
+        calls = Counter()
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(A, "scaled_dot_attention", counted("core", reference_attention))
+        monkeypatch.setattr(P, "scaled_dot_attention", counted("pool", reference_attention))
+        monkeypatch.setattr(A.FeedForward, "__call__", counted("ffn", reference_feed_forward))
+        reference = run()
+        layers, sides = cfg.encoder.attention_layers, 2 if split else 1
+        assert calls == {"core": layers * sides, "pool": sides, "ffn": layers * sides}
+        assert len(fused) == len(reference)
+        for got, ref in zip(fused, reference):
+            assert got.dtype == np.dtype(build) and got.tobytes() == ref.tobytes()
+
+
+def _held_float_dtypes(backward):
+    """The dtypes of the float arrays and tensors a backward closure holds,
+    looking inside lists and tuples."""
+    held = [cell.cell_contents for cell in backward.__closure__ or ()]
+    dtypes = []
+    while held:
+        value = held.pop()
+        if isinstance(value, (list, tuple)):
+            held.extend(value)
+        elif isinstance(value, T.Tensor) or (
+                isinstance(value, np.ndarray) and value.dtype.kind == "f"):
+            dtypes.append(value.dtype)
+    return dtypes
 
 
 def _record_tapes(monkeypatch):
